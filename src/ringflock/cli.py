@@ -1,7 +1,8 @@
 """ringflock command line: config ingestion, subcommands, CSV emission.
 
-Exit codes: 0 stable / ok, 1 usage or I/O failure, 2 domain-negative result
-(instability, violated bound), 3 marginal or inconclusive.
+Exit codes: 0 stable / ok, 1 usage, invalid value or I/O failure, 2
+domain-negative result (instability, violated bound), 3 marginal or
+inconclusive.
 """
 
 import argparse
@@ -11,7 +12,7 @@ from pathlib import Path
 
 from .errors import ConfigError, DegenerateBranches, RingflockError
 from .model import FlockParams, normalize, validate
-from .sim import front_overlay, impulse_experiment, positions
+from .sim import front_overlay, impulse_experiment
 from .spectral import eigencurve, hausdorff, spectrum
 from .stability import instability_witness, spectral_verdict, stable_for_all_n
 from .wavefield import (
@@ -218,21 +219,11 @@ def cmd_simulate(cfg, out_dir):
                 ["k", "arrival_time", "branch"],
                 ((k, front.arrival_time[k], branch_of(k)) for k in range(n)))
 
-    x = positions(traj, delta=1.0, v_nominal=0.0)
-    speed = traj.zdot
     fp, fm = front_overlay(traj, front.predicted_c_plus, front.predicted_c_minus,
                            delta=1.0, v_nominal=0.0)
-    path = out_dir / "orbits.csv"
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.write("t,k,x,speed\n")
-        for i, t in enumerate(traj.times):
-            for k in range(n):
-                fh.write(f"{_fmt(t)},{k},{_fmt(x[i, k])},{_fmt(speed[i, k])}\n")
-        fh.write("\nt,front_plus_x,front_minus_x\n")
-        for i, t in enumerate(traj.times):
-            fh.write(f"{_fmt(t)},{_fmt(fp[i])},{_fmt(fm[i])}\n")
-    os.replace(tmp, path)
+    _write_rows(out_dir / "orbits.csv",
+                ["t", "front_plus_x", "front_minus_x"],
+                zip(traj.times, fp, fm))
 
     print(f"fitted_c_plus={_fmt(front.fitted_c_plus)}")
     print(f"fitted_c_minus={_fmt(front.fitted_c_minus)}")
@@ -246,6 +237,8 @@ def cmd_simulate(cfg, out_dir):
 
 def cmd_wave_verify(cfg, out_dir):
     params = build_params(cfg)
+    for n in cfg["n_sweep"]:
+        validate(params.with_n(n))
     alpha, beta = cfg["alpha"], cfg["beta"]
     if alpha >= 1.0 / 3.0:
         print(f"alpha_guarantee=false  # alpha={alpha:g} outside the alpha < 1/3 regime")
@@ -289,8 +282,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ringflock",
-        description="Spectral analysis and wave diagnostics of ring flocks. "
-                    "RINGFLOCK_THREADS caps internal parallelism.")
+        description="Spectral analysis and wave diagnostics of ring flocks.")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="key = value config file")
     parser.add_argument("--out", default=None, help="output directory")
@@ -315,7 +307,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
-    except RingflockError as exc:
+    except (RingflockError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

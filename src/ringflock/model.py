@@ -100,24 +100,40 @@ class DenseSystem:
 
 
 def violations(params: FlockParams) -> list:
-    """All invariant violations of the parameter set, empty when valid."""
+    """All invariant violations of the parameter set, empty when valid.
+
+    Each entry is an exception instance ready to raise: BadAgentCount for a
+    ring below three agents or colliding offsets, RowSumViolation for a
+    weight row that does not sum to zero, RingflockError for the rest.
+    """
     probs = []
     if params.n < 3:
-        probs.append(f"agent count n={params.n} is below 3")
+        probs.append(BadAgentCount(f"agent count n={params.n} is below 3"))
     else:
         seen = {}
         for j in params.neighborhood:
             r = j % params.n
             if r in seen:
-                probs.append(f"offsets {seen[r]} and {j} collide mod n={params.n}")
+                probs.append(BadAgentCount(
+                    f"offsets {seen[r]} and {j} collide mod n={params.n}"))
             seen[r] = j
+    for name in ("g_x", "g_v"):
+        gain = getattr(params, name)
+        if not math.isfinite(gain):
+            probs.append(RingflockError(f"{name}={gain} is not finite"))
     for name, rho in (("rho_x", params.rho_x), ("rho_v", params.rho_v)):
         extra = set(rho) - set(params.neighborhood)
         if extra:
-            probs.append(f"{name} has weights outside the neighborhood: {sorted(extra)}")
+            probs.append(RingflockError(
+                f"{name} has weights outside the neighborhood: {sorted(extra)}"))
+        bad = {j: w for j, w in rho.items() if not math.isfinite(w)}
+        if bad:
+            probs.append(RingflockError(
+                f"{name} has non-finite weights at offsets {sorted(bad)}"))
+            continue
         s = math.fsum(rho.values())
         if abs(s) > ROW_SUM_TOL:
-            probs.append(f"{name} row sum {s:.3e} exceeds {ROW_SUM_TOL:.0e}")
+            probs.append(RowSumViolation(f"{name} row sum {s:.3e} exceeds {ROW_SUM_TOL:.0e}"))
     return probs
 
 
@@ -129,19 +145,18 @@ def validate(params: FlockParams) -> FlockParams:
     zero eigenvalue structurally exact downstream.
 
     Raises:
-        BadAgentCount: n < 3.
+        BadAgentCount: n < 3 or offsets collide mod n.
         RowSumViolation: a weight row sums to more than the tolerance.
-        RingflockError: any other invariant violation.
+        RingflockError: any other invariant violation, such as a non-finite
+            gain or weight.
     """
     probs = violations(params)
-    for p in probs:
-        if "agent count" in p or "collide" in p:
-            raise BadAgentCount(p)
-    for p in probs:
-        if "row sum" in p:
-            raise RowSumViolation(p)
+    for kind in (BadAgentCount, RowSumViolation):
+        for p in probs:
+            if type(p) is kind:
+                raise p
     if probs:
-        raise RingflockError("; ".join(probs))
+        raise RingflockError("; ".join(str(p) for p in probs))
 
     def reclose(rho):
         full = {j: float(rho.get(j, 0.0)) for j in params.neighborhood}

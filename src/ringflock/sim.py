@@ -25,7 +25,6 @@ class Trajectory:
     z: np.ndarray
     zdot: np.ndarray
     params: FlockParams
-    delta: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -61,19 +60,22 @@ def max_step(params: FlockParams) -> float:
 
 
 def integrate(params: FlockParams, z0, zdot0, t_end: float, dt: float,
-              frames: int = 500, delta: float = 1.0) -> Trajectory:
+              frames: int = 500) -> Trajectory:
     """Classical RK4 on the first-order form, sampled to about `frames` rows.
 
     Raises:
-        StepTooLarge: dt <= 0 or dt above the stability heuristic
-            0.1 / (|g_x| + |g_v| + 1).
+        StepTooLarge: dt is not in (0, 0.1 / (|g_x| + |g_v| + 1)], the
+            stability heuristic (a NaN step included).
         NonfiniteState: the state stopped being finite (divergence or a bad
             step size).
+        ValueError: t_end is not finite.
     """
     p = validate(params)
     cap = max_step(p)
-    if dt <= 0.0 or dt > cap:
+    if not 0.0 < dt <= cap:
         raise StepTooLarge(f"dt={dt:.4g} outside (0, {cap:.4g}]")
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end={t_end} is not finite")
     z = np.asarray(z0, dtype=float).copy()
     v = np.asarray(zdot0, dtype=float).copy()
     if z.shape != (p.n,) or v.shape != (p.n,):
@@ -108,7 +110,7 @@ def integrate(params: FlockParams, z0, zdot0, t_end: float, dt: float,
             vs.append(v.copy())
 
     return Trajectory(times=np.array(times), z=np.array(zs), zdot=np.array(vs),
-                      params=p, delta=delta)
+                      params=p)
 
 
 def _fit_speed(ks, arrivals):

@@ -18,7 +18,6 @@ undefined; strict callers get DegenerateBranches, others a deterministic
 order (descending real part).
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 

@@ -17,8 +17,6 @@ the approximation error against its closed-form three-term bound.
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,13 +43,6 @@ DEGENERATE_MODE_TOL = 1e-10
 def _require_gate(params):
     if not stable_for_all_n(params):
         raise UnstableParams("operation requires closed-form stable parameters")
-
-
-def _thread_count():
-    try:
-        return max(1, int(os.environ.get("RINGFLOCK_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -373,7 +364,7 @@ def wave_approximation(params: FlockParams, coeffs: ModalCoefficients,
         UnstableParams / NotNormalized via the signal velocities.
     """
     n = coeffs.n
-    if not (0.0 < alpha < beta < 1.0) or k_window <= 1.0 or p <= 1.0:
+    if not (0.0 < alpha < beta < 1.0 and k_window > 1.0 and p > 1.0):
         raise BadExponents("need 0 < alpha < beta < 1, K > 1, p > 1")
     if n ** alpha <= 1.0:
         raise BadExponents(f"n**alpha = {n ** alpha:.3g} must exceed 1")
@@ -483,12 +474,7 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
         approx = wa.f_minus(ks - wa.c_minus * t) + wa.f_plus(ks - wa.c_plus * t)
         return float(np.abs(z - approx).max()), float(np.abs(z).max())
 
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(sample, ts))
-    else:
-        results = [sample(t) for t in ts]
+    results = [sample(t) for t in ts]
     measured = np.array([r[0] for r in results])
     sups = np.array([r[1] for r in results])
 

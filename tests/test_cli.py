@@ -142,9 +142,11 @@ def test_simulate_deterministic_and_complete(tmp_path, capsys):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     front_rows = (outs[0] / "wavefront.csv").read_text().strip().splitlines()
     assert len(front_rows) == 1 + 64
-    orbit_text = (outs[0] / "orbits.csv").read_text()
-    assert "t,k,x,speed" in orbit_text
-    assert "t,front_plus_x,front_minus_x" in orbit_text
+    frames = {row.split(",")[0]
+              for row in (outs[0] / "trajectory.csv").read_text().splitlines()[1:]}
+    orbit_rows = (outs[0] / "orbits.csv").read_text().splitlines()
+    assert orbit_rows[0] == "t,front_plus_x,front_minus_x"
+    assert len(orbit_rows) == 1 + len(frames)
 
 
 def test_simulate_lists_no_arrival_agents(tmp_path, capsys):
@@ -172,3 +174,20 @@ def test_wave_verify_bound_and_decay(tmp_path, capsys):
     assert rows[0] == "n,t,measured_error,bound_term1,bound_term2,bound_term3"
     data = np.array([r.split(",") for r in rows[1:]], dtype=float)
     assert (data[:, 2] <= data[:, 3] + data[:, 4] + data[:, 5] + 1e-9).all()
+
+
+@pytest.mark.parametrize("command,text", [
+    ("stability", "g_x = nan\n"),
+    ("wave-verify", "n_sweep = 2\n"),
+    ("spectrum", "n = 16\nn_phi = 3\n"),
+    ("simulate", "n = 16\nt_end = nan\n"),
+    ("wave-verify", "K = nan\nn_sweep = 64\n"),
+    ("wave-verify", "p = nan\nn_sweep = 64\n"),
+], ids=["g_x-nan", "n_sweep-2", "n_phi-3", "t_end-nan", "K-nan", "p-nan"])
+def test_bad_value_exits_1_with_one_line(tmp_path, capsys, command, text):
+    code = main([command, "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

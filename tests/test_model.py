@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,37 @@ def test_validate_bad_agent_count():
     p = rf.FlockParams.nearest_neighbor(2, -2.0, -2.0)
     with pytest.raises(rf.BadAgentCount):
         rf.validate(p)
+
+
+def test_violations_are_typed_exceptions():
+    p = rf.FlockParams(n=2, g_x=-2.0, g_v=-2.0,
+                       rho_x={-1: -0.5, 0: 1.0, 1: -0.4},
+                       rho_v={-1: -0.5, 0: 1.0, 1: -0.5, 2: 0.0})
+    kinds = [type(v) for v in rf.violations(p)]
+    assert kinds == [rf.BadAgentCount, rf.RowSumViolation, rf.RingflockError]
+    with pytest.raises(rf.BadAgentCount, match="below 3"):
+        rf.validate(p)
+    with pytest.raises(rf.RowSumViolation, match="rho_x row sum"):
+        rf.validate(p.with_n(10))
+    rest = replace(p, n=10, g_x=math.nan, rho_x={-1: -0.5, 0: 1.0, 1: -0.5})
+    with pytest.raises(rf.RingflockError) as exc:
+        rf.validate(rest)
+    assert type(exc.value) is rf.RingflockError
+    assert str(exc.value) == ("g_x=nan is not finite; "
+                              "rho_v has weights outside the neighborhood: [2]")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("g_x", math.nan), ("g_v", math.inf),
+    ("rho_x", {-1: -0.5, 0: math.nan, 1: -0.5}),
+    ("rho_v", {-1: -math.inf, 0: math.inf, 1: 0.0}),
+], ids=["g_x-nan", "g_v-inf", "rho_x-nan", "rho_v-inf"])
+def test_validate_rejects_nonfinite(field, value):
+    p = rf.FlockParams.nearest_neighbor(10, -2.0, -2.0)
+    bad = replace(p, **{field: value})
+    assert [type(v) for v in rf.violations(bad)] == [rf.RingflockError]
+    with pytest.raises(rf.RingflockError, match="not finite|non-finite"):
+        rf.validate(bad)
 
 
 def test_validate_recloses_tiny_row_sum():
