@@ -239,35 +239,30 @@ def cmd_wave_verify(cfg, out_dir):
     params = build_params(cfg)
     for n in cfg["n_sweep"]:
         validate(params.with_n(n))
-    alpha, beta = cfg["alpha"], cfg["beta"]
+    alpha = cfg["alpha"]
+    reports = []
+    d_const = None
+    for n in cfg["n_sweep"]:
+        coeffs = power_law_coefficients(n, cfg["p"], seed=cfg["seed"])
+        reports.append(verify_wave_bound(params.with_n(n), coeffs, alpha, cfg["beta"],
+                                         cfg["K"], cfg["p"], d_const=d_const))
+        d_const = reports[0].d_const
+    _write_rows(out_dir / "wave_verify.csv",
+                ["n", "t", "measured_error", "bound_term1", "bound_term2", "bound_term3"],
+                ((r.n, *row) for r in reports
+                 for row in zip(r.ts, r.measured, r.term1, r.term2, r.term3)))
+    # Everything above can fail; print only once the whole sweep is done.
     if alpha >= 1.0 / 3.0:
         print(f"alpha_guarantee=false  # alpha={alpha:g} outside the alpha < 1/3 regime")
     else:
         print("alpha_guarantee=true")
-    rows = []
-    rel_errors = []
-    d_const = None
-    for n in cfg["n_sweep"]:
-        coeffs = power_law_coefficients(n, cfg["p"], seed=cfg["seed"])
-        report = verify_wave_bound(params.with_n(n), coeffs, alpha, beta,
-                                     cfg["K"], cfg["p"], d_const=d_const)
-        if d_const is None:
-            d_const = report.d_const
-            print(f"d_const={_fmt(d_const)}  # fitted at n={n}, frozen afterwards")
-        for i, t in enumerate(report.ts):
-            rows.append((n, t, report.measured[i], report.term1[i],
-                         report.term2[i], report.term3[i]))
-        rel = report.measured[0] / report.signal_sup[0]
-        rel_errors.append(rel)
-        print(f"n={n} rel_error={_fmt(rel)} bound_holds={_fmt(report.bound_holds())}")
-    _write_rows(out_dir / "wave_verify.csv",
-                ["n", "t", "measured_error", "bound_term1", "bound_term2", "bound_term3"],
-                rows)
+    print(f"d_const={_fmt(d_const)}  # fitted at n={reports[0].n}, frozen afterwards")
+    rel_errors = [r.measured[0] / r.signal_sup[0] for r in reports]
+    for r, rel in zip(reports, rel_errors):
+        print(f"n={r.n} rel_error={_fmt(rel)} bound_holds={_fmt(r.bound_holds())}")
     monotone = all(rel_errors[i + 1] < rel_errors[i] for i in range(len(rel_errors) - 1))
     print(f"rel_error_monotone={_fmt(monotone)}")
-    all_hold = all(
-        row[2] <= row[3] + row[4] + row[5] + 1e-9 for row in rows)
-    return 0 if all_hold else 2
+    return 0 if all(r.bound_holds() for r in reports) else 2
 
 
 _COMMANDS = {

@@ -68,14 +68,14 @@ def integrate(params: FlockParams, z0, zdot0, t_end: float, dt: float,
             stability heuristic (a NaN step included).
         NonfiniteState: the state stopped being finite (divergence or a bad
             step size).
-        ValueError: t_end is not finite.
+        ValueError: t_end is not positive and finite.
     """
     p = validate(params)
     cap = max_step(p)
     if not 0.0 < dt <= cap:
         raise StepTooLarge(f"dt={dt:.4g} outside (0, {cap:.4g}]")
-    if not math.isfinite(t_end):
-        raise ValueError(f"t_end={t_end} is not finite")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end={t_end} must be positive and finite")
     z = np.asarray(z0, dtype=float).copy()
     v = np.asarray(zdot0, dtype=float).copy()
     if z.shape != (p.n,) or v.shape != (p.n,):
@@ -138,8 +138,11 @@ def impulse_experiment(params: FlockParams, v_impulse: float = 1.0,
     onset effects distort one end and the two fronts collide at the other.
 
     Raises:
+        ValueError: v_impulse is zero or not finite.
         UnstableParams: closed-form gate fails.
     """
+    if not (math.isfinite(v_impulse) and v_impulse != 0.0):
+        raise ValueError(f"v_impulse={v_impulse} must be nonzero and finite")
     if not stable_for_all_n(params):
         raise UnstableParams("impulse experiment needs gate-stable parameters")
     p = validate(params)

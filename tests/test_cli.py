@@ -183,11 +183,20 @@ def test_wave_verify_bound_and_decay(tmp_path, capsys):
     ("simulate", "n = 16\nt_end = nan\n"),
     ("wave-verify", "K = nan\nn_sweep = 64\n"),
     ("wave-verify", "p = nan\nn_sweep = 64\n"),
-], ids=["g_x-nan", "n_sweep-2", "n_phi-3", "t_end-nan", "K-nan", "p-nan"])
+    ("simulate", "n = 16\nt_end = -1\n"),
+    ("simulate", "n = 16\nt_end = 0\n"),
+    ("simulate", "n = 16\nv_impulse = nan\n"),
+    ("simulate", "n = 16\nv_impulse = 0\n"),
+    ("wave-verify", "alpha = 0.9\nn_sweep = 64\n"),
+    ("wave-verify", "g_v = 1\nn_sweep = 64\n"),
+], ids=["g_x-nan", "n_sweep-2", "n_phi-3", "t_end-nan", "K-nan", "p-nan",
+        "t_end-negative", "t_end-0", "v_impulse-nan", "v_impulse-0",
+        "alpha-0.9", "wave-verify-unstable"])
 def test_bad_value_exits_1_with_one_line(tmp_path, capsys, command, text):
     code = main([command, "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code == 1
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err

@@ -1,0 +1,26 @@
+"""Smoke test: every script under demos/ runs to completion.
+
+Each demo runs in a fresh interpreter from a temporary directory (demo 04
+writes demo_out/ into its working directory) with the package on the path.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(tmp_path, script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,10 @@ def test_front_overlay_curves_are_not_straight():
     coeffs = np.polyfit(t, vals, 1)
     resid = np.abs(vals - np.polyval(coeffs, t)).max()
     assert resid > 1e-3
+
+
+def test_impulse_experiment_rejects_bad_impulse():
+    p = rf.FlockParams.nearest_neighbor(16, -2.0, -1.0)
+    for v in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="v_impulse"):
+            rf.impulse_experiment(p, v_impulse=v, t_end=1.0)

@@ -154,6 +154,20 @@ def test_modal_evolve_coherent_drift():
     np.testing.assert_allclose(v, -0.5, atol=1e-12)
 
 
+def test_modal_evolve_batched_rows_match_scalar_calls():
+    rng = np.random.default_rng(98)
+    p = random_underdamped_params(rng, 64)
+    co = rf.modal_decompose(p, rng.uniform(-1, 1, 64), rng.uniform(-1, 1, 64))
+    ts = np.array([0.0, 0.3, 2.5, 17.0])
+    zs, vs = rf.modal_evolve(p, co, ts)
+    assert zs.shape == vs.shape == (4, 64)
+    for i, t in enumerate(ts):
+        z, v = rf.modal_evolve(p, co, t)
+        assert z.shape == (64,)
+        assert np.abs(zs[i] - z).max() <= 1e-12
+        assert np.abs(vs[i] - v).max() <= 1e-12
+
+
 def test_power_law_coefficients_real_and_nested():
     for n in (128, 256):
         co = rf.power_law_coefficients(n, 2.0, seed=5)
@@ -223,6 +237,27 @@ def test_verify_wave_bound_bound_and_decay():
         assert rep.bound_holds()
         rels.append(rep.measured[0] / rep.signal_sup[0])
     assert rels[1] < rels[0]
+
+
+def test_verify_wave_bound_matches_direct_profile_sum():
+    # reference: each profile summed directly, sum_m c_m exp(i theta m (k - c t))
+    n = 128
+    p = rf.FlockParams.nearest_neighbor(n, -2.0, -1.0)
+    co = rf.power_law_coefficients(n, 2.0, seed=4)
+    rep = rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
+    wa = rep.approximation
+    ks = np.arange(n)
+
+    def profile(coeffs, x):
+        return coeffs @ np.exp(1j * wa.theta * np.outer(wa.modes, x))
+
+    assert len(rep.ts) == 7
+    for i, t in enumerate(rep.ts):
+        z, _ = rf.modal_evolve(p, co, t)
+        approx = profile(wa.f_minus_coeffs, ks - wa.c_minus * t) + \
+            profile(wa.f_plus_coeffs, ks - wa.c_plus * t)
+        assert abs(rep.measured[i] - np.abs(z - approx).max()) <= 1e-12
+        assert abs(rep.signal_sup[i] - np.abs(z).max()) <= 1e-12
 
 
 def test_exp_diff_bound_examples():
