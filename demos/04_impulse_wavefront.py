@@ -3,13 +3,12 @@
 At t = 0 agent 0 alone gets a velocity impulse.  Two wavefronts emerge and
 run around the ring, one per direction, at the signal velocities.  The run
 fits both front speeds from the per-agent arrival times and compares them
-with the closed-form prediction; it also writes the orbit picture (position
-fan plus wavefront overlay) as plot-ready CSV.
+with the closed-form prediction; it also writes where the two predicted
+fronts sit in orbit space as plot-ready CSV, to lay over the orbits
+x_k(t) = z_k(t) + k of the trajectory.
 """
 
 from pathlib import Path
-
-import numpy as np
 
 import ringflock as rf
 
@@ -27,19 +26,16 @@ for k in (10, 25, 50, 75, 90):
     print(f"  agent {k:3d} at t = {front.arrival_time[k]:7.2f}"
           f"   (front prediction {k / front.predicted_c_plus:7.2f})")
 
-# orbit view: physical positions with unit spacing, fronts overlaid
+# front overlay in orbit space (unit spacing, no drift); the orbits
+# themselves are rf.positions(traj, delta=1.0)
 out = Path("demo_out")
 out.mkdir(exist_ok=True)
-x = rf.positions(traj, delta=1.0, v_nominal=0.0)
 fp, fm = rf.front_overlay(traj, front.predicted_c_plus, front.predicted_c_minus,
                           delta=1.0)
 with open(out / "orbits.csv", "w") as fh:
-    fh.write("t,k,x,speed\n")
-    for i, t in enumerate(traj.times):
-        for k in range(params.n):
-            fh.write(f"{t},{k},{x[i, k]},{traj.zdot[i, k]}\n")
-    fh.write("\nt,front_plus_x,front_minus_x\n")
-    for i, t in enumerate(traj.times):
-        fh.write(f"{t},{fp[i]},{fm[i]}\n")
-print(f"\norbit field and overlay written to {out / 'orbits.csv'}")
-print("(gnuplot: plot the first block as a colored field, the second as lines)")
+    fh.write("t,front_plus_x,front_minus_x\n")
+    for t, xp, xm in zip(traj.times, fp, fm):
+        fh.write(f"{t},{xp},{xm}\n")
+print(f"\nfront overlay written to {out / 'orbits.csv'}")
+print("(gnuplot: set datafile separator ','; "
+      "plot for [c=2:3] 'demo_out/orbits.csv' using 1:c with lines)")

@@ -10,6 +10,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, DegenerateBranches, RingflockError
 from .model import FlockParams, normalize, validate
 from .sim import front_overlay, impulse_experiment
@@ -45,17 +47,15 @@ DEFAULTS = {
     "output_dir": "out",
 }
 
-_INT_KEYS = {"n", "n_phi", "seed"}
-_STR_KEYS = {"output_dir"}
-_LIST_KEYS = {"n_sweep"}
-
 
 def _convert(key, text):
-    if key in _STR_KEYS:
+    """Parse a value with the type of the key's default; None means float."""
+    default = DEFAULTS[key]
+    if isinstance(default, str):
         return text
-    if key in _LIST_KEYS:
+    if isinstance(default, tuple):
         return tuple(int(part) for part in text.split(","))
-    if key in _INT_KEYS:
+    if isinstance(default, int):
         return int(text)
     return float(text)
 
@@ -105,13 +105,22 @@ def _fmt(value):
     return str(value)
 
 
-def _write_rows(path: Path, header, rows):
-    """Atomic CSV write; floats carry 17 significant digits."""
+_CSV_BLOCK_ROWS = 4096
+
+
+def _write_csv(path: Path, header, *columns):
+    """Atomic CSV write of equal-length 1-D arrays: %d for integer columns,
+    %s for string columns, %.17g (17 significant digits) for the rest."""
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%s" if c.dtype.kind == "U"
+                   else "%.17g" for c in columns) + "\n"
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        # tolist() makes a Python object per cell; going block by block keeps
+        # that to a few thousand rows instead of doubling simulate's peak RSS.
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = [c[start:start + _CSV_BLOCK_ROWS].tolist() for c in columns]
+            fh.writelines(row % cells for cells in zip(*block))
     os.replace(tmp, path)
 
 
@@ -157,18 +166,17 @@ def cmd_stability(cfg, out_dir):
 def cmd_spectrum(cfg, out_dir):
     params = build_params(cfg)
     spec = spectrum(params)
-    _write_rows(out_dir / "spectrum.csv",
-                ["m", "re_lambda_x", "im_lambda_x", "re_lambda_v", "im_lambda_v",
-                 "re_nu_plus", "im_nu_plus", "re_nu_minus", "im_nu_minus"],
-                ((int(m), lx.real, lx.imag, lv.real, lv.imag,
-                  np_.real, np_.imag, nm.real, nm.imag)
-                 for m, lx, lv, np_, nm in zip(spec.ms, spec.lambda_x, spec.lambda_v,
-                                               spec.nu_plus, spec.nu_minus)))
+    _write_csv(out_dir / "spectrum.csv",
+               ["m", "re_lambda_x", "im_lambda_x", "re_lambda_v", "im_lambda_v",
+                "re_nu_plus", "im_nu_plus", "re_nu_minus", "im_nu_minus"],
+               spec.ms, spec.lambda_x.real, spec.lambda_x.imag,
+               spec.lambda_v.real, spec.lambda_v.imag, spec.nu_plus.real,
+               spec.nu_plus.imag, spec.nu_minus.real, spec.nu_minus.imag)
     curve = eigencurve(params, cfg["n_phi"])
-    _write_rows(out_dir / "eigencurve.csv",
-                ["phi", "re_nu_1", "im_nu_1", "re_nu_2", "im_nu_2"],
-                ((phi, r1.real, r1.imag, r2.real, r2.imag)
-                 for phi, (r1, r2) in zip(curve.phi, curve.roots)))
+    r1, r2 = curve.roots.T
+    _write_csv(out_dir / "eigencurve.csv",
+               ["phi", "re_nu_1", "im_nu_1", "re_nu_2", "im_nu_2"],
+               curve.phi, r1.real, r1.imag, r2.real, r2.imag)
     d_h = hausdorff(spec.all_nus(), curve.points())
     print(f"modes={params.n}")
     print(f"hausdorff={_fmt(d_h)}")
@@ -186,11 +194,9 @@ def cmd_velocities(cfg, out_dir):
         print(f"degenerate_branches=true  # {exc}")
         return 3
     sigs = signal_velocities(normalize(params))
-    _write_rows(out_dir / "velocities.csv",
-                ["m", "c_plus", "c_minus", "re_nu_plus", "re_nu_minus"],
-                ((int(m), cp, cm, rp, rm)
-                 for m, cp, cm, rp, rm in zip(pv.ms, pv.c_plus, pv.c_minus,
-                                              pv.re_nu_plus, pv.re_nu_minus)))
+    _write_csv(out_dir / "velocities.csv",
+               ["m", "c_plus", "c_minus", "re_nu_plus", "re_nu_minus"],
+               pv.ms, pv.c_plus, pv.c_minus, pv.re_nu_plus, pv.re_nu_minus)
     print(f"c_plus={sigs.c_plus:.6f}")
     print(f"c_minus={sigs.c_minus:.6f}")
     print(f"a={_fmt(sigs.a)}")
@@ -205,25 +211,17 @@ def cmd_simulate(cfg, out_dir):
     traj, front = impulse_experiment(params, v_impulse=cfg["v_impulse"],
                                      t_end=cfg["t_end"], dt=cfg["dt"])
     n = params.n
-    _write_rows(out_dir / "trajectory.csv",
-                ["t", "k", "z", "zdot"],
-                ((t, k, traj.z[i, k], traj.zdot[i, k])
-                 for i, t in enumerate(traj.times) for k in range(n)))
-
-    def branch_of(k):
-        if k == 0:
-            return "0"
-        return "+" if k <= n // 2 else "-"
-
-    _write_rows(out_dir / "wavefront.csv",
-                ["k", "arrival_time", "branch"],
-                ((k, front.arrival_time[k], branch_of(k)) for k in range(n)))
-
+    ks = np.arange(n)
+    _write_csv(out_dir / "trajectory.csv", ["t", "k", "z", "zdot"],
+               np.repeat(traj.times, n), np.tile(ks, traj.times.size),
+               traj.z.ravel(), traj.zdot.ravel())
+    branch = np.where(ks == 0, "0", np.where(ks <= n // 2, "+", "-"))
+    _write_csv(out_dir / "wavefront.csv", ["k", "arrival_time", "branch"],
+               ks, front.arrival_time, branch)
     fp, fm = front_overlay(traj, front.predicted_c_plus, front.predicted_c_minus,
                            delta=1.0, v_nominal=0.0)
-    _write_rows(out_dir / "orbits.csv",
-                ["t", "front_plus_x", "front_minus_x"],
-                zip(traj.times, fp, fm))
+    _write_csv(out_dir / "orbits.csv", ["t", "front_plus_x", "front_minus_x"],
+               traj.times, fp, fm)
 
     print(f"fitted_c_plus={_fmt(front.fitted_c_plus)}")
     print(f"fitted_c_minus={_fmt(front.fitted_c_minus)}")
@@ -237,6 +235,8 @@ def cmd_simulate(cfg, out_dir):
 
 def cmd_wave_verify(cfg, out_dir):
     params = build_params(cfg)
+    if list(cfg["n_sweep"]) != sorted(set(cfg["n_sweep"])):
+        raise ValueError(f"n_sweep must be strictly increasing, got {_fmt(cfg['n_sweep'])}")
     for n in cfg["n_sweep"]:
         validate(params.with_n(n))
     alpha = cfg["alpha"]
@@ -247,10 +247,11 @@ def cmd_wave_verify(cfg, out_dir):
         reports.append(verify_wave_bound(params.with_n(n), coeffs, alpha, cfg["beta"],
                                          cfg["K"], cfg["p"], d_const=d_const))
         d_const = reports[0].d_const
-    _write_rows(out_dir / "wave_verify.csv",
-                ["n", "t", "measured_error", "bound_term1", "bound_term2", "bound_term3"],
-                ((r.n, *row) for r in reports
-                 for row in zip(r.ts, r.measured, r.term1, r.term2, r.term3)))
+    per_ring = [(np.full(r.ts.size, r.n), r.ts, r.measured, r.term1, r.term2, r.term3)
+                for r in reports]
+    _write_csv(out_dir / "wave_verify.csv",
+               ["n", "t", "measured_error", "bound_term1", "bound_term2", "bound_term3"],
+               *map(np.concatenate, zip(*per_ring)))
     # Everything above can fail; print only once the whole sweep is done.
     if alpha >= 1.0 / 3.0:
         print(f"alpha_guarantee=false  # alpha={alpha:g} outside the alpha < 1/3 regime")

@@ -69,7 +69,7 @@ class DegenerateMode(RingflockError):
 
 
 class BadExponents(RingflockError):
-    """Band exponents must satisfy 0 < alpha < beta < 1, K > 1, p > 1."""
+    """Band exponents need 0 < alpha < beta < 1 and finite K, p > 1."""
 
 
 class NoDecayFit(RingflockError):

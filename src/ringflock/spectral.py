@@ -28,6 +28,7 @@ from .errors import (
     DegenerateBranches,
     EmptySet,
     NonpositiveExpansionConstant,
+    RingflockError,
     TooLarge,
 )
 from .model import DenseSystem, FlockParams, moments
@@ -70,17 +71,16 @@ def lambda_curves(params: FlockParams, phi):
             d = rho.get(j, 0.0) - rho.get(-j, 0.0)
             re = re - 2.0 * s * np.sin(0.5 * j * phi) ** 2
             im = im + d * np.sin(j * phi)
-        return g * (re + 1j * im)
+        with np.errstate(over="ignore"):  # _labeled_roots rejects the overflow
+            return g * (re + 1j * im)
 
     return symbol(params.g_x, params.rho_x), symbol(params.g_v, params.rho_v)
 
 
 def laplacian_eigenvalues(params: FlockParams, m: int):
     """(lambda_x, lambda_v) at mode m; both exactly zero for m = 0 mod n."""
-    if m % params.n == 0:
-        return 0j, 0j
-    lx, lv = lambda_curves(params, m * params.theta)
-    return complex(lx), complex(lv)
+    lx, lv, _, _, _ = eigenvalue_arrays(params, np.array([m]))
+    return complex(lx[0]), complex(lv[0])
 
 
 def _labeled_roots(lam_x, lam_v):
@@ -88,13 +88,17 @@ def _labeled_roots(lam_x, lam_v):
 
     Returns (plus, minus, degenerate): degenerate marks entries where both
     roots are real (|Im| < DEGENERATE_IM_TOL) and the label is a fallback
-    (descending real part).
+    (descending real part).  A root that is not finite (gains that
+    overflow float64) raises RingflockError.
     """
     lam_x = np.asarray(lam_x, dtype=complex)
     lam_v = np.asarray(lam_v, dtype=complex)
-    s = np.sqrt(lam_v * lam_v / 4.0 + lam_x)
-    r1 = lam_v / 2.0 + s
-    r2 = lam_v / 2.0 - s
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.sqrt(lam_v * lam_v / 4.0 + lam_x)
+        r1 = lam_v / 2.0 + s
+        r2 = lam_v / 2.0 - s
+    if not (np.isfinite(r1).all() and np.isfinite(r2).all()):
+        raise RingflockError("mode pencil roots are not finite; the gains overflow float64")
     swap = (r1.imag < r2.imag) | ((r1.imag == r2.imag) & (r1.real < r2.real))
     plus = np.where(swap, r2, r1)
     minus = np.where(swap, r1, r2)
@@ -113,8 +117,6 @@ def eigenvalue_arrays(params: FlockParams, ms):
     lx = np.where(zero, 0j, lx)
     lv = np.where(zero, 0j, lv)
     plus, minus, degenerate = _labeled_roots(lx, lv)
-    plus = np.where(zero, 0j, plus)
-    minus = np.where(zero, 0j, minus)
     return lx, lv, plus, minus, degenerate & ~zero
 
 
@@ -141,11 +143,6 @@ class Spectrum:
     lambda_v: np.ndarray
     nu_plus: np.ndarray
     nu_minus: np.ndarray
-
-    def nonzero_nus(self) -> np.ndarray:
-        """All branch eigenvalues of the modes m != 0, flattened."""
-        keep = self.ms != 0
-        return np.concatenate([self.nu_plus[keep], self.nu_minus[keep]])
 
     def all_nus(self) -> np.ndarray:
         """The full 2n eigenvalue multiset of the first-order system."""
@@ -259,8 +256,7 @@ def eigencurve(params: FlockParams, n_phi: int) -> Eigencurve:
     if n_phi < 16:
         raise ValueError("n_phi must be at least 16")
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi)
-    lx, lv = lambda_curves(params, phi)
-    plus, minus, _ = _labeled_roots(lx, lv)
+    plus, minus, _ = pencil_roots(params, phi)
     return Eigencurve(phi=phi, roots=np.column_stack([plus, minus]))
 
 

@@ -352,18 +352,19 @@ def wave_approximation(params: FlockParams, coeffs: ModalCoefficients,
     decay hypothesis checkable instead of assumed.
 
     Raises:
-        BadExponents: exponent ordering violated, K <= 1, p <= 1, or
-            n**alpha <= 1.
+        BadExponents: exponent ordering violated, K or p not a finite
+            number above 1, or n**alpha <= 1.
         NoDecayFit: every modal coefficient is zero.
         UnstableParams / NotNormalized via the signal velocities.
     """
     n = coeffs.n
-    if not (0.0 < alpha < beta < 1.0 and k_window > 1.0 and p > 1.0):
-        raise BadExponents("need 0 < alpha < beta < 1, K > 1, p > 1")
+    if not (0.0 < alpha < beta < 1.0 and 1.0 < k_window < math.inf and 1.0 < p < math.inf):
+        raise BadExponents("need 0 < alpha < beta < 1, finite K > 1, finite p > 1")
     if n ** alpha <= 1.0:
         raise BadExponents(f"n**alpha = {n ** alpha:.3g} must exceed 1")
 
-    ms = fft_modes(n)
+    pn = params.with_n(n) if params.n != n else params
+    ms, plus, minus = _mode_nus(pn)
     nz = ms != 0
     mags = np.maximum(np.abs(coeffs.a), np.abs(coeffs.b))
     if not (mags[nz] > 0).any():
@@ -377,8 +378,6 @@ def wave_approximation(params: FlockParams, coeffs: ModalCoefficients,
     leftward, rightward = coeffs.directional_amplitudes()
 
     sigs = signal_velocities(normalize(params))
-    pn = params.with_n(n) if params.n != n else params
-    _, _, plus, minus, _ = eigenvalue_arrays(pn, ms)
 
     def damping(lo_exp, hi_exp):
         lo, hi = _band(n, lo_exp, hi_exp)

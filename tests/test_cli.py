@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ringflock.cli import main
+from ringflock.cli import DEFAULTS, build_params, main
+from ringflock.sim import impulse_experiment
 
 STABLE = """
 n = 500
@@ -149,6 +150,33 @@ def test_simulate_deterministic_and_complete(tmp_path, capsys):
     assert len(orbit_rows) == 1 + len(frames)
 
 
+def test_simulate_csv_floats_round_trip_exactly(tmp_path, capsys):
+    code, out, out_dir = run(capsys, tmp_path, "simulate", "n = 16\nt_end = 2\n")
+    assert code == 0
+    params = build_params({**DEFAULTS, "n": 16})
+    traj, front = impulse_experiment(params, v_impulse=1.0, t_end=2.0)
+    n = params.n
+
+    rows = (out_dir / "trajectory.csv").read_text().splitlines()
+    assert rows[0] == "t,k,z,zdot"
+    cells = [row.split(",") for row in rows[1:]]
+    assert len(cells) == traj.times.size * n
+    t, ks, z, zdot = zip(*cells)
+    assert all(cell.isdigit() for cell in ks)
+    assert [int(cell) for cell in ks] == list(range(n)) * traj.times.size
+    for column, want in ((t, np.repeat(traj.times, n)), (z, traj.z.ravel()),
+                         (zdot, traj.zdot.ravel())):
+        assert [float(cell) for cell in column] == want.tolist()
+
+    assert front.no_arrival
+    rows = (out_dir / "wavefront.csv").read_text().splitlines()[1:]
+    arrival = [row.split(",")[1] for row in rows]
+    assert [k for k, cell in enumerate(arrival) if cell == "nan"] == front.no_arrival
+    for k, cell in enumerate(arrival):
+        if k not in front.no_arrival:
+            assert float(cell) == front.arrival_time[k]
+
+
 def test_simulate_lists_no_arrival_agents(tmp_path, capsys):
     code, out, _ = run(capsys, tmp_path, "simulate",
                        "n = 200\ng_x = -2\ng_v = -1\nt_end = 10\n")
@@ -176,6 +204,10 @@ def test_wave_verify_bound_and_decay(tmp_path, capsys):
     assert (data[:, 2] <= data[:, 3] + data[:, 4] + data[:, 5] + 1e-9).all()
 
 
+# Gains this large overflow the pencil roots to inf/nan.
+OVERFLOW = "g_x = -1e308\ng_v = -1e308\n"
+
+
 @pytest.mark.parametrize("command,text", [
     ("stability", "g_x = nan\n"),
     ("wave-verify", "n_sweep = 2\n"),
@@ -189,9 +221,17 @@ def test_wave_verify_bound_and_decay(tmp_path, capsys):
     ("simulate", "n = 16\nv_impulse = 0\n"),
     ("wave-verify", "alpha = 0.9\nn_sweep = 64\n"),
     ("wave-verify", "g_v = 1\nn_sweep = 64\n"),
+    ("wave-verify", "K = inf\nn_sweep = 64\n"),
+    ("wave-verify", "p = inf\nn_sweep = 64\n"),
+    ("stability", f"n = 16\n{OVERFLOW}"),
+    ("spectrum", f"n = 16\n{OVERFLOW}"),
+    ("wave-verify", f"{OVERFLOW}n_sweep = 64\n"),
+    ("wave-verify", "n_sweep = 128,64\n"),
 ], ids=["g_x-nan", "n_sweep-2", "n_phi-3", "t_end-nan", "K-nan", "p-nan",
         "t_end-negative", "t_end-0", "v_impulse-nan", "v_impulse-0",
-        "alpha-0.9", "wave-verify-unstable"])
+        "alpha-0.9", "wave-verify-unstable", "K-inf", "p-inf",
+        "stability-overflow", "spectrum-overflow", "wave-verify-overflow",
+        "n_sweep-decreasing"])
 def test_bad_value_exits_1_with_one_line(tmp_path, capsys, command, text):
     code = main([command, "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()
