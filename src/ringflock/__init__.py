@@ -45,7 +45,6 @@ from .sim import (
     front_overlay,
     impulse_experiment,
     integrate,
-    max_step,
     positions,
 )
 from .spectral import (
@@ -76,6 +75,7 @@ from .wavefield import (
     SignalVelocities,
     WaveApproximation,
     WaveBoundReport,
+    evolve,
     exp_diff_bound_holds,
     group_velocity,
     modal_decompose,

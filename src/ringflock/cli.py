@@ -40,7 +40,6 @@ DEFAULTS = {
     "K": 2.0,
     "p": 2.0,
     "t_end": None,   # simulate: 0.6 * n / min signal speed
-    "dt": None,      # simulate: largest stable step
     "v_impulse": 1.0,
     "seed": 0,
     "n_sweep": (256, 512, 1024),
@@ -108,28 +107,34 @@ def _fmt(value):
 _CSV_BLOCK_ROWS = 4096
 
 
+def _write_atomic(path: Path, chunks):
+    """Write the text chunks to a temp file beside path, then move it into place."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as fh:
+        fh.writelines(chunks)
+    os.replace(tmp, path)
+
+
 def _write_csv(path: Path, header, *columns):
     """Atomic CSV write of equal-length 1-D arrays: %d for integer columns,
     %s for string columns, %.17g (17 significant digits) for the rest."""
     row = ",".join("%d" if c.dtype.kind in "iu" else "%s" if c.dtype.kind == "U"
                    else "%.17g" for c in columns) + "\n"
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.write(",".join(header) + "\n")
+
+    def blocks():
+        yield ",".join(header) + "\n"
         # tolist() makes a Python object per cell; going block by block keeps
         # that to a few thousand rows instead of doubling simulate's peak RSS.
         for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
             block = [c[start:start + _CSV_BLOCK_ROWS].tolist() for c in columns]
-            fh.writelines(row % cells for cells in zip(*block))
-    os.replace(tmp, path)
+            yield "".join(row % cells for cells in zip(*block))
+
+    _write_atomic(path, blocks())
 
 
 def _echo_config(cfg, out_dir: Path):
-    lines = [f"{key}={_fmt(cfg[key])}" for key in sorted(cfg)]
-    tmp = out_dir / "resolved_config.tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, out_dir / "resolved_config")
+    _write_atomic(out_dir / "resolved_config",
+                  (f"{key}={_fmt(cfg[key])}\n" for key in sorted(cfg)))
 
 
 def cmd_stability(cfg, out_dir):
@@ -209,7 +214,7 @@ def cmd_simulate(cfg, out_dir):
         print("closed_form=false")
         return 2
     traj, front = impulse_experiment(params, v_impulse=cfg["v_impulse"],
-                                     t_end=cfg["t_end"], dt=cfg["dt"])
+                                     t_end=cfg["t_end"])
     n = params.n
     ks = np.arange(n)
     _write_csv(out_dir / "trajectory.csv", ["t", "k", "z", "zdot"],

@@ -87,7 +87,7 @@ class StepTooLarge(RingflockError):
 
 
 class NonfiniteState(RingflockError):
-    """Integration produced non-finite values (divergence or bad dt)."""
+    """The evolved state stopped being finite (divergence, overflow or a bad dt)."""
 
 
 # -- CLI ---------------------------------------------------------------------

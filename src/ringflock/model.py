@@ -131,7 +131,10 @@ def violations(params: FlockParams) -> list:
             probs.append(RingflockError(
                 f"{name} has non-finite weights at offsets {sorted(bad)}"))
             continue
-        s = math.fsum(rho.values())
+        try:
+            s = math.fsum(rho.values())
+        except OverflowError:  # finite weights whose exact sum exceeds float64
+            s = math.inf
         if abs(s) > ROW_SUM_TOL:
             probs.append(RowSumViolation(f"{name} row sum {s:.3e} exceeds {ROW_SUM_TOL:.0e}"))
     return probs

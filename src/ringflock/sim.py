@@ -1,8 +1,9 @@
-"""Time-domain oracle: RK4 integration and the impulse-propagation experiment.
+"""Time domain: the impulse-propagation experiment and the RK4 oracle.
 
-The integrator never builds the dense matrix; the circulant couplings are
-applied by rolling the state, so a step costs O(n) per neighbor offset.
-Classical fixed-step RK4 keeps runs bit-reproducible for test fixtures.
+The experiment samples the exact evolution (wavefield.evolve).  The RK4
+integrator, its independent check, never builds the dense matrix; the
+circulant couplings are applied by rolling the state, so a step costs O(n)
+per neighbor offset.  Fixed steps keep runs bit-reproducible for fixtures.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 from .errors import NonfiniteState, StepTooLarge, UnstableParams
 from .model import FlockParams, normalize, validate
 from .stability import stable_for_all_n
-from .wavefield import signal_velocities
+from .wavefield import evolve, signal_velocities
 
 
 @dataclass(frozen=True)
@@ -54,14 +55,8 @@ def _coupled(rho, x):
     return out
 
 
-def max_step(params: FlockParams) -> float:
-    """Largest dt the explicit-scheme heuristic allows."""
-    return 0.1 / (abs(params.g_x) + abs(params.g_v) + 1.0)
-
-
-def integrate(params: FlockParams, z0, zdot0, t_end: float, dt: float,
-              frames: int = 500) -> Trajectory:
-    """Classical RK4 on the first-order form, sampled to about `frames` rows.
+def integrate(params: FlockParams, z0, zdot0, t_end: float, dt: float) -> Trajectory:
+    """Classical RK4 on the first-order form, sampled to about 500 rows.
 
     Raises:
         StepTooLarge: dt is not in (0, 0.1 / (|g_x| + |g_v| + 1)], the
@@ -71,7 +66,7 @@ def integrate(params: FlockParams, z0, zdot0, t_end: float, dt: float,
         ValueError: t_end is not positive and finite.
     """
     p = validate(params)
-    cap = max_step(p)
+    cap = 0.1 / (abs(p.g_x) + abs(p.g_v) + 1.0)
     if not 0.0 < dt <= cap:
         raise StepTooLarge(f"dt={dt:.4g} outside (0, {cap:.4g}]")
     if not 0.0 < t_end < math.inf:
@@ -87,7 +82,7 @@ def integrate(params: FlockParams, z0, zdot0, t_end: float, dt: float,
         return g_x * _coupled(rho_x, zz) + g_v * _coupled(rho_v, vv)
 
     steps = max(1, int(round(t_end / dt)))
-    stride = max(1, steps // frames)
+    stride = max(1, steps // 500)
 
     times = [0.0]
     zs = [z.copy()]
@@ -123,23 +118,25 @@ def _fit_speed(ks, arrivals):
 
 
 def impulse_experiment(params: FlockParams, v_impulse: float = 1.0,
-                       t_end: Optional[float] = None, dt: Optional[float] = None,
-                       threshold: Optional[float] = None, frames: int = 2000):
+                       t_end: Optional[float] = None):
     """Kick agent 0 and watch the disturbance run around the ring both ways.
 
-    Initial state z = 0, zdot = v_impulse on agent 0 only.  Arrival at agent
-    k is the first time |zdot_k| exceeds the threshold, default 2 percent of
-    the impulse.  The default matters: continuous-time lattice dynamics have
-    no strict causality cone, so a tiny analytic precursor leaks ahead of
-    the energy front, and a threshold much below ~2 percent tracks that
-    leakage (apparent speeds several percent above the signal velocity at
-    n = 200) instead of the front itself.  The five agents nearest the
-    source and nearest the antipode are left out of the straight-line fits:
-    onset effects distort one end and the two fronts collide at the other.
+    Initial state z = 0, zdot = v_impulse on agent 0 only, evolved exactly
+    on 2001 evenly spaced frames of [0, t_end].  Arrival at agent k is the
+    first frame with |zdot_k| above 2 percent of the impulse.  That
+    threshold matters: continuous-time lattice dynamics have no strict
+    causality cone, so a tiny analytic precursor leaks ahead of the energy
+    front, and a threshold much below ~2 percent tracks that leakage
+    (apparent speeds several percent above the signal velocity at n = 200)
+    instead of the front itself.  The five agents nearest the source and
+    nearest the antipode are left out of the straight-line fits: onset
+    effects distort one end and the two fronts collide at the other.
 
     Raises:
-        ValueError: v_impulse is zero or not finite.
+        ValueError: v_impulse is zero or not finite, or t_end is not
+            positive and finite.
         UnstableParams: closed-form gate fails.
+        NonfiniteState: the evolved state is not finite in float64.
     """
     if not (math.isfinite(v_impulse) and v_impulse != 0.0):
         raise ValueError(f"v_impulse={v_impulse} must be nonzero and finite")
@@ -150,15 +147,14 @@ def impulse_experiment(params: FlockParams, v_impulse: float = 1.0,
     sigs = signal_velocities(normalize(p))
     if t_end is None:
         t_end = 0.6 * n / min(sigs.c_plus, abs(sigs.c_minus))
-    if dt is None:
-        dt = max_step(p)
-    if threshold is None:
-        threshold = 0.02 * abs(v_impulse)
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end={t_end} must be positive and finite")
+    threshold = 0.02 * abs(v_impulse)
 
-    z0 = np.zeros(n)
     v0 = np.zeros(n)
     v0[0] = v_impulse
-    traj = integrate(p, z0, v0, t_end, dt, frames=frames)
+    times = np.linspace(0.0, t_end, 2001)
+    traj = Trajectory(times, *evolve(p, np.zeros(n), v0, times), params=p)
 
     hit = np.abs(traj.zdot) > threshold
     first = hit.argmax(axis=0)  # 0 both for "hit at frame 0" and "never hit"
@@ -209,22 +205,15 @@ def front_overlay(traj: Trajectory, c_plus: float, c_minus: float,
     """
     x = positions(traj, delta, v_nominal)
     n = traj.z.shape[1]
+    frames = np.arange(traj.times.size)
 
-    def locate(tidx, ring_index):
-        k0 = math.floor(ring_index)
-        frac = ring_index - k0
-        x0 = x[tidx, k0 % n] + (k0 // n) * n * delta
-        k1 = k0 + 1
-        x1 = x[tidx, k1 % n] + (k1 // n) * n * delta
-        return x0 + frac * (x1 - x0)
+    def locate(ring_index, lo, hi):
+        inside = (lo <= ring_index) & (ring_index <= hi)
+        k0 = np.floor(np.where(inside, ring_index, lo)).astype(int)
+        x0 = x[frames, k0 % n] + (k0 // n) * n * delta
+        x1 = x[frames, (k0 + 1) % n] + ((k0 + 1) // n) * n * delta
+        return np.where(inside, x0 + (ring_index - k0) * (x1 - x0), np.nan)
 
-    fp = np.full(traj.times.size, np.nan)
-    fm = np.full(traj.times.size, np.nan)
-    for i, t in enumerate(traj.times):
-        jp = c_plus * t
-        if 0.0 <= jp <= n / 2.0:
-            fp[i] = locate(i, jp)
-        jm = n + c_minus * t
-        if n / 2.0 <= jm <= n:
-            fm[i] = locate(i, jm)
-    return fp, fm
+    with np.errstate(over="ignore", invalid="ignore"):  # c * t may overflow to inf
+        return (locate(c_plus * traj.times, 0.0, n / 2.0),
+                locate(n + c_minus * traj.times, n / 2.0, n))

@@ -66,12 +66,12 @@ def lambda_curves(params: FlockParams, phi):
     def symbol(g, rho):
         re = np.full(phi.shape, math.fsum(rho.values()))
         im = np.zeros(phi.shape)
-        for j in sorted({abs(j) for j in rho if j != 0}):
-            s = rho.get(j, 0.0) + rho.get(-j, 0.0)
-            d = rho.get(j, 0.0) - rho.get(-j, 0.0)
-            re = re - 2.0 * s * np.sin(0.5 * j * phi) ** 2
-            im = im + d * np.sin(j * phi)
-        with np.errstate(over="ignore"):  # _labeled_roots rejects the overflow
+        with np.errstate(over="ignore", invalid="ignore"):  # _labeled_roots rejects overflow
+            for j in sorted({abs(j) for j in rho if j != 0}):
+                s = rho.get(j, 0.0) + rho.get(-j, 0.0)
+                d = rho.get(j, 0.0) - rho.get(-j, 0.0)
+                re = re - 2.0 * s * np.sin(0.5 * j * phi) ** 2
+                im = im + d * np.sin(j * phi)
             return g * (re + 1j * im)
 
     return symbol(params.g_x, params.rho_x), symbol(params.g_v, params.rho_v)

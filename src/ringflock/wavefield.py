@@ -28,8 +28,10 @@ from .errors import (
     DegenerateMode,
     EmptyTimeWindow,
     NoDecayFit,
+    NonfiniteState,
     NonpositiveExpansionConstant,
     NotNormalized,
+    RingflockError,
     UnstableParams,
 )
 from .model import FlockParams, moments, normalize
@@ -142,19 +144,23 @@ def signal_velocities(params: FlockParams) -> SignalVelocities:
         UnstableParams: closed-form gate fails.
         NonpositiveExpansionConstant: a <= 0 (cannot occur for gate-true
             normalized parameters, kept as a guard).
+        RingflockError: a overflows float64.
     """
     if (abs(params.rho_x.get(0, 0.0) - 1.0) > 1e-12
             or abs(params.rho_v.get(0, 0.0) - 1.0) > 1e-12):
         raise NotNormalized("signal velocities need rho_x[0] = rho_v[0] = 1")
     _require_gate(params)
-    mom = moments(params, 2)
-    a = mom.v[1] ** 2 / 4.0 + mom.x[2] / 2.0
+    with np.errstate(all="ignore"):
+        mom = moments(params, 2)
+    v1, x2 = float(mom.v[1]), float(mom.x[2])  # float math: overflow gives inf
+    a = v1 * v1 / 4.0 + x2 / 2.0
+    if not math.isfinite(a):
+        raise RingflockError("expansion constant is not finite; the gains overflow float64")
     if a <= 0.0:
         raise NonpositiveExpansionConstant(f"expansion constant {a:.6g} <= 0")
-    root = math.sqrt(a)
-    return SignalVelocities(c_plus=-mom.v[1] / 2.0 + root,
-                            c_minus=-mom.v[1] / 2.0 - root,
-                            a=float(a))
+    far = -v1 / 2.0 + math.copysign(math.sqrt(a), -v1)  # the root free of cancellation
+    near = -x2 / 2.0 / far if v1 else -far  # since c_+ c_- = -I_x2 / 2
+    return SignalVelocities(c_plus=max(far, near), c_minus=min(far, near), a=a)
 
 
 def signal_velocity_limit(params: FlockParams, n_ref: int = 10000):
@@ -218,12 +224,7 @@ def modal_decompose(params: FlockParams, z0, zdot0) -> ModalCoefficients:
     """
     _require_gate(params)
     n = params.n
-    z0 = np.asarray(z0, dtype=float)
-    zdot0 = np.asarray(zdot0, dtype=float)
-    if z0.shape != (n,) or zdot0.shape != (n,):
-        raise ValueError(f"initial arrays must have shape ({n},)")
-    zh = np.fft.fft(z0) / n
-    vh = np.fft.fft(zdot0) / n
+    zh, vh = _dft(n, z0, zdot0)
     ms, plus, minus = _mode_nus(params)
     den = plus - minus
     bad = (np.abs(den) < DEGENERATE_MODE_TOL * np.maximum(1.0, np.abs(plus))) & (ms != 0)
@@ -232,36 +233,68 @@ def modal_decompose(params: FlockParams, z0, zdot0) -> ModalCoefficients:
     with np.errstate(divide="ignore", invalid="ignore"):
         a = (vh - minus * zh) / den
         b = (plus * zh - vh) / den
-    a[0] = 0.0
-    b[0] = 0.0
+    a[0] = b[0] = 0.0
     return ModalCoefficients(n=n, a=a, b=b,
                              coherent=(float(zh[0].real), float(vh[0].real)))
 
 
-def modal_evolve(params: FlockParams, coeffs: ModalCoefficients, t):
-    """Exact state (z, zdot) at time t from the modal amplitudes.
+_BLOCK_CELLS = 1 << 16  # complex cells per block of frames; bounds the scratch memory
 
-    Each mode evolves by its two exponentials and the coherent pair drifts
-    linearly; an inverse FFT assembles the agents.  A scalar t gives (n,)
-    arrays, a 1-D array of times (len(t), n) arrays.  The imaginary residue
-    of every assembled row is checked against 1e-10 before it is dropped.
+
+def _dft(n, z0, zdot0):
+    """The DFT data (z_hat, zdot_hat) = fft / n of a state on n agents."""
+    z0, zdot0 = np.asarray(z0, dtype=float), np.asarray(zdot0, dtype=float)
+    if z0.shape != (n,) or zdot0.shape != (n,):
+        raise ValueError(f"initial arrays must have shape ({n},)")
+    return np.fft.fft(z0) / n, np.fft.fft(zdot0) / n
+
+
+def _propagate(params, zh, vh, t):
+    """Exact (z, zdot) at the times t from the DFT data (zh, vh) of the state.
+
+    Per mode z_hat(t) = e^(r1 t) (zh + P w), zdot_hat(t) = e^(r1 t) (vh + r2 P w)
+    with r1,2 = lambda_v/2 +- sqrt(lambda_v**2/4 + lambda_x) (principal root d),
+    w = vh - r1 zh and P = t expm1(y)/y, y = -2 d t, which Re y <= 0 bounds by t.
+    No labels, 2x2 solve or special case: the coherent mode gives zh + t vh, a
+    critical one (d = 0) its Jordan solution.  Rows with an imaginary residue
+    above 1e-10 raise ValueError, a non-finite state NonfiniteState.
     """
-    n = coeffs.n
+    n = params.n
+    lx, lv, _, _, _ = eigenvalue_arrays(params, fft_modes(n))
+    d = np.sqrt(lv * lv / 4.0 + lx)
+    r1, r2 = lv / 2.0 + d, lv / 2.0 - d
+    w = vh - r1 * zh
+    ts = np.asarray(t, dtype=float)
+    out = np.empty((2, ts.size, n))
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, ts.size, step):
+        tb = ts.reshape(-1, 1)[lo:lo + step]
+        with np.errstate(all="ignore"):
+            y = -2.0 * d * tb
+            pw = tb * np.where(y == 0.0, 1.0, np.expm1(y) / y) * w
+            zv = n * np.fft.ifft(np.exp(r1 * tb) * np.stack([zh + pw, vh + r2 * pw]))
+        if not np.isfinite(zv).all():
+            raise NonfiniteState(f"the evolved state is not finite by t={tb[-1, 0]:.4g}")
+        resid = np.abs(zv.imag).max(axis=(0, 2))
+        if (resid > 1e-10 * np.maximum(1.0, np.abs(zv.real).max(axis=(0, 2)))).any():
+            raise ValueError(f"modal sum has imaginary residue {resid.max():.3e}")
+        out[:, lo:lo + step] = zv.real
+    return tuple(out.reshape((2,) + ts.shape + (n,)))
+
+
+def evolve(params: FlockParams, z0, zdot0, t):
+    """Exact state (z, zdot) at time t from initial positions and velocities:
+    (n,) arrays for a scalar t, (len(t), n) arrays for a 1-D array of times."""
+    return _propagate(params, *_dft(params.n, z0, zdot0), t)
+
+
+def modal_evolve(params: FlockParams, coeffs: ModalCoefficients, t):
+    """Exact state (z, zdot) at time t from the modal amplitudes, shaped as in
+    evolve: the propagator runs on (a + b, nu_+ a + nu_- b), coherent in bin 0."""
     _, plus, minus = _mode_nus(params)
-    t = np.asarray(t, dtype=float)[..., None]
-    ea = coeffs.a * np.exp(plus * t)
-    eb = coeffs.b * np.exp(minus * t)
-    w = ea + eb
-    wd = plus * ea + minus * eb
-    w[..., 0] = coeffs.coherent[0] + coeffs.coherent[1] * t[..., 0]
-    wd[..., 0] = coeffs.coherent[1]
-    z = n * np.fft.ifft(w)
-    zdot = n * np.fft.ifft(wd)
-    scale = np.maximum(1.0, np.maximum(np.abs(z.real).max(-1), np.abs(zdot.real).max(-1)))
-    resid = np.maximum(np.abs(z.imag).max(-1), np.abs(zdot.imag).max(-1))
-    if (resid > 1e-10 * scale).any():
-        raise ValueError(f"modal sum has imaginary residue {resid.max():.3e}")
-    return z.real.copy(), zdot.real.copy()
+    zh, vh = coeffs.a + coeffs.b, plus * coeffs.a + minus * coeffs.b
+    zh[0], vh[0] = coeffs.coherent
+    return _propagate(params, zh, vh, t)
 
 
 def power_law_coefficients(n: int, p: float, seed: int = 0,

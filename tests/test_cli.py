@@ -1,5 +1,13 @@
+import contextlib
+import io
+import math
+import shutil
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ringflock.cli import DEFAULTS, build_params, main
 from ringflock.sim import impulse_experiment
@@ -227,11 +235,18 @@ OVERFLOW = "g_x = -1e308\ng_v = -1e308\n"
     ("spectrum", f"n = 16\n{OVERFLOW}"),
     ("wave-verify", f"{OVERFLOW}n_sweep = 64\n"),
     ("wave-verify", "n_sweep = 128,64\n"),
+    ("simulate", f"n = 16\n{OVERFLOW}"),
+    ("simulate", "n = 16\nt_end = 1e300\nv_impulse = 1e300\n"),
+    ("stability", "n = 16\nrho_v.0 = 1e308\nrho_v.p1 = 1e308\n"),
+    ("stability", "n = 16\nrho_x.m1 = -4.5e307\nrho_x.0 = 9e307\nrho_x.p1 = -4.5e307\n"),
+    ("simulate", "n = 16\nrho_v.m1 = 0\nrho_v.0 = 1e308\nrho_v.p1 = -1e308\n"),
 ], ids=["g_x-nan", "n_sweep-2", "n_phi-3", "t_end-nan", "K-nan", "p-nan",
         "t_end-negative", "t_end-0", "v_impulse-nan", "v_impulse-0",
         "alpha-0.9", "wave-verify-unstable", "K-inf", "p-inf",
         "stability-overflow", "spectrum-overflow", "wave-verify-overflow",
-        "n_sweep-decreasing"])
+        "n_sweep-decreasing", "simulate-overflow", "state-overflow",
+        "row-sum-overflow", "symbol-overflow", "expansion-overflow"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_value_exits_1_with_one_line(tmp_path, capsys, command, text):
     code = main([command, "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()
@@ -240,3 +255,72 @@ def test_bad_value_exits_1_with_one_line(tmp_path, capsys, command, text):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+    if text.endswith(OVERFLOW):
+        assert "gains" in captured.err
+
+
+@pytest.mark.parametrize("text", [
+    "n = 16\nt_end = 1e300\n",
+    # overdamped at every mode; c_+ t overflows in the front overlay
+    "n = 16\ng_x = -392\ng_v = -1340\nrho_x.m1 = -292.5\nrho_x.0 = 585\n"
+    "rho_x.p1 = -292.5\nt_end = 5.3e305\n",
+], ids=["t_end-1e300", "front-overflow"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_long_run_returns(tmp_path, capsys, text):
+    # The exact evolution costs the same at any t_end; a stepped integrator
+    # would need about 5e301 steps at t_end = 1e300.
+    code, _, out_dir = run(capsys, tmp_path, "simulate", text)
+    assert code == 0
+    data = np.loadtxt(out_dir / "trajectory.csv", delimiter=",", skiprows=1)
+    assert data.shape == (2001 * 16, 4)
+    assert np.isfinite(data).all()
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-300, -1e-300, 0.0]
+_NUMBER = st.one_of(st.sampled_from(_SPECIAL), st.floats(-5.0, 5.0))
+
+
+@st.composite
+def _config(draw):
+    """Fuzzed simulate keys; a key left out keeps its default.  Negative
+    gains and closed, symmetric rows come up often, so that many draws pass
+    the stability gate and run."""
+    gain = st.one_of(st.none(), _NUMBER, st.floats(-5.0, -0.01))
+    weight = st.one_of(st.floats(-2.0, 2.0), _NUMBER)
+    values = {"g_x": draw(gain), "g_v": draw(gain),
+              "t_end": draw(st.one_of(st.none(), _NUMBER)),
+              "v_impulse": draw(st.one_of(st.none(), _NUMBER))}
+    for row in ("rho_x", "rho_v"):
+        shape = draw(st.sampled_from(["default", "symmetric", "closed", "any"]))
+        if shape != "default":
+            m1 = draw(weight)
+            p1 = m1 if shape == "symmetric" else draw(weight)
+            center = draw(weight) if shape == "any" else -(m1 + p1)
+            values.update({f"{row}.m1": m1, f"{row}.0": center, f"{row}.p1": p1})
+    return "".join(f"{key} = {value!r}\n" for key, value in values.items()
+                   if value is not None)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_config())
+def test_simulate_fuzzed_config_ends_cleanly(tmp_path, text):
+    out_dir = tmp_path / "out"
+    shutil.rmtree(out_dir, ignore_errors=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main(["simulate", "--config", write(tmp_path, text), "--out", str(out_dir),
+                     "--n", "16"])
+    # A warning would reach a real run's stderr.
+    err = stderr.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert len(err.splitlines()) == 1
+        assert stdout.getvalue() == ""
+    else:
+        assert err == ""
+    if code == 0:
+        cells = (out_dir / "trajectory.csv").read_text().lower()
+        assert "nan" not in cells and "inf" not in cells

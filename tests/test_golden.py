@@ -42,7 +42,8 @@ CONFIGS = {
 }
 
 # Small runs keep the goldens small: n = 16 comes from --n, simulate stops
-# at t = 2 (about 100 frames) and the eigencurve has 64 samples.
+# at t = 2 (its fixed 2001 frames, 32 016 trajectory rows) and the
+# eigencurve has 64 samples.
 SMALL_RUN = "t_end = 2\nn_sweep = 64,128\nn_phi = 64\n"
 
 COMMANDS = ("stability", "spectrum", "velocities", "simulate", "wave-verify")

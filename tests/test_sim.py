@@ -51,6 +51,20 @@ def test_rk4_fourth_order_convergence():
     assert 12.0 <= ratio <= 20.0
 
 
+def test_impulse_evolution_matches_rk4_through_the_critical_mode():
+    # g_x = g_v = -2 is critically damped at m = 100 of n = 200, where the
+    # modal amplitudes do not exist; the exact propagator needs no amplitudes.
+    p = rf.FlockParams.nearest_neighbor(200, -2.0, -2.0)
+    z0, v0 = np.zeros(200), np.zeros(200)
+    v0[0] = 1.0
+    with pytest.raises(rf.DegenerateMode):
+        rf.modal_decompose(p, z0, v0)
+    traj = rf.integrate(p, z0, v0, t_end=30.0, dt=0.02)
+    z, v = rf.evolve(p, z0, v0, traj.times)
+    assert np.abs(z - traj.z).max() <= 1e-7
+    assert np.abs(v - traj.zdot).max() <= 1e-7
+
+
 def test_integrate_rejects_large_step():
     p = rf.FlockParams.nearest_neighbor(16, -2.0, -2.0)
     with pytest.raises(rf.StepTooLarge):

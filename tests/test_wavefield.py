@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ringflock as rf
+from ringflock.spectral import eigenvalue_arrays
 from helpers import random_moderate_damping_params, random_underdamped_params
 
 ASYM = dict(g_x=-1.0, g_v=-1.0, rho_x_plus=-0.5, rho_v_plus=0.0,
@@ -166,6 +167,63 @@ def test_modal_evolve_batched_rows_match_scalar_calls():
         assert z.shape == (64,)
         assert np.abs(zs[i] - z).max() <= 1e-12
         assert np.abs(vs[i] - v).max() <= 1e-12
+
+
+def _two_exponential_sum(p, co, t):
+    """Reference modal evolution: each mode as a exp(nu_+ t) + b exp(nu_- t)."""
+    _, _, plus, minus, _ = eigenvalue_arrays(p, rf.fft_modes(p.n))
+    t = np.asarray(t, dtype=float)[..., None]
+    ea, eb = co.a * np.exp(plus * t), co.b * np.exp(minus * t)
+    w, wd = ea + eb, plus * ea + minus * eb
+    w[..., 0] = co.coherent[0] + co.coherent[1] * t[..., 0]
+    wd[..., 0] = co.coherent[1]
+    return (p.n * np.fft.ifft(w)).real, (p.n * np.fft.ifft(wd)).real
+
+
+def test_modal_evolve_matches_two_exponential_sum():
+    rng = np.random.default_rng(99)
+    for p in (random_underdamped_params(rng, 64), random_moderate_damping_params(rng, 64)):
+        co = rf.modal_decompose(p, rng.uniform(-1, 1, 64), rng.uniform(-1, 1, 64))
+        co = rf.ModalCoefficients(n=64, a=co.a, b=co.b, coherent=(0.4, -0.2))
+        for t in (0.0, 1.7, np.array([0.0, 0.5, 3.0, 40.0])):
+            z, v = rf.modal_evolve(p, co, t)
+            z_ref, v_ref = _two_exponential_sum(p, co, t)
+            assert z.shape == v.shape == z_ref.shape
+            assert np.abs(z - z_ref).max() <= 1e-12
+            assert np.abs(v - v_ref).max() <= 1e-12
+
+
+def test_evolve_overdamped_long_run_is_the_coherent_drift():
+    # g_v = -50 overdamps the high modes: their two roots are about -0.04
+    # and -100 at m = 1, so a cosh/sinh form would overflow long before t = 1e6.
+    rng = np.random.default_rng(100)
+    p = rf.FlockParams.nearest_neighbor(32, -2.0, -50.0)
+    z0, v0 = rng.uniform(-1, 1, 32), rng.uniform(-1, 1, 32)
+    z, v = rf.evolve(p, z0, v0, 1e6)
+    assert np.isfinite(z).all() and np.isfinite(v).all()
+    drift = z0.mean() + 1e6 * v0.mean()
+    assert np.abs(z - drift).max() <= 1e-12 * abs(drift)
+    assert np.abs(v - v0.mean()).max() <= 1e-12
+
+
+def test_evolve_rejects_overflowing_state():
+    p = rf.FlockParams.nearest_neighbor(16, -2.0, -1.0)
+    v0 = np.zeros(16)
+    v0[0] = 1e300
+    with pytest.raises(rf.NonfiniteState):
+        rf.evolve(p, np.zeros(16), v0, np.array([0.0, 1e300]))
+
+
+def test_signal_velocities_keep_the_small_root():
+    # A strong one-sided velocity row makes -I_v1/2 + sqrt(a) cancel to 0;
+    # the product c_+ c_- = -I_x2/2 still fixes the small speed.
+    p = rf.FlockParams(n=16, g_x=-1.0, g_v=-44739243.0, rho_x={-1: -1.0, 0: 2.0, 1: -1.0},
+                       rho_v={-1: -2.0, 0: 1.0, 1: 1.0})
+    sigs = rf.signal_velocities(rf.normalize(p))
+    assert sigs.c_minus < 0.0 < sigs.c_plus
+    mom = rf.moments(rf.normalize(p), 2)
+    assert sigs.c_plus * sigs.c_minus == pytest.approx(-mom.x[2] / 2.0, rel=1e-12)
+    assert sigs.c_plus + sigs.c_minus == pytest.approx(-mom.v[1], rel=1e-12)
 
 
 def test_power_law_coefficients_real_and_nested():
