@@ -29,12 +29,12 @@ for name, params in cases.items():
               f"max Re(nu) = {report.max_real_part:+.3e}  "
               f"violated RH conditions: {len(report.rh_failures)}")
     if not gate:
-        found = rf.instability_witness(params, n_max=4096)
+        found = rf.instability_witness(params)
         if found is None:
             print("  witness search inconclusive up to n=4096")
         else:
-            n_bad, m, nu = found
-            print(f"  first witness: n={n_bad}, mode m={m}, Re(nu)={nu.real:+.4e}")
+            m, _, nu = found.witness
+            print(f"  first witness: n={found.n}, mode m={m}, Re(nu)={nu.real:+.4e}")
     print()
 
 print("A tilted position row passes every small-ring check and still fails")

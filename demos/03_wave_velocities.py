@@ -18,7 +18,7 @@ one_sided = rf.FlockParams.nearest_neighbor(500, -1.0, -1.0,
 for label, params in (("symmetric weights", symmetric),
                       ("one-sided velocity row", one_sided)):
     print(f"--- {label} ---")
-    sig = rf.signal_velocities(rf.normalize(params))
+    sig = rf.signal_velocities(params)
     grp = rf.group_velocity(params)
     ext = rf.signal_velocity_limit(params)
     print(f"signal velocities : c+ = {sig.c_plus:+.6f}, c- = {sig.c_minus:+.6f}")

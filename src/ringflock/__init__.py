@@ -19,8 +19,6 @@ from .errors import (
     NoDecayFit,
     NonfiniteState,
     NonpositiveExpansionConstant,
-    NotNearestNeighbor,
-    NotNormalized,
     RingflockError,
     RowSumViolation,
     StepTooLarge,

@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DegenerateBranches, RingflockError
-from .model import FlockParams, normalize, validate
+from .model import FlockParams, validate
 from .sim import front_overlay, impulse_experiment
 from .spectral import eigencurve, hausdorff, spectrum
-from .stability import instability_witness, spectral_verdict, stable_for_all_n
+from .stability import WITNESS_N_MAX, instability_witness, spectral_verdict, stable_for_all_n
 from .wavefield import (
     phase_velocities,
     power_law_coefficients,
@@ -139,31 +139,25 @@ def _echo_config(cfg, out_dir: Path):
 
 def cmd_stability(cfg, out_dir):
     params = build_params(cfg)
-    gate = stable_for_all_n(params)
     report = spectral_verdict(params)
     print(f"ring of {params.n} agents, g_x={params.g_x:g}, g_v={params.g_v:g}")
-    print(f"closed_form={_fmt(gate)}")
+    print(f"closed_form={_fmt(report.closed_form_stable)}")
     print(f"spectral={_fmt(report.spectral_stable)}")
     print(f"max_re={_fmt(report.max_real_part)}")
-    if gate:
+    if report.closed_form_stable:
         return 0
     if report.marginal:
         print("verdict=marginal")
         return 3
-    if not report.spectral_stable:
-        m, branch, nu = report.witness
-        print(f"witness_m={m}")
-        print(f"witness_n={report.n}")
-        print(f"witness_branch={branch}")
-        print(f"witness_re={_fmt(nu.real)}")
-        return 2
-    found = instability_witness(params, n_max=4096)
-    if found is None:
-        print("verdict=inconclusive  # no witness up to n=4096")
-        return 3
-    n_bad, m, nu = found
+    if report.spectral_stable:
+        report = instability_witness(params)
+        if report is None:
+            print(f"verdict=inconclusive  # no witness up to n={WITNESS_N_MAX}")
+            return 3
+    m, branch, nu = report.witness
     print(f"witness_m={m}")
-    print(f"witness_n={n_bad}")
+    print(f"witness_n={report.n}")
+    print(f"witness_branch={branch}")
     print(f"witness_re={_fmt(nu.real)}")
     return 2
 
@@ -198,7 +192,7 @@ def cmd_velocities(cfg, out_dir):
     except DegenerateBranches as exc:
         print(f"degenerate_branches=true  # {exc}")
         return 3
-    sigs = signal_velocities(normalize(params))
+    sigs = signal_velocities(params)
     _write_csv(out_dir / "velocities.csv",
                ["m", "c_plus", "c_minus", "re_nu_plus", "re_nu_minus"],
                pv.ms, pv.c_plus, pv.c_minus, pv.re_nu_plus, pv.re_nu_minus)

@@ -40,10 +40,6 @@ class EmptySet(RingflockError):
 
 # -- stability ---------------------------------------------------------------
 
-class NotNearestNeighbor(RingflockError):
-    """Operation is only defined for the {-1, 0, +1} neighborhood."""
-
-
 class ZeroMode(RingflockError):
     """The m = 0 mode carries the coherent double zero and is excluded."""
 
@@ -57,10 +53,6 @@ class GateWouldPass(RingflockError):
 
 class UnstableParams(RingflockError):
     """Operation requires parameters that pass the closed-form gate."""
-
-
-class NotNormalized(RingflockError):
-    """Operation requires center weights rescaled to 1."""
 
 
 class DegenerateMode(RingflockError):

@@ -6,11 +6,11 @@ are
 
     z_k'' = g_x * sum_j rho_x[j] * z_{k+j}  +  g_v * sum_j rho_v[j] * z'_{k+j}
 
-with offsets j from a small neighborhood (default {-1, 0, +1}) and weight
-rows that sum to zero, so no absolute position or velocity ever enters.
-The induced coupling matrices are circulant Laplacians, which makes the
-whole spectral theory explicit; this module owns the parameter bookkeeping
-and the dense first-order matrix used by the numerical oracles.
+with offsets j in {-1, 0, +1} only (each agent sees its two ring neighbors)
+and weight rows that sum to zero, so no absolute position or velocity ever
+enters.  The induced coupling matrices are circulant Laplacians, which makes
+the whole spectral theory explicit; this module owns the parameter
+bookkeeping and the dense first-order matrix used by the numerical oracles.
 """
 
 import math
@@ -34,9 +34,8 @@ class FlockParams:
         n: number of agents (at least 3).
         g_x: position coupling gain (1/time^2).
         g_v: velocity coupling gain (1/time).
-        rho_x: map offset -> dimensionless position weight.
-        rho_v: map offset -> dimensionless velocity weight.
-        neighborhood: ordered offsets the weights live on.
+        rho_x: map offset (-1, 0 or +1) -> dimensionless position weight.
+        rho_v: map offset (-1, 0 or +1) -> dimensionless velocity weight.
     """
 
     n: int
@@ -44,7 +43,6 @@ class FlockParams:
     g_v: float
     rho_x: dict
     rho_v: dict
-    neighborhood: tuple = NEAREST_NEIGHBORHOOD
 
     @property
     def theta(self) -> float:
@@ -103,26 +101,18 @@ def violations(params: FlockParams) -> list:
     """All invariant violations of the parameter set, empty when valid.
 
     Each entry is an exception instance ready to raise: BadAgentCount for a
-    ring below three agents or colliding offsets, RowSumViolation for a
-    weight row that does not sum to zero, RingflockError for the rest.
+    ring below three agents, RowSumViolation for a weight row that does not
+    sum to zero, RingflockError for the rest.
     """
     probs = []
     if params.n < 3:
         probs.append(BadAgentCount(f"agent count n={params.n} is below 3"))
-    else:
-        seen = {}
-        for j in params.neighborhood:
-            r = j % params.n
-            if r in seen:
-                probs.append(BadAgentCount(
-                    f"offsets {seen[r]} and {j} collide mod n={params.n}"))
-            seen[r] = j
     for name in ("g_x", "g_v"):
         gain = getattr(params, name)
         if not math.isfinite(gain):
             probs.append(RingflockError(f"{name}={gain} is not finite"))
     for name, rho in (("rho_x", params.rho_x), ("rho_v", params.rho_v)):
-        extra = set(rho) - set(params.neighborhood)
+        extra = set(rho) - set(NEAREST_NEIGHBORHOOD)
         if extra:
             probs.append(RingflockError(
                 f"{name} has weights outside the neighborhood: {sorted(extra)}"))
@@ -148,7 +138,7 @@ def validate(params: FlockParams) -> FlockParams:
     zero eigenvalue structurally exact downstream.
 
     Raises:
-        BadAgentCount: n < 3 or offsets collide mod n.
+        BadAgentCount: n < 3.
         RowSumViolation: a weight row sums to more than the tolerance.
         RingflockError: any other invariant violation, such as a non-finite
             gain or weight.
@@ -162,9 +152,8 @@ def validate(params: FlockParams) -> FlockParams:
         raise RingflockError("; ".join(str(p) for p in probs))
 
     def reclose(rho):
-        full = {j: float(rho.get(j, 0.0)) for j in params.neighborhood}
-        if 0 in full:
-            full[0] = -math.fsum(w for j, w in full.items() if j != 0)
+        full = {j: float(rho.get(j, 0.0)) for j in NEAREST_NEIGHBORHOOD}
+        full[0] = -math.fsum(w for j, w in full.items() if j != 0)
         return full
 
     return replace(params, rho_x=reclose(params.rho_x), rho_v=reclose(params.rho_v))

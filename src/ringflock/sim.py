@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonfiniteState, StepTooLarge, UnstableParams
-from .model import FlockParams, normalize, validate
+from .model import FlockParams, validate
 from .stability import stable_for_all_n
 from .wavefield import evolve, signal_velocities
 
@@ -25,7 +25,6 @@ class Trajectory:
     times: np.ndarray
     z: np.ndarray
     zdot: np.ndarray
-    params: FlockParams
 
 
 @dataclass(frozen=True)
@@ -104,8 +103,7 @@ def integrate(params: FlockParams, z0, zdot0, t_end: float, dt: float) -> Trajec
             zs.append(z.copy())
             vs.append(v.copy())
 
-    return Trajectory(times=np.array(times), z=np.array(zs), zdot=np.array(vs),
-                      params=p)
+    return Trajectory(times=np.array(times), z=np.array(zs), zdot=np.array(vs))
 
 
 def _fit_speed(ks, arrivals):
@@ -144,7 +142,7 @@ def impulse_experiment(params: FlockParams, v_impulse: float = 1.0,
         raise UnstableParams("impulse experiment needs gate-stable parameters")
     p = validate(params)
     n = p.n
-    sigs = signal_velocities(normalize(p))
+    sigs = signal_velocities(p)
     if t_end is None:
         t_end = 0.6 * n / min(sigs.c_plus, abs(sigs.c_minus))
     if not 0.0 < t_end < math.inf:
@@ -154,7 +152,7 @@ def impulse_experiment(params: FlockParams, v_impulse: float = 1.0,
     v0 = np.zeros(n)
     v0[0] = v_impulse
     times = np.linspace(0.0, t_end, 2001)
-    traj = Trajectory(times, *evolve(p, np.zeros(n), v0, times), params=p)
+    traj = Trajectory(times, *evolve(p, np.zeros(n), v0, times))
 
     hit = np.abs(traj.zdot) > threshold
     first = hit.argmax(axis=0)  # 0 both for "hit at frame 0" and "never hit"

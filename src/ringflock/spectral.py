@@ -14,8 +14,8 @@ eigensolver oracle plus the point-set metrics used to compare against it.
 
 Branch convention: for m != 0 the "+" root is the one with positive
 imaginary part.  When both roots of a nonzero mode are real that label is
-undefined; strict callers get DegenerateBranches, others a deterministic
-order (descending real part).
+undefined; this module then falls back to a deterministic order (descending
+real part), and wavefield.phase_velocities raises DegenerateBranches.
 """
 
 import math
@@ -24,13 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import (
-    DegenerateBranches,
-    EmptySet,
-    NonpositiveExpansionConstant,
-    RingflockError,
-    TooLarge,
-)
+from .errors import EmptySet, NonpositiveExpansionConstant, RingflockError, TooLarge
 from .model import DenseSystem, FlockParams, moments
 
 #: Below this absolute imaginary part a root counts as real for labeling.
@@ -120,16 +114,13 @@ def eigenvalue_arrays(params: FlockParams, ms):
     return lx, lv, plus, minus, degenerate & ~zero
 
 
-def mode_eigenvalues(params: FlockParams, m: int, strict: bool = False):
+def mode_eigenvalues(params: FlockParams, m: int):
     """The branch pair (nu_plus, nu_minus) of mode m.
 
-    For m = 0 mod n returns (0, 0), the coherent double zero.  With
-    strict=True a nonzero mode whose roots are both real raises
-    DegenerateBranches instead of returning the fallback order.
+    For m = 0 mod n returns (0, 0), the coherent double zero.  A nonzero
+    mode whose roots are both real comes in the fallback order.
     """
-    _, _, plus, minus, degenerate = eigenvalue_arrays(params, np.array([m]))
-    if strict and degenerate[0]:
-        raise DegenerateBranches(f"mode m={m} has two real roots; +- labels undefined")
+    _, _, plus, minus, _ = eigenvalue_arrays(params, np.array([m]))
     return complex(plus[0]), complex(minus[0])
 
 

@@ -4,9 +4,9 @@ Stability here means: the coherent double zero is the only eigenvalue off
 the open left half plane.  Three routes to a verdict are provided and cross
 checked against each other by the test suite:
 
-* the closed-form gate on nearest-neighbor weights (symmetric position row,
-  both gain/center products negative), which decides stability for every n
-  at once;
+* the closed-form gate on the weights (symmetric position row, both
+  gain/center products negative), which decides stability for every n at
+  once;
 * the four Routh-Hurwitz inequalities applied per mode to the quadratic
   pencil with complex coefficients;
 * the spectral verdict, which evaluates every branch eigenvalue at one n.
@@ -17,30 +17,33 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GateWouldPass, NotNearestNeighbor, ZeroMode
-from .model import NEAREST_NEIGHBORHOOD, FlockParams
+from .errors import GateWouldPass, ZeroMode
+from .model import FlockParams
 from .spectral import eigenvalue_arrays, laplacian_eigenvalues, mode_range
 
-#: Relative half-width of the marginal band around Re(nu) = 0.
+#: Relative half-width of each mode's marginal band around Re(nu) = 0.
 MARGINAL_BAND = 1e-10
 
 #: Relative tolerance for detecting a symmetric position row.
 SYMMETRY_TOL = 1e-12
+
+#: The witness search doubles the ring size from 8 agents up to this many.
+WITNESS_N_MAX = 4096
 
 
 @dataclass(frozen=True)
 class StabilityReport:
     """Combined verdict at one ring size.
 
-    closed_form_stable is None when the neighborhood is not nearest-neighbor
-    (the gate is only defined there).  witness is the mode realizing
-    max_real_part, present exactly when the spectrum is not strictly stable;
-    rh_failures lists (m, condition index 1..4) for every violated
-    Routh-Hurwitz inequality.
+    witness = (m, branch, nu) is present exactly when the spectrum is not
+    strictly stable: the branch eigenvalue with the largest real part above
+    its mode's marginal band if there is one, else the one realizing
+    max_real_part.  rh_failures lists (m, condition index 1..4) for every
+    violated Routh-Hurwitz inequality.
     """
 
     n: int
-    closed_form_stable: Optional[bool]
+    closed_form_stable: bool
     spectral_stable: bool
     marginal: bool
     max_real_part: float
@@ -53,12 +56,7 @@ def stable_for_all_n(params: FlockParams) -> bool:
 
     True iff the position weights are symmetric (rho_x[-1] = rho_x[+1] to
     relative tolerance), g_x * rho_x[0] < 0, and g_v * rho_v[0] < 0.
-
-    Raises:
-        NotNearestNeighbor: neighborhood is not {-1, 0, +1}.
     """
-    if set(params.neighborhood) != set(NEAREST_NEIGHBORHOOD):
-        raise NotNearestNeighbor(f"gate needs offsets {{-1,0,1}}, got {params.neighborhood}")
     rx = params.rho_x
     scale = max(abs(w) for w in rx.values()) or 1.0
     symmetric = abs(rx.get(1, 0.0) - rx.get(-1, 0.0)) <= SYMMETRY_TOL * scale
@@ -97,30 +95,27 @@ def routh_hurwitz(params: FlockParams, m: int):
 def spectral_verdict(params: FlockParams, n: Optional[int] = None) -> StabilityReport:
     """Evaluate every branch eigenvalue at ring size n and classify.
 
-    Strict stability means max Re(nu) over the nonzero modes falls below
-    -MARGINAL_BAND * scale; values inside the band are reported as marginal
-    rather than stable.  The coherent mode contributes exactly the double
-    zero by construction and is excluded from the maximum.
+    Each nonzero mode m gets its own marginal band, MARGINAL_BAND *
+    (|nu_{m,+}| + |nu_{m,-}|), since the rounding error of Re(nu) scales with
+    |nu| and the low modes of a large ring are tiny.  Strict stability means
+    every real part falls below minus its band; a real part above its band
+    makes the spectrum unstable; anything else is marginal.  The coherent
+    mode contributes exactly the double zero by construction and is excluded.
     """
     p = params if n is None else params.with_n(n)
     ms = mode_range(p.n)
     lx, lv, plus, minus, _ = eigenvalue_arrays(p, ms)
     keep = ms != 0
 
-    res = np.concatenate([plus[keep].real, minus[keep].real])
     nus = np.concatenate([plus[keep], minus[keep]])
-    scale = max(1.0, float(np.abs(nus).max()))
-    band = MARGINAL_BAND * scale
+    res = nus.real
+    band = np.tile(MARGINAL_BAND * (np.abs(plus[keep]) + np.abs(minus[keep])), 2)
+    stable = bool((res < -band).all())
+    above = res > band
 
-    i = int(np.argmax(res))
-    max_re = float(res[i])
+    i = int(np.argmax(np.where(above, res, -np.inf) if above.any() else res))
     half = res.size // 2
-    witness_m = int(ms[keep][i % half])
-    witness_branch = "+" if i < half else "-"
-    witness_nu = complex(nus[i])
-
-    stable = max_re < -band
-    marginal = (not stable) and (max_re < band)
+    witness = (int(ms[keep][i % half]), "+" if i < half else "-", complex(nus[i]))
 
     c1, c2, c3, c4 = _rh_conditions(lx[keep], lv[keep])
     rh_failures = []
@@ -128,41 +123,33 @@ def spectral_verdict(params: FlockParams, n: Optional[int] = None) -> StabilityR
         for m_bad in ms[keep][~cond]:
             rh_failures.append((int(m_bad), idx))
 
-    try:
-        gate = stable_for_all_n(p)
-    except NotNearestNeighbor:
-        gate = None
-
     return StabilityReport(
         n=p.n,
-        closed_form_stable=gate,
+        closed_form_stable=stable_for_all_n(p),
         spectral_stable=stable,
-        marginal=marginal,
-        max_real_part=max_re,
-        witness=None if stable else (witness_m, witness_branch, witness_nu),
+        marginal=not stable and not above.any(),
+        max_real_part=float(res.max()),
+        witness=None if stable else witness,
         rh_failures=sorted(rh_failures),
     )
 
 
-def instability_witness(params: FlockParams, n_max: int = 4096,
-                        n_start: int = 8) -> Optional[tuple]:
+def instability_witness(params: FlockParams) -> Optional[StabilityReport]:
     """Search growing ring sizes for an eigenvalue with positive real part.
 
-    Ring sizes double from n_start up to n_max (n_max itself is always
-    tried).  Returns the first (n, m, nu) with Re(nu) above the marginal
-    band, or None when the search is inconclusive; None never means stable.
+    Ring sizes double from 8 up to WITNESS_N_MAX.  Returns the spectral
+    verdict of the first ring with a real part above its marginal band, or
+    None when the search is inconclusive; None never means stable.
 
     Raises:
         GateWouldPass: the closed-form gate already certifies stability.
     """
     if stable_for_all_n(params):
         raise GateWouldPass("parameters pass the closed-form gate; no witness exists")
-    n = max(3, n_start)
-    while True:
+    n = 8
+    while n <= WITNESS_N_MAX:
         report = spectral_verdict(params, n)
-        if not report.spectral_stable and not report.marginal:
-            m, branch, nu = report.witness
-            return n, m, nu
-        if n >= n_max:
-            return None
-        n = min(2 * n, n_max)
+        if not (report.spectral_stable or report.marginal):
+            return report
+        n *= 2
+    return None

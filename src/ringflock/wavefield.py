@@ -30,11 +30,10 @@ from .errors import (
     NoDecayFit,
     NonfiniteState,
     NonpositiveExpansionConstant,
-    NotNormalized,
     RingflockError,
     UnstableParams,
 )
-from .model import FlockParams, moments, normalize
+from .model import FlockParams, moments
 from .spectral import eigenvalue_arrays, fft_modes, pencil_roots
 from .stability import stable_for_all_n
 
@@ -137,18 +136,17 @@ def phase_velocities(params: FlockParams) -> PhaseVelocities:
 
 
 def signal_velocities(params: FlockParams) -> SignalVelocities:
-    """Closed-form long-wave signal speeds of a normalized stable flock.
+    """Closed-form long-wave signal speeds of a stable flock.
+
+    The moments g * sum_j rho[j] * j**l they use do not change under
+    normalize, so any center weights will do.
 
     Raises:
-        NotNormalized: center weights are not 1.
         UnstableParams: closed-form gate fails.
         NonpositiveExpansionConstant: a <= 0 (cannot occur for gate-true
-            normalized parameters, kept as a guard).
+            parameters, kept as a guard).
         RingflockError: a overflows float64.
     """
-    if (abs(params.rho_x.get(0, 0.0) - 1.0) > 1e-12
-            or abs(params.rho_v.get(0, 0.0) - 1.0) > 1e-12):
-        raise NotNormalized("signal velocities need rho_x[0] = rho_v[0] = 1")
     _require_gate(params)
     with np.errstate(all="ignore"):
         mom = moments(params, 2)
@@ -163,15 +161,15 @@ def signal_velocities(params: FlockParams) -> SignalVelocities:
     return SignalVelocities(c_plus=max(far, near), c_minus=min(far, near), a=a)
 
 
-def signal_velocity_limit(params: FlockParams, n_ref: int = 10000):
+def signal_velocity_limit(params: FlockParams):
     """Signal speeds measured as the m -> 0 limit of phase velocities.
 
-    Richardson-extrapolates the m = 1, 2 phase velocities on an n_ref ring
+    Richardson-extrapolates the m = 1, 2 phase velocities on a 10000 ring
     (the per-mode error is quadratic in m*theta).  Serves as the independent
     cross-check of the closed form.
     """
     _require_gate(params)
-    p = params.with_n(n_ref)
+    p = params.with_n(10000)
     theta = p.theta
     _, _, plus, minus, degenerate = eigenvalue_arrays(p, np.array([1, 2]))
     if degenerate.any():
@@ -182,19 +180,20 @@ def signal_velocity_limit(params: FlockParams, n_ref: int = 10000):
     return extrap(c_plus), extrap(c_minus)
 
 
-def group_velocity(params: FlockParams, h: float = 1e-5):
+def group_velocity(params: FlockParams):
     """d(omega)/d(wavenumber) of both branches at the origin.
 
-    Central finite differences of -Im(nu) across phi = +-h, following each
-    analytic branch through zero (the branch with negative imaginary part at
-    +h continues into the positive-imaginary root at -h).  Returns
-    (toward increasing k, toward decreasing k), which matches the signal
-    velocities.
+    Central finite differences of -Im(nu) across phi = +-h, h = 1e-5,
+    following each analytic branch through zero (the branch with negative
+    imaginary part at +h continues into the positive-imaginary root at -h).
+    Returns (toward increasing k, toward decreasing k), which matches the
+    signal velocities.
 
     Raises:
         UnstableParams: closed-form gate fails.
     """
     _require_gate(params)
+    h = 1e-5
     plus_p, minus_p, deg_p = pencil_roots(params, np.array([h]))
     plus_m, minus_m, deg_m = pencil_roots(params, np.array([-h]))
     if deg_p.any() or deg_m.any():
@@ -256,8 +255,10 @@ def _propagate(params, zh, vh, t):
     with r1,2 = lambda_v/2 +- sqrt(lambda_v**2/4 + lambda_x) (principal root d),
     w = vh - r1 zh and P = t expm1(y)/y, y = -2 d t, which Re y <= 0 bounds by t.
     No labels, 2x2 solve or special case: the coherent mode gives zh + t vh, a
-    critical one (d = 0) its Jordan solution.  Rows with an imaginary residue
-    above 1e-10 raise ValueError, a non-finite state NonfiniteState.
+    critical one (d = 0) its Jordan solution.  A cell whose e^(r1 t) underflows
+    to 0 is 0 even where P w or the phase has overflowed (t near 1e308).  Rows
+    with an imaginary residue above 1e-10 raise ValueError, a non-finite state
+    NonfiniteState.
     """
     n = params.n
     lx, lv, _, _, _ = eigenvalue_arrays(params, fft_modes(n))
@@ -272,7 +273,12 @@ def _propagate(params, zh, vh, t):
         with np.errstate(all="ignore"):
             y = -2.0 * d * tb
             pw = tb * np.where(y == 0.0, 1.0, np.expm1(y) / y) * w
-            zv = n * np.fft.ifft(np.exp(r1 * tb) * np.stack([zh + pw, vh + r2 * pw]))
+            # zv is e^(r1 t), then its product with the state: one name, so
+            # no block-sized array is kept alive through the inverse FFT.
+            zv = np.exp(r1 * tb)
+            pw[zv == 0.0] = 0.0
+            zv = zv * np.stack([zh + pw, vh + r2 * pw])
+            zv = n * np.fft.ifft(zv)
         if not np.isfinite(zv).all():
             raise NonfiniteState(f"the evolved state is not finite by t={tb[-1, 0]:.4g}")
         resid = np.abs(zv.imag).max(axis=(0, 2))
@@ -297,9 +303,8 @@ def modal_evolve(params: FlockParams, coeffs: ModalCoefficients, t):
     return _propagate(params, zh, vh, t)
 
 
-def power_law_coefficients(n: int, p: float, seed: int = 0,
-                           amplitude: float = 1.0) -> ModalCoefficients:
-    """Synthetic real-field modal data with |coeff_m| = amplitude * m**-p.
+def power_law_coefficients(n: int, p: float, seed: int = 0) -> ModalCoefficients:
+    """Synthetic real-field modal data with |coeff_m| = m**-p.
 
     Phases are drawn from a seeded generator, one pair per |m| in stream
     order, so rings of different sizes share the low-mode coefficients.
@@ -312,7 +317,7 @@ def power_law_coefficients(n: int, p: float, seed: int = 0,
     a = np.zeros(n, dtype=complex)
     b = np.zeros(n, dtype=complex)
     for m in range(1, half + 1):
-        mag = amplitude * float(m) ** (-p)
+        mag = float(m) ** (-p)
         am = mag * cmath.exp(1j * phases[m - 1, 0])
         bm = mag * cmath.exp(1j * phases[m - 1, 1])
         if m == n - m:  # self-conjugate half-ring bin of an even ring
@@ -388,7 +393,7 @@ def wave_approximation(params: FlockParams, coeffs: ModalCoefficients,
         BadExponents: exponent ordering violated, K or p not a finite
             number above 1, or n**alpha <= 1.
         NoDecayFit: every modal coefficient is zero.
-        UnstableParams / NotNormalized via the signal velocities.
+        UnstableParams via the signal velocities.
     """
     n = coeffs.n
     if not (0.0 < alpha < beta < 1.0 and 1.0 < k_window < math.inf and 1.0 < p < math.inf):
@@ -410,7 +415,7 @@ def wave_approximation(params: FlockParams, coeffs: ModalCoefficients,
     sel = np.abs(ms) <= cutoff
     leftward, rightward = coeffs.directional_amplitudes()
 
-    sigs = signal_velocities(normalize(params))
+    sigs = signal_velocities(params)
 
     def damping(lo_exp, hi_exp):
         lo, hi = _band(n, lo_exp, hi_exp)

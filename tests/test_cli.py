@@ -91,6 +91,21 @@ def test_stability_asymmetric_config_finds_witness(tmp_path, capsys):
     assert float(kv(out, "witness_re")) > 0.0
 
 
+def test_stability_searched_witness_prints_like_a_direct_one(tmp_path, capsys):
+    # A 1% tilt of the position row is stable at n = 16; the search finds
+    # the first unstable ring at n = 128.
+    text = ("n = 16\ng_x = -1\ng_v = -3\n"
+            "rho_x.m1 = -0.495\nrho_x.0 = 1\nrho_x.p1 = -0.505\n")
+    code, out, _ = run(capsys, tmp_path, "stability", text)
+    assert code == 2
+    assert kv(out, "spectral") == "true"
+    keys = [line.split("=")[0] for line in out.splitlines()[4:]]
+    assert keys == ["witness_m", "witness_n", "witness_branch", "witness_re"]
+    assert (kv(out, "witness_m"), kv(out, "witness_n"), kv(out, "witness_branch")) == \
+        ("1", "128", "+")
+    assert float(kv(out, "witness_re")) > 0.0
+
+
 def test_stability_unstable_velocity_gain(tmp_path, capsys):
     code, out, _ = run(capsys, tmp_path, "stability", UNSTABLE_GV)
     assert code == 2
@@ -261,10 +276,12 @@ def test_bad_value_exits_1_with_one_line(tmp_path, capsys, command, text):
 
 @pytest.mark.parametrize("text", [
     "n = 16\nt_end = 1e300\n",
+    # the phases of the decayed modes overflow float64 as well
+    "n = 16\nt_end = 1e308\n",
     # overdamped at every mode; c_+ t overflows in the front overlay
     "n = 16\ng_x = -392\ng_v = -1340\nrho_x.m1 = -292.5\nrho_x.0 = 585\n"
     "rho_x.p1 = -292.5\nt_end = 5.3e305\n",
-], ids=["t_end-1e300", "front-overflow"])
+], ids=["t_end-1e300", "t_end-1e308", "front-overflow"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_long_run_returns(tmp_path, capsys, text):
     # The exact evolution costs the same at any t_end; a stepped integrator
@@ -301,17 +318,17 @@ def _config(draw):
                    if value is not None)
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=100,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(_config())
-def test_simulate_fuzzed_config_ends_cleanly(tmp_path, text):
+def _run_fuzzed(tmp_path, command, text):
+    """Run one fuzzed config at n = 16 and check that it ends cleanly: an exit
+    code in {0,1,2,3}, one stderr line and no stdout on exit 1, an empty
+    stderr (warnings included) otherwise."""
     out_dir = tmp_path / "out"
     shutil.rmtree(out_dir, ignore_errors=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         warnings.simplefilter("always")
-        code = main(["simulate", "--config", write(tmp_path, text), "--out", str(out_dir),
+        code = main([command, "--config", write(tmp_path, text), "--out", str(out_dir),
                      "--n", "16"])
     # A warning would reach a real run's stderr.
     err = stderr.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
@@ -321,6 +338,34 @@ def test_simulate_fuzzed_config_ends_cleanly(tmp_path, text):
         assert stdout.getvalue() == ""
     else:
         assert err == ""
+    return code, stdout.getvalue(), out_dir
+
+
+_FUZZ = settings(derandomize=True, deadline=None, database=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@settings(_FUZZ, max_examples=100)
+@given(_config())
+def test_simulate_fuzzed_config_ends_cleanly(tmp_path, text):
+    code, _, out_dir = _run_fuzzed(tmp_path, "simulate", text)
     if code == 0:
         cells = (out_dir / "trajectory.csv").read_text().lower()
         assert "nan" not in cells and "inf" not in cells
+
+
+@pytest.mark.parametrize("command,keys", [
+    ("stability", ""),
+    ("spectrum", "n_phi = 64\n"),
+    ("velocities", ""),
+    ("wave-verify", "n_sweep = 64,128\n"),
+], ids=["stability", "spectrum", "velocities", "wave-verify"])
+@settings(_FUZZ, max_examples=50)
+@given(text=_config())
+def test_subcommand_fuzzed_config_ends_cleanly(tmp_path, command, keys, text):
+    code, stdout, out_dir = _run_fuzzed(tmp_path, command, text + keys)
+    if code != 1:
+        assert "nan" not in stdout.lower()
+    for csv in out_dir.glob("*.csv"):
+        cells = csv.read_text().lower()
+        assert "nan" not in cells and "inf" not in cells, csv.name

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,15 +26,6 @@ def test_gate_rejects_asymmetric_position_row():
 def test_gate_rejects_positive_velocity_product():
     p = rf.FlockParams.nearest_neighbor(10, -2.0, 2.0)
     assert rf.stable_for_all_n(p) is False
-
-
-def test_gate_requires_nearest_neighbor():
-    p = rf.FlockParams(n=10, g_x=-2.0, g_v=-2.0,
-                       rho_x={-2: -0.5, 0: 1.0, 2: -0.5},
-                       rho_v={-2: -0.5, 0: 1.0, 2: -0.5},
-                       neighborhood=(-2, 0, 2))
-    with pytest.raises(rf.NotNearestNeighbor):
-        rf.stable_for_all_n(p)
 
 
 def test_routh_zero_mode_excluded():
@@ -108,23 +101,38 @@ def test_verdict_marginal_when_gx_zero():
     report = rf.spectral_verdict(p)
     assert report.spectral_stable is False
     assert report.marginal is True
+    # with both gains zero every eigenvalue and every band is exactly zero
+    report = rf.spectral_verdict(replace(p, g_v=0.0))
+    assert (report.spectral_stable, report.marginal) == (False, True)
+
+
+def test_verdict_stable_at_large_n_with_per_mode_band():
+    # Re(nu) of the lowest modes at n = 4e5 is about -1.2e-10: far beyond the
+    # rounding error of those tiny modes, but inside a band scaled by the
+    # largest |nu| (1e-10 * 2), which used to call the spectrum marginal.
+    p = rf.FlockParams.nearest_neighbor(400000, -2.0, -2.0)
+    report = rf.spectral_verdict(p)
+    assert -2e-10 < report.max_real_part < 0.0
+    assert report.spectral_stable is True
+    assert report.marginal is False
+    assert report.witness is None
 
 
 def test_witness_found_for_asymmetric_row():
     rng = np.random.default_rng(79)
     p = random_asymmetric_x_params(rng, 8)
-    found = rf.instability_witness(p, n_max=4096)
+    found = rf.instability_witness(p)
     assert found is not None
-    n, m, nu = found
+    _, _, nu = found.witness
     assert nu.real > 0.0
-    assert n <= 4096
+    assert found.n <= 4096
 
 
 def test_witness_immediate_for_positive_gx():
     p = rf.FlockParams.nearest_neighbor(8, 2.0, -2.0)
-    found = rf.instability_witness(p, n_max=64)
+    found = rf.instability_witness(p)
     assert found is not None
-    assert found[0] == 8
+    assert found.n == 8
 
 
 def test_witness_refuses_stable_gate():

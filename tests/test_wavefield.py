@@ -78,17 +78,21 @@ def test_signal_velocities_asymmetric_frozen_values():
 
 def test_signal_velocities_match_low_mode_extrapolation():
     s = rf.signal_velocities(asym_params(100))
-    c_plus, c_minus = rf.signal_velocity_limit(asym_params(100), n_ref=10000)
+    c_plus, c_minus = rf.signal_velocity_limit(asym_params(100))
     assert c_plus == pytest.approx(s.c_plus, rel=1e-6)
     assert c_minus == pytest.approx(s.c_minus, rel=1e-6)
 
 
-def test_signal_velocities_require_normalized():
-    p = rf.FlockParams(n=100, g_x=-1.0, g_v=-1.0,
+def test_signal_velocities_invariant_under_normalize():
+    # Center weights of 2 and 3 with gains halved and thirded: the products
+    # g * rho[j], and with them the speeds, are those of a normalized flock.
+    p = rf.FlockParams(n=100, g_x=-1.0, g_v=-0.5,
                        rho_x={-1: -1.0, 0: 2.0, 1: -1.0},
-                       rho_v={-1: -1.0, 0: 2.0, 1: -1.0})
-    with pytest.raises(rf.NotNormalized):
-        rf.signal_velocities(p)
+                       rho_v={-1: -2.0, 0: 3.0, 1: -1.0})
+    s, q = rf.signal_velocities(p), rf.signal_velocities(rf.normalize(p))
+    assert s.c_plus == pytest.approx(q.c_plus, rel=1e-14)
+    assert s.c_minus == pytest.approx(q.c_minus, rel=1e-14)
+    assert s.a == pytest.approx(q.a, rel=1e-14)
 
 
 def test_group_velocity_equals_signal_velocity():
