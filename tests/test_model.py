@@ -9,40 +9,37 @@ from helpers import random_gate_true_params, random_valid_params
 
 
 def test_validate_symmetric_row_ok():
-    p = rf.FlockParams(n=10, g_x=-2.0, g_v=-2.0,
-                       rho_x={-1: -0.5, 0: 1.0, 1: -0.5},
-                       rho_v={-1: -0.5, 0: 1.0, 1: -0.5})
-    assert rf.violations(p) == []
-    rf.validate(p)
+    rows = dict(rho_x={-1: -0.5, 0: 1.0, 1: -0.5}, rho_v={-1: -0.5, 0: 1.0, 1: -0.5})
+    p = rf.FlockParams(n=10, g_x=-2.0, g_v=-2.0, **rows)
+    assert p.rho_x == rows["rho_x"] and p.rho_v == rows["rho_v"]
+    # stored rows are fresh dicts; the caller's are left alone
+    assert p.rho_x is not rows["rho_x"] and p.rho_v is not rows["rho_v"]
 
 
 def test_validate_row_sum_violation():
-    p = rf.FlockParams(n=10, g_x=-2.0, g_v=-2.0,
+    with pytest.raises(rf.RowSumViolation):
+        rf.FlockParams(n=10, g_x=-2.0, g_v=-2.0,
                        rho_x={-1: -0.5, 0: 1.0, 1: -0.4},
                        rho_v={-1: -0.5, 0: 1.0, 1: -0.5})
-    with pytest.raises(rf.RowSumViolation):
-        rf.validate(p)
 
 
 def test_validate_bad_agent_count():
-    p = rf.FlockParams.nearest_neighbor(2, -2.0, -2.0)
     with pytest.raises(rf.BadAgentCount):
-        rf.validate(p)
+        rf.FlockParams.nearest_neighbor(2, -2.0, -2.0)
+    with pytest.raises(rf.BadAgentCount, match="n=2 is below 3"):
+        rf.FlockParams.nearest_neighbor(10, -2.0, -2.0).with_n(2)
 
 
 def test_violations_are_typed_exceptions():
-    p = rf.FlockParams(n=2, g_x=-2.0, g_v=-2.0,
-                       rho_x={-1: -0.5, 0: 1.0, 1: -0.4},
-                       rho_v={-1: -0.5, 0: 1.0, 1: -0.5, 2: 0.0})
-    kinds = [type(v) for v in rf.violations(p)]
-    assert kinds == [rf.BadAgentCount, rf.RowSumViolation, rf.RingflockError]
+    # BadAgentCount wins over RowSumViolation, which wins over the rest
+    rows = dict(rho_x={-1: -0.5, 0: 1.0, 1: -0.4}, rho_v={-1: -0.5, 0: 1.0, 1: -0.5, 2: 0.0})
     with pytest.raises(rf.BadAgentCount, match="below 3"):
-        rf.validate(p)
+        rf.FlockParams(n=2, g_x=-2.0, g_v=-2.0, **rows)
     with pytest.raises(rf.RowSumViolation, match="rho_x row sum"):
-        rf.validate(p.with_n(10))
-    rest = replace(p, n=10, g_x=math.nan, rho_x={-1: -0.5, 0: 1.0, 1: -0.5})
+        rf.FlockParams(n=10, g_x=-2.0, g_v=-2.0, **rows)
     with pytest.raises(rf.RingflockError) as exc:
-        rf.validate(rest)
+        rf.FlockParams(n=10, g_x=math.nan, g_v=-2.0,
+                       rho_x={-1: -0.5, 0: 1.0, 1: -0.5}, rho_v=rows["rho_v"])
     assert type(exc.value) is rf.RingflockError
     assert str(exc.value) == ("g_x=nan is not finite; "
                               "rho_v has weights outside the neighborhood: [2]")
@@ -55,19 +52,46 @@ def test_violations_are_typed_exceptions():
 ], ids=["g_x-nan", "g_v-inf", "rho_x-nan", "rho_v-inf"])
 def test_validate_rejects_nonfinite(field, value):
     p = rf.FlockParams.nearest_neighbor(10, -2.0, -2.0)
-    bad = replace(p, **{field: value})
-    assert [type(v) for v in rf.violations(bad)] == [rf.RingflockError]
-    with pytest.raises(rf.RingflockError, match="not finite|non-finite"):
-        rf.validate(bad)
+    with pytest.raises(rf.RingflockError, match="not finite|non-finite") as exc:
+        replace(p, **{field: value})
+    assert type(exc.value) is rf.RingflockError
+    assert ";" not in str(exc.value)  # exactly one problem
 
 
 def test_validate_recloses_tiny_row_sum():
-    p = rf.FlockParams(n=10, g_x=-2.0, g_v=-2.0,
-                       rho_x={-1: -0.5, 0: 1.0 + 3e-13, 1: -0.5},
+    rho_x = {-1: -0.5, 0: 1.0 + 3e-13, 1: -0.5}
+    v = rf.FlockParams(n=10, g_x=-2.0, g_v=-2.0, rho_x=rho_x,
                        rho_v={-1: -0.5, 0: 1.0, 1: -0.5})
-    v = rf.validate(p)
     assert abs(math.fsum(v.rho_x.values())) < 1e-16
     assert v.rho_x[0] == 1.0
+    assert rho_x[0] == 1.0 + 3e-13  # the caller's dict is not mutated
+
+
+def test_construction_fills_missing_offsets():
+    p = rf.FlockParams(n=10, g_x=-2.0, g_v=-1.0,
+                       rho_x={-1: -0.5, 1: -0.5, 0: 1.0}, rho_v={-1: -1.0, 0: 1.0})
+    assert list(p.rho_x) == [-1, 0, 1]
+    assert p.rho_v == {-1: -1.0, 0: 1.0, 1: 0.0}
+
+
+def test_unclosed_row_rejected_instead_of_evolving():
+    # rho_x sums to 1, so g_x rho_x would pull every agent toward an
+    # absolute position; this used to evolve silently as if decentralized.
+    with pytest.raises(rf.RowSumViolation, match="rho_x row sum 1.000e\\+00"):
+        rf.FlockParams(n=8, g_x=-2.0, g_v=-1.0,
+                       rho_x={-1: -0.5, 0: 2.0, 1: -0.5},
+                       rho_v={-1: -0.5, 0: 1.0, 1: -0.5})
+
+
+def test_replace_and_normalize_are_checked():
+    p = rf.FlockParams.nearest_neighbor(10, -2.0, -2.0)
+    with pytest.raises(rf.RingflockError, match="g_x=nan is not finite"):
+        replace(p, g_x=math.nan)
+    with pytest.raises(rf.RowSumViolation):
+        replace(p, rho_v={-1: -0.5, 0: 1.5, 1: -0.5})
+    q = replace(p, rho_x={-1: -1.0, 0: 2.0 - 1e-13, 1: -1.0})
+    assert q.rho_x[0] == 2.0
+    assert rf.normalize(q).rho_x == {-1: -0.5, 0: 1.0, 1: -0.5}
 
 
 def test_normalize_rescales():

@@ -119,6 +119,28 @@ def test_impulse_reports_no_arrival_for_short_run():
     assert all(np.isnan(front.arrival_time[k]) for k in front.no_arrival)
 
 
+@pytest.mark.parametrize("n,g_v,t_end", [
+    (200, -2.0, 1e4), (200, -2.0, 3e4), (200, -2.0, 1e308), (200, -1.0, 1e5),
+    (16, -2.0, 1e308),
+])
+def test_impulse_fits_on_long_runs_match_default_window(n, g_v, t_end):
+    # Arrivals are measured up to the front time whatever t_end is; frames
+    # spread over a longer run would miss the pulse or see the wrapped
+    # front first (nan or sign-flipped speeds).
+    p = rf.FlockParams.nearest_neighbor(n, -2.0, g_v)
+    traj, long_run = rf.impulse_experiment(p, t_end=t_end)
+    _, default = rf.impulse_experiment(p)
+    assert traj.times[-1] == t_end
+    np.testing.assert_array_equal(long_run.arrival_time, default.arrival_time)
+    assert long_run.no_arrival == default.no_arrival
+    for got, want in ((long_run.fitted_c_plus, default.fitted_c_plus),
+                      (long_run.fitted_c_minus, default.fitted_c_minus)):
+        assert got == want or (math.isnan(got) and math.isnan(want))
+    if n == 200:
+        assert abs(long_run.fitted_c_plus / long_run.predicted_c_plus - 1.0) < 0.05
+        assert abs(long_run.fitted_c_minus / long_run.predicted_c_minus - 1.0) < 0.05
+
+
 def test_positions_fan_for_quiet_flock():
     p = rf.FlockParams.nearest_neighbor(8, -2.0, -1.0)
     traj = rf.integrate(p, np.zeros(8), np.zeros(8), t_end=1.0, dt=0.01)

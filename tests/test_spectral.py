@@ -161,6 +161,16 @@ def test_hausdorff_examples():
         rf.hausdorff([], [0])
 
 
+@pytest.mark.parametrize("sizes", [(1000, 100), (100, 1000), (3, 70000)])
+def test_hausdorff_matches_full_distance_matrix(sizes):
+    rng = np.random.default_rng(5)
+    a, b = (rng.normal(size=k) + 1j * rng.normal(size=k) for k in sizes)
+    d = np.abs(a[:, None] - b[None, :])
+    want = max(d.min(axis=1).max(), d.min(axis=0).max())
+    assert rf.hausdorff(a, b) == want
+    assert rf.hausdorff(b, a) == want
+
+
 def test_spectra_fill_out_eigencurve():
     rng = np.random.default_rng(47)
     p = random_underdamped_params(rng, 100)

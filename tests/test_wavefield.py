@@ -278,6 +278,16 @@ def test_wave_approximation_rejects_zero_coefficients():
         rf.wave_approximation(p, empty, 0.3, 0.7, 2.0, 2.0)
 
 
+def test_modal_calls_reject_data_of_another_ring():
+    p = rf.FlockParams.nearest_neighbor(128, -2.0, -1.0)
+    co = rf.power_law_coefficients(256, 2.0, seed=2)
+    for call in (lambda: rf.modal_evolve(p, co, 1.0),
+                 lambda: rf.wave_approximation(p, co, 0.3, 0.7, 2.0, 2.0),
+                 lambda: rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)):
+        with pytest.raises(ValueError, match="modal data for n=256 on a ring of n=128"):
+            call()
+
+
 def test_verify_wave_bound_empty_window():
     # very unequal speeds leave no common observation window at K = 2
     p = asym_params(128)
