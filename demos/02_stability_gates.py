@@ -27,7 +27,7 @@ for name, params in cases.items():
         report = rf.spectral_verdict(params, n)
         print(f"  n={n:4d}: spectral stable={report.spectral_stable}  "
               f"max Re(nu) = {report.max_real_part:+.3e}  "
-              f"violated RH conditions: {len(report.rh_failures)}")
+              f"violated RH conditions: {report.rh_failures}")
     if not gate:
         found = rf.instability_witness(params)
         if found is None:

@@ -7,26 +7,7 @@ velocities, evolves modal solutions exactly, and verifies the traveling-wave
 approximation numerically against dense-eigensolver and ODE oracles.
 """
 
-from .errors import (
-    BadAgentCount,
-    BadExponents,
-    ConfigError,
-    DegenerateBranches,
-    DegenerateMode,
-    EmptySet,
-    EmptyTimeWindow,
-    GateWouldPass,
-    NoDecayFit,
-    NonfiniteState,
-    NonpositiveExpansionConstant,
-    RingflockError,
-    RowSumViolation,
-    StepTooLarge,
-    TooLarge,
-    UnstableParams,
-    ZeroCenterWeight,
-    ZeroMode,
-)
+from .errors import ConfigError, DegenerateBranches, RingflockError
 from .model import (
     DenseSystem,
     FlockParams,

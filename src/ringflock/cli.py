@@ -234,12 +234,12 @@ def cmd_simulate(cfg, out_dir):
 def cmd_wave_verify(cfg, out_dir):
     params = build_params(cfg)
     if list(cfg["n_sweep"]) != sorted(set(cfg["n_sweep"])):
-        raise ValueError(f"n_sweep must be strictly increasing, got {_fmt(cfg['n_sweep'])}")
+        raise RingflockError(f"n_sweep must be strictly increasing, got {_fmt(cfg['n_sweep'])}")
     alpha = cfg["alpha"]
     reports = []
     d_const = None
     for n in cfg["n_sweep"]:
-        ring = params.with_n(n)  # first, so a bad n fails as BadAgentCount
+        ring = params.with_n(n)  # first, so a bad n fails as a bad agent count
         coeffs = power_law_coefficients(n, cfg["p"], seed=cfg["seed"])
         reports.append(verify_wave_bound(ring, coeffs, alpha, cfg["beta"],
                                          cfg["K"], cfg["p"], d_const=d_const))
@@ -300,7 +300,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
-    except (RingflockError, ValueError) as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: arrays too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

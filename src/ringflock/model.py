@@ -16,11 +16,13 @@ used by the numerical oracles.
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BadAgentCount, RingflockError, RowSumViolation, ZeroCenterWeight
+from .errors import RingflockError
 
 NEAREST_NEIGHBORHOOD = (-1, 0, 1)
 
@@ -34,9 +36,9 @@ class FlockParams:
 
     The constructor, nearest_neighbor, with_n, dataclasses.replace and
     normalize all run the checks, so every instance is valid.  Each row is
-    stored as a fresh dict on the offsets -1, 0, +1 (a missing one weighs
-    0) with its center re-closed to minus the sum of the sides, which keeps
-    the coherent zero eigenvalue structurally exact downstream.
+    stored as a fresh read-only mapping on the offsets -1, 0, +1 (a missing
+    one weighs 0) with its center re-closed to minus the sum of the sides,
+    which keeps the coherent zero eigenvalue structurally exact downstream.
 
     Attributes:
         n: number of agents (at least 3).
@@ -46,26 +48,25 @@ class FlockParams:
         rho_v: map offset (-1, 0 or +1) -> dimensionless velocity weight.
 
     Raises:
-        BadAgentCount: n < 3.
-        RowSumViolation: otherwise, a row sums to more than ROW_SUM_TOL.
-        RingflockError: otherwise, one error listing every other problem.
+        RingflockError: n < 3, a gain or weight is not finite, a weight sits
+            off the offsets -1, 0, +1, or a row sums to more than
+            ROW_SUM_TOL; one error lists every problem, joined by '; '.
     """
 
     n: int
     g_x: float
     g_v: float
-    rho_x: dict
-    rho_v: dict
+    rho_x: Mapping
+    rho_v: Mapping
 
     def __post_init__(self):
         probs = _violations(self)
-        if probs:  # BadAgentCount comes first in the list, then any RowSumViolation
-            typed = [p for p in probs if type(p) is not RingflockError]
-            raise typed[0] if typed else RingflockError("; ".join(str(p) for p in probs))
+        if probs:
+            raise RingflockError("; ".join(probs))
         for name in ("rho_x", "rho_v"):
             full = {j: float(getattr(self, name).get(j, 0.0)) for j in NEAREST_NEIGHBORHOOD}
             full[0] = -math.fsum((full[-1], full[1]))
-            object.__setattr__(self, name, full)
+            object.__setattr__(self, name, MappingProxyType(full))
 
     @property
     def theta(self) -> float:
@@ -121,30 +122,28 @@ class DenseSystem:
 
 
 def _violations(params):
-    """Each violated invariant as an exception instance, in check order."""
+    """Each violated invariant as a message, in check order."""
     probs = []
     if params.n < 3:
-        probs.append(BadAgentCount(f"agent count n={params.n} is below 3"))
+        probs.append(f"agent count n={params.n} is below 3")
     for name in ("g_x", "g_v"):
         gain = getattr(params, name)
         if not math.isfinite(gain):
-            probs.append(RingflockError(f"{name}={gain} is not finite"))
+            probs.append(f"{name}={gain} is not finite")
     for name, rho in (("rho_x", params.rho_x), ("rho_v", params.rho_v)):
         extra = set(rho) - set(NEAREST_NEIGHBORHOOD)
         if extra:
-            probs.append(RingflockError(
-                f"{name} has weights outside the neighborhood: {sorted(extra)}"))
+            probs.append(f"{name} has weights outside the neighborhood: {sorted(extra)}")
         bad = {j: w for j, w in rho.items() if not math.isfinite(w)}
         if bad:
-            probs.append(RingflockError(
-                f"{name} has non-finite weights at offsets {sorted(bad)}"))
+            probs.append(f"{name} has non-finite weights at offsets {sorted(bad)}")
             continue
         try:
             s = math.fsum(rho.values())
         except OverflowError:  # finite weights whose exact sum exceeds float64
             s = math.inf
         if abs(s) > ROW_SUM_TOL:
-            probs.append(RowSumViolation(f"{name} row sum {s:.3e} exceeds {ROW_SUM_TOL:.0e}"))
+            probs.append(f"{name} row sum {s:.3e} exceeds {ROW_SUM_TOL:.0e}")
     return probs
 
 
@@ -156,12 +155,12 @@ def normalize(params: FlockParams) -> FlockParams:
     with them the dynamics, are unchanged.
 
     Raises:
-        ZeroCenterWeight: a center weight is zero.
+        RingflockError: a center weight is zero.
     """
     cx = params.rho_x[0]
     cv = params.rho_v[0]
     if cx == 0.0 or cv == 0.0:
-        raise ZeroCenterWeight("normalization needs rho_x[0] != 0 and rho_v[0] != 0")
+        raise RingflockError("normalization needs rho_x[0] != 0 and rho_v[0] != 0")
     rho_x = {j: w / cx for j, w in params.rho_x.items()}
     rho_v = {j: w / cv for j, w in params.rho_v.items()}
     return replace(params, g_x=params.g_x * cx, g_v=params.g_v * cv,
@@ -171,7 +170,7 @@ def normalize(params: FlockParams) -> FlockParams:
 def moments(params: FlockParams, lmax: int = 5) -> Moments:
     """Offset moments of g_x*rho_x and g_v*rho_v through order lmax."""
     if lmax < 1:
-        raise ValueError("lmax must be at least 1")
+        raise RingflockError("lmax must be at least 1")
     ls = np.arange(lmax + 1)
     mx = np.zeros(lmax + 1)
     mv = np.zeros(lmax + 1)

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonfiniteState, StepTooLarge, UnstableParams
+from .errors import RingflockError
 from .model import FlockParams
 from .stability import stable_for_all_n
 from .wavefield import evolve, signal_velocities
@@ -31,14 +31,13 @@ class Trajectory:
 class WavefrontReport:
     """First-arrival data of a localized impulse and the fitted front speeds.
 
-    arrival_time[k] is the first sampled time with |zdot_k| above the
-    threshold (NaN when the signal never arrives); the fitted speeds come
+    arrival_time[k] is the first sampled time with |zdot_k| above 2 percent
+    of the impulse (NaN when the signal never arrives); the fitted speeds come
     from straight-line fits of arrival time against agent index on each
     branch, and the predictions are the closed-form signal velocities.
     """
 
     arrival_time: np.ndarray
-    threshold: float
     fitted_c_plus: float
     fitted_c_minus: float
     predicted_c_plus: float
@@ -58,22 +57,21 @@ def integrate(params: FlockParams, z0, zdot0, t_end: float, dt: float) -> Trajec
     """Classical RK4 on the first-order form, sampled to about 500 rows.
 
     Raises:
-        StepTooLarge: dt is not in (0, 0.1 / (|g_x| + |g_v| + 1)], the
-            stability heuristic (a NaN step included).
-        NonfiniteState: the state stopped being finite (divergence or a bad
-            step size).
-        ValueError: t_end is not positive and finite.
+        RingflockError: dt is not in (0, 0.1 / (|g_x| + |g_v| + 1)], the
+            stability heuristic (a NaN step included); t_end is not positive
+            and finite; the initial arrays do not have shape (n,); or the
+            state stopped being finite (divergence or a bad step size).
     """
     g_x, g_v, rho_x, rho_v, n = params.g_x, params.g_v, params.rho_x, params.rho_v, params.n
     cap = 0.1 / (abs(g_x) + abs(g_v) + 1.0)
     if not 0.0 < dt <= cap:
-        raise StepTooLarge(f"dt={dt:.4g} outside (0, {cap:.4g}]")
+        raise RingflockError(f"dt={dt:.4g} outside (0, {cap:.4g}]")
     if not 0.0 < t_end < math.inf:
-        raise ValueError(f"t_end={t_end} must be positive and finite")
+        raise RingflockError(f"t_end={t_end} must be positive and finite")
     z = np.asarray(z0, dtype=float).copy()
     v = np.asarray(zdot0, dtype=float).copy()
     if z.shape != (n,) or v.shape != (n,):
-        raise ValueError(f"initial arrays must have shape ({n},)")
+        raise RingflockError(f"initial arrays must have shape ({n},)")
 
     def acc(zz, vv):
         return g_x * _coupled(rho_x, zz) + g_v * _coupled(rho_v, vv)
@@ -96,7 +94,7 @@ def integrate(params: FlockParams, z0, zdot0, t_end: float, dt: float) -> Trajec
         v = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         if step % stride == 0 or step == steps:
             if not (np.isfinite(z).all() and np.isfinite(v).all()):
-                raise NonfiniteState(f"non-finite state at t={step * dt:.4g}")
+                raise RingflockError(f"non-finite state at t={step * dt:.4g}")
             times.append(step * dt)
             zs.append(z.copy())
             vs.append(v.copy())
@@ -132,22 +130,21 @@ def impulse_experiment(params: FlockParams, v_impulse: float = 1.0,
     effects distort one end and the two fronts collide at the other.
 
     Raises:
-        ValueError: v_impulse is zero or not finite, or t_end is not
-            positive and finite.
-        UnstableParams: closed-form gate fails.
-        NonfiniteState: the evolved state is not finite in float64.
+        RingflockError: v_impulse is zero or not finite, t_end is not
+            positive and finite, the closed-form gate fails, or the evolved
+            state is not finite in float64.
     """
     if not (math.isfinite(v_impulse) and v_impulse != 0.0):
-        raise ValueError(f"v_impulse={v_impulse} must be nonzero and finite")
+        raise RingflockError(f"v_impulse={v_impulse} must be nonzero and finite")
     if not stable_for_all_n(params):
-        raise UnstableParams("impulse experiment needs gate-stable parameters")
+        raise RingflockError("impulse experiment needs gate-stable parameters")
     n = params.n
     sigs = signal_velocities(params)
     t_front = 0.6 * n / min(sigs.c_plus, abs(sigs.c_minus))
     if t_end is None:
         t_end = t_front
     if not 0.0 < t_end < math.inf:
-        raise ValueError(f"t_end={t_end} must be positive and finite")
+        raise RingflockError(f"t_end={t_end} must be positive and finite")
     threshold = 0.02 * abs(v_impulse)
 
     v0 = np.zeros(n)
@@ -178,7 +175,6 @@ def impulse_experiment(params: FlockParams, v_impulse: float = 1.0,
 
     report = WavefrontReport(
         arrival_time=arrival,
-        threshold=threshold,
         fitted_c_plus=fitted_plus,
         fitted_c_minus=fitted_minus,
         predicted_c_plus=sigs.c_plus,
@@ -191,7 +187,7 @@ def impulse_experiment(params: FlockParams, v_impulse: float = 1.0,
 def positions(traj: Trajectory, delta: float, v_nominal: float = 0.0) -> np.ndarray:
     """Physical orbits x_k(t) = z_k(t) + k*delta + v_nominal*t."""
     if delta <= 0.0:
-        raise ValueError("delta must be positive")
+        raise RingflockError("delta must be positive")
     ks = np.arange(traj.z.shape[1])
     return traj.z + ks[None, :] * delta + v_nominal * traj.times[:, None]
 

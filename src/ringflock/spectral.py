@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import EmptySet, NonpositiveExpansionConstant, RingflockError, TooLarge
+from .errors import RingflockError
 from .model import DenseSystem, FlockParams, moments
 
 #: Below this absolute imaginary part a root counts as real for labeling.
@@ -163,18 +163,17 @@ def series_coefficients(params: FlockParams, branch: int, order: int = 4) -> np.
     exists.
 
     Raises:
-        NonpositiveExpansionConstant: a <= 0.
-        ValueError: branch not +-1, or I_x1 != 0.
+        RingflockError: branch not +-1, I_x1 != 0, or a <= 0.
     """
     if branch not in (-1, 1):
-        raise ValueError("branch must be +1 or -1")
+        raise RingflockError("branch must be +1 or -1")
     mom = moments(params, order + 1)
     ix, iv = mom.x, mom.v
     if abs(ix[1]) > 1e-9 * (1.0 + abs(ix[2])):
-        raise ValueError("expansion requires I_x1 = 0 (symmetric position weights)")
+        raise RingflockError("expansion requires I_x1 = 0 (symmetric position weights)")
     a = iv[1] ** 2 / 4.0 + ix[2] / 2.0
     if a <= 0.0:
-        raise NonpositiveExpansionConstant(f"I_v1^2/4 + I_x2/2 = {a:.6g} <= 0")
+        raise RingflockError(f"I_v1^2/4 + I_x2/2 = {a:.6g} <= 0")
     sq = math.sqrt(a)
 
     ks = np.arange(order + 2)
@@ -202,7 +201,7 @@ def mode_eigenvalues_series(params: FlockParams, m: int, order: int = 4):
     two analytic branches swap labels).
     """
     if not (1 <= order <= 4):
-        raise ValueError("order must be between 1 and 4")
+        raise RingflockError("order must be between 1 and 4")
     if m % params.n == 0:
         return 0j, 0j
     u = m * params.theta
@@ -242,7 +241,7 @@ class Eigencurve:
 def eigencurve(params: FlockParams, n_phi: int) -> Eigencurve:
     """Sample the eigencurve on n_phi angles, endpoints 0 and 2*pi included."""
     if n_phi < 16:
-        raise ValueError("n_phi must be at least 16")
+        raise RingflockError("n_phi must be at least 16")
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi)
     plus, minus, _ = pencil_roots(params, phi)
     return Eigencurve(phi=phi, roots=np.column_stack([plus, minus]))
@@ -253,7 +252,7 @@ def hausdorff(set_a, set_b) -> float:
     a = np.asarray(set_a, dtype=complex).ravel()
     b = np.asarray(set_b, dtype=complex).ravel()
     if a.size == 0 or b.size == 0:
-        raise EmptySet("hausdorff needs two nonempty sets")
+        raise RingflockError("hausdorff needs two nonempty sets")
 
     # One pass over the distance matrix in cache-sized row blocks: a block's
     # row minima give a -> b, its column minima fold into b -> a.
@@ -272,7 +271,7 @@ def max_matching_distance(set_a, set_b) -> float:
     a = np.asarray(set_a, dtype=complex).ravel()
     b = np.asarray(set_b, dtype=complex).ravel()
     if a.size != b.size:
-        raise ValueError(f"multiset sizes differ: {a.size} vs {b.size}")
+        raise RingflockError(f"multiset sizes differ: {a.size} vs {b.size}")
     d = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(d)
     return float(d[rows, cols].max())
@@ -290,11 +289,11 @@ def dense_spectrum(system: DenseSystem) -> np.ndarray:
     oracle knows nothing of the closed-form mode pencils.
 
     Raises:
-        TooLarge: ring size above DENSE_N_CAP.
+        RingflockError: ring size above DENSE_N_CAP.
     """
     n = system.l_x.shape[0]
     if n > DENSE_N_CAP:
-        raise TooLarge(f"n={n} exceeds the dense eigensolve cap {DENSE_N_CAP}")
+        raise RingflockError(f"n={n} exceeds the dense eigensolve cap {DENSE_N_CAP}")
     m = system.m
     p = m[n:, :n]
     q = m[n:, n:]

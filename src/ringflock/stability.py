@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GateWouldPass, ZeroMode
+from .errors import RingflockError
 from .model import FlockParams
 from .spectral import eigenvalue_arrays, laplacian_eigenvalues, mode_range
 
@@ -38,8 +38,8 @@ class StabilityReport:
     witness = (m, branch, nu) is present exactly when the spectrum is not
     strictly stable: the branch eigenvalue with the largest real part above
     its mode's marginal band if there is one, else the one realizing
-    max_real_part.  rh_failures lists (m, condition index 1..4) for every
-    violated Routh-Hurwitz inequality.
+    max_real_part.  rh_failures counts the violated Routh-Hurwitz
+    inequalities, summed over the four conditions and the nonzero modes.
     """
 
     n: int
@@ -48,7 +48,7 @@ class StabilityReport:
     marginal: bool
     max_real_part: float
     witness: Optional[tuple]
-    rh_failures: list
+    rh_failures: int
 
 
 def stable_for_all_n(params: FlockParams) -> bool:
@@ -83,10 +83,10 @@ def routh_hurwitz(params: FlockParams, m: int):
     the left half plane.
 
     Raises:
-        ZeroMode: m = 0 mod n (the coherent mode is excluded by definition).
+        RingflockError: m = 0 mod n (the coherent mode is excluded by definition).
     """
     if m % params.n == 0:
-        raise ZeroMode("mode m=0 carries the coherent double zero")
+        raise RingflockError("mode m=0 carries the coherent double zero")
     lam_x, lam_v = laplacian_eigenvalues(params, m)
     c1, c2, c3, c4 = _rh_conditions(np.asarray(lam_x), np.asarray(lam_v))
     return bool(c1), bool(c2), bool(c3), bool(c4)
@@ -117,11 +117,7 @@ def spectral_verdict(params: FlockParams, n: Optional[int] = None) -> StabilityR
     half = res.size // 2
     witness = (int(ms[keep][i % half]), "+" if i < half else "-", complex(nus[i]))
 
-    c1, c2, c3, c4 = _rh_conditions(lx[keep], lv[keep])
-    rh_failures = []
-    for idx, cond in enumerate((c1, c2, c3, c4), start=1):
-        for m_bad in ms[keep][~cond]:
-            rh_failures.append((int(m_bad), idx))
+    rh_failures = sum(int(np.count_nonzero(~c)) for c in _rh_conditions(lx[keep], lv[keep]))
 
     return StabilityReport(
         n=p.n,
@@ -130,7 +126,7 @@ def spectral_verdict(params: FlockParams, n: Optional[int] = None) -> StabilityR
         marginal=not stable and not above.any(),
         max_real_part=float(res.max()),
         witness=None if stable else witness,
-        rh_failures=sorted(rh_failures),
+        rh_failures=rh_failures,
     )
 
 
@@ -142,10 +138,10 @@ def instability_witness(params: FlockParams) -> Optional[StabilityReport]:
     None when the search is inconclusive; None never means stable.
 
     Raises:
-        GateWouldPass: the closed-form gate already certifies stability.
+        RingflockError: the closed-form gate already certifies stability.
     """
     if stable_for_all_n(params):
-        raise GateWouldPass("parameters pass the closed-form gate; no witness exists")
+        raise RingflockError("parameters pass the closed-form gate; no witness exists")
     n = 8
     while n <= WITNESS_N_MAX:
         report = spectral_verdict(params, n)

@@ -22,17 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BadExponents,
-    DegenerateBranches,
-    DegenerateMode,
-    EmptyTimeWindow,
-    NoDecayFit,
-    NonfiniteState,
-    NonpositiveExpansionConstant,
-    RingflockError,
-    UnstableParams,
-)
+from .errors import DegenerateBranches, RingflockError
 from .model import FlockParams, moments
 from .spectral import eigenvalue_arrays, fft_modes, pencil_roots
 from .stability import stable_for_all_n
@@ -43,12 +33,12 @@ DEGENERATE_MODE_TOL = 1e-10
 
 def _require_gate(params):
     if not stable_for_all_n(params):
-        raise UnstableParams("operation requires closed-form stable parameters")
+        raise RingflockError("operation requires closed-form stable parameters")
 
 
 def _require_same_ring(params, coeffs):
     if coeffs.n != params.n:
-        raise ValueError(f"modal data for n={coeffs.n} on a ring of n={params.n}")
+        raise RingflockError(f"modal data for n={coeffs.n} on a ring of n={params.n}")
 
 
 @dataclass(frozen=True)
@@ -116,7 +106,7 @@ def phase_velocities(params: FlockParams) -> PhaseVelocities:
     """Propagation speed and damping of every mode 1..n//2.
 
     Raises:
-        UnstableParams: closed-form gate fails.
+        RingflockError: closed-form gate fails.
         DegenerateBranches: some mode has two real branch eigenvalues, which
             happens at the half-ring mode once g_v**2 rho_v0**2 reaches
             -2 g_x rho_x0 (overdamped regime); speeds are undefined there.
@@ -147,10 +137,8 @@ def signal_velocities(params: FlockParams) -> SignalVelocities:
     normalize, so any center weights will do.
 
     Raises:
-        UnstableParams: closed-form gate fails.
-        NonpositiveExpansionConstant: a <= 0 (cannot occur for gate-true
-            parameters, kept as a guard).
-        RingflockError: a overflows float64.
+        RingflockError: closed-form gate fails, a overflows float64, or
+            a <= 0 (cannot occur for gate-true parameters, kept as a guard).
     """
     _require_gate(params)
     with np.errstate(all="ignore"):
@@ -160,7 +148,7 @@ def signal_velocities(params: FlockParams) -> SignalVelocities:
     if not math.isfinite(a):
         raise RingflockError("expansion constant is not finite; the gains overflow float64")
     if a <= 0.0:
-        raise NonpositiveExpansionConstant(f"expansion constant {a:.6g} <= 0")
+        raise RingflockError(f"expansion constant {a:.6g} <= 0")
     far = -v1 / 2.0 + math.copysign(math.sqrt(a), -v1)  # the root free of cancellation
     near = -x2 / 2.0 / far if v1 else -far  # since c_+ c_- = -I_x2 / 2
     return SignalVelocities(c_plus=max(far, near), c_minus=min(far, near), a=a)
@@ -195,7 +183,7 @@ def group_velocity(params: FlockParams):
     signal velocities.
 
     Raises:
-        UnstableParams: closed-form gate fails.
+        RingflockError: closed-form gate fails.
     """
     _require_gate(params)
     h = 1e-5
@@ -222,9 +210,8 @@ def modal_decompose(params: FlockParams, z0, zdot0) -> ModalCoefficients:
     The coherent pair holds the mean position and mean velocity.
 
     Raises:
-        UnstableParams: closed-form gate fails.
-        DegenerateMode: branch eigenvalues of some mode coincide, so the
-            2x2 system is singular (Jordan case).
+        RingflockError: closed-form gate fails, or branch eigenvalues of
+            some mode coincide, so the 2x2 system is singular (Jordan case).
     """
     _require_gate(params)
     n = params.n
@@ -233,7 +220,7 @@ def modal_decompose(params: FlockParams, z0, zdot0) -> ModalCoefficients:
     den = plus - minus
     bad = (np.abs(den) < DEGENERATE_MODE_TOL * np.maximum(1.0, np.abs(plus))) & (ms != 0)
     if bad.any():
-        raise DegenerateMode(f"mode m={int(ms[bad][0])} has coincident branches")
+        raise RingflockError(f"mode m={int(ms[bad][0])} has coincident branches")
     with np.errstate(divide="ignore", invalid="ignore"):
         a = (vh - minus * zh) / den
         b = (plus * zh - vh) / den
@@ -249,7 +236,7 @@ def _dft(n, z0, zdot0):
     """The DFT data (z_hat, zdot_hat) = fft / n of a state on n agents."""
     z0, zdot0 = np.asarray(z0, dtype=float), np.asarray(zdot0, dtype=float)
     if z0.shape != (n,) or zdot0.shape != (n,):
-        raise ValueError(f"initial arrays must have shape ({n},)")
+        raise RingflockError(f"initial arrays must have shape ({n},)")
     return np.fft.fft(z0) / n, np.fft.fft(zdot0) / n
 
 
@@ -262,8 +249,8 @@ def _propagate(params, zh, vh, t):
     No labels, 2x2 solve or special case: the coherent mode gives zh + t vh, a
     critical one (d = 0) its Jordan solution.  A cell whose e^(r1 t) underflows
     to 0 is 0 even where P w or the phase has overflowed (t near 1e308).  Rows
-    with an imaginary residue above 1e-10 raise ValueError, a non-finite state
-    NonfiniteState.
+    with an imaginary residue above 1e-10 and a non-finite state raise
+    RingflockError.
     """
     n = params.n
     lx, lv, _, _, _ = eigenvalue_arrays(params, fft_modes(n))
@@ -285,10 +272,10 @@ def _propagate(params, zh, vh, t):
             zv = zv * np.stack([zh + pw, vh + r2 * pw])
             zv = n * np.fft.ifft(zv)
         if not np.isfinite(zv).all():
-            raise NonfiniteState(f"the evolved state is not finite by t={tb[-1, 0]:.4g}")
+            raise RingflockError(f"the evolved state is not finite by t={tb[-1, 0]:.4g}")
         resid = np.abs(zv.imag).max(axis=(0, 2))
         if (resid > 1e-10 * np.maximum(1.0, np.abs(zv.real).max(axis=(0, 2)))).any():
-            raise ValueError(f"modal sum has imaginary residue {resid.max():.3e}")
+            raise RingflockError(f"modal sum has imaginary residue {resid.max():.3e}")
         out[:, lo:lo + step] = zv.real
     return tuple(out.reshape((2,) + ts.shape + (n,)))
 
@@ -301,7 +288,7 @@ def evolve(params: FlockParams, z0, zdot0, t):
 
 def modal_evolve(params: FlockParams, coeffs: ModalCoefficients, t):
     """Exact state (z, zdot) at time t from the modal amplitudes of a ring of
-    params.n agents (ValueError otherwise), shaped as in evolve: the
+    params.n agents (RingflockError otherwise), shaped as in evolve: the
     propagator runs on (a + b, nu_+ a + nu_- b), coherent in bin 0."""
     _require_same_ring(params, coeffs)
     _, plus, minus = _mode_nus(params)
@@ -397,24 +384,23 @@ def wave_approximation(params: FlockParams, coeffs: ModalCoefficients,
     decay hypothesis checkable instead of assumed.
 
     Raises:
-        BadExponents: exponent ordering violated, K or p not a finite
-            number above 1, or n**alpha <= 1.
-        NoDecayFit: every modal coefficient is zero.
-        UnstableParams via the signal velocities.
-        ValueError: coeffs belong to a ring of another size.
+        RingflockError: exponent ordering violated, K or p not a finite
+            number above 1, or n**alpha <= 1; every modal coefficient is
+            zero; coeffs belong to a ring of another size; or, via the
+            signal velocities, the closed-form gate fails.
     """
     _require_same_ring(params, coeffs)
     n = params.n
     if not (0.0 < alpha < beta < 1.0 and 1.0 < k_window < math.inf and 1.0 < p < math.inf):
-        raise BadExponents("need 0 < alpha < beta < 1, finite K > 1, finite p > 1")
+        raise RingflockError("need 0 < alpha < beta < 1, finite K > 1, finite p > 1")
     if n ** alpha <= 1.0:
-        raise BadExponents(f"n**alpha = {n ** alpha:.3g} must exceed 1")
+        raise RingflockError(f"n**alpha = {n ** alpha:.3g} must exceed 1")
 
     ms, plus, minus = _mode_nus(params)
     nz = ms != 0
     mags = np.maximum(np.abs(coeffs.a), np.abs(coeffs.b))
     if not (mags[nz] > 0).any():
-        raise NoDecayFit("all modal coefficients vanish")
+        raise RingflockError("all modal coefficients vanish")
     m_bound = float((mags[nz] * np.abs(ms[nz]) ** p).max())
 
     cutoff = math.floor(n ** alpha)
@@ -457,7 +443,6 @@ class WaveBoundReport:
 
     n: int
     d_const: float
-    d_fitted: bool
     ts: np.ndarray
     measured: np.ndarray
     signal_sup: np.ndarray
@@ -469,8 +454,8 @@ class WaveBoundReport:
     def bound(self) -> np.ndarray:
         return self.term1 + self.term2 + self.term3
 
-    def bound_holds(self, slack: float = 1e-9) -> bool:
-        return bool((self.measured <= self.bound() + slack).all())
+    def bound_holds(self) -> bool:
+        return bool((self.measured <= self.bound() + 1e-9).all())
 
 
 def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
@@ -488,8 +473,8 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
     a sweep, then freeze it for the larger rings).
 
     Raises:
-        EmptyTimeWindow: the two windows do not intersect.
-        ValueError: coeffs belong to a ring of another size.
+        RingflockError: the two windows do not intersect, or coeffs belong
+            to a ring of another size.
     """
     n = params.n
     wa = wave_approximation(params, coeffs, alpha, beta, k_window, p)
@@ -497,7 +482,7 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
     lo = n / min(abs(wa.c_minus), wa.c_plus)
     hi = k_window * n / max(abs(wa.c_minus), wa.c_plus)
     if lo > hi:
-        raise EmptyTimeWindow(
+        raise RingflockError(
             f"[{n / abs(wa.c_minus):.3g}, {k_window * n / abs(wa.c_minus):.3g}] and "
             f"[{n / wa.c_plus:.3g}, {k_window * n / wa.c_plus:.3g}] do not intersect")
     ts = np.linspace(lo, hi, 7)
@@ -513,14 +498,12 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
 
     unit1, term2, term3 = wa.bound_terms(ts, 1.0)
 
-    fitted = d_const is None
-    if fitted:
+    if d_const is None:
         d_const = float(max(0.0, ((measured - term2 - term3) / unit1).max()))
 
     return WaveBoundReport(
         n=n,
         d_const=d_const,
-        d_fitted=fitted,
         ts=ts,
         measured=measured,
         signal_sup=sups,

@@ -1,14 +1,17 @@
+import ast
 import contextlib
 import io
 import math
 import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ringflock import errors
 from ringflock.cli import DEFAULTS, build_params, main
 from ringflock.sim import impulse_experiment
 
@@ -255,12 +258,16 @@ OVERFLOW = "g_x = -1e308\ng_v = -1e308\n"
     ("stability", "n = 16\nrho_v.0 = 1e308\nrho_v.p1 = 1e308\n"),
     ("stability", "n = 16\nrho_x.m1 = -4.5e307\nrho_x.0 = 9e307\nrho_x.p1 = -4.5e307\n"),
     ("simulate", "n = 16\nrho_v.m1 = 0\nrho_v.0 = 1e308\nrho_v.p1 = -1e308\n"),
+    # 7 PiB each: beyond the address space, so numpy's allocation fails
+    ("spectrum", "n = 16\nn_phi = 1000000000000000\n"),
+    ("stability", "n = 1000000000000000\n"),
 ], ids=["g_x-nan", "n_sweep-2", "n_phi-3", "t_end-nan", "K-nan", "p-nan",
         "t_end-negative", "t_end-0", "v_impulse-nan", "v_impulse-0",
         "alpha-0.9", "wave-verify-unstable", "K-inf", "p-inf",
         "stability-overflow", "spectrum-overflow", "wave-verify-overflow",
         "n_sweep-decreasing", "simulate-overflow", "state-overflow",
-        "row-sum-overflow", "symbol-overflow", "expansion-overflow"])
+        "row-sum-overflow", "symbol-overflow", "expansion-overflow",
+        "n_phi-unallocatable", "n-unallocatable"])
 def test_bad_value_exits_1_with_one_line(tmp_path, capsys, command, text):
     code = main([command, "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()
@@ -289,6 +296,20 @@ def test_simulate_long_run_returns(tmp_path, capsys, text):
     data = np.loadtxt(out_dir / "trajectory.csv", delimiter=",", skiprows=1)
     assert data.shape == (2001 * 16, 4)
     assert np.isfinite(data).all()
+
+
+def test_one_package_error_type():
+    # ConfigError gives the "config error:" prefix and DegenerateBranches
+    # velocities' exit 3; every other failure is a plain RingflockError.
+    classes = {name for name, obj in vars(errors).items() if isinstance(obj, type)}
+    assert classes == {"RingflockError", "ConfigError", "DegenerateBranches"}
+    assert errors.RingflockError.__bases__ == (ValueError,)
+    assert errors.ConfigError.__bases__ == (errors.RingflockError,)
+    assert errors.DegenerateBranches.__bases__ == (errors.RingflockError,)
+    for path in Path(errors.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                assert node.exc.func.id in classes, f"{path.name}:{node.lineno}"
 
 
 def test_wave_verify_negative_ring_is_a_bad_agent_count(tmp_path, capsys):

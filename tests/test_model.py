@@ -12,37 +12,43 @@ def test_validate_symmetric_row_ok():
     rows = dict(rho_x={-1: -0.5, 0: 1.0, 1: -0.5}, rho_v={-1: -0.5, 0: 1.0, 1: -0.5})
     p = rf.FlockParams(n=10, g_x=-2.0, g_v=-2.0, **rows)
     assert p.rho_x == rows["rho_x"] and p.rho_v == rows["rho_v"]
-    # stored rows are fresh dicts; the caller's are left alone
+    # stored rows are fresh read-only mappings; the caller's are left alone
     assert p.rho_x is not rows["rho_x"] and p.rho_v is not rows["rho_v"]
+    with pytest.raises(TypeError):
+        p.rho_x[0] = 2.0
 
 
 def test_validate_row_sum_violation():
-    with pytest.raises(rf.RowSumViolation):
+    with pytest.raises(rf.RingflockError, match="rho_x row sum 1.000e-01 exceeds 1e-12"):
         rf.FlockParams(n=10, g_x=-2.0, g_v=-2.0,
                        rho_x={-1: -0.5, 0: 1.0, 1: -0.4},
                        rho_v={-1: -0.5, 0: 1.0, 1: -0.5})
 
 
 def test_validate_bad_agent_count():
-    with pytest.raises(rf.BadAgentCount):
+    with pytest.raises(rf.RingflockError, match="n=2 is below 3"):
         rf.FlockParams.nearest_neighbor(2, -2.0, -2.0)
-    with pytest.raises(rf.BadAgentCount, match="n=2 is below 3"):
+    with pytest.raises(rf.RingflockError, match="n=2 is below 3"):
         rf.FlockParams.nearest_neighbor(10, -2.0, -2.0).with_n(2)
 
 
-def test_violations_are_typed_exceptions():
-    # BadAgentCount wins over RowSumViolation, which wins over the rest
+def test_violations_are_joined_in_check_order():
     rows = dict(rho_x={-1: -0.5, 0: 1.0, 1: -0.4}, rho_v={-1: -0.5, 0: 1.0, 1: -0.5, 2: 0.0})
-    with pytest.raises(rf.BadAgentCount, match="below 3"):
-        rf.FlockParams(n=2, g_x=-2.0, g_v=-2.0, **rows)
-    with pytest.raises(rf.RowSumViolation, match="rho_x row sum"):
-        rf.FlockParams(n=10, g_x=-2.0, g_v=-2.0, **rows)
-    with pytest.raises(rf.RingflockError) as exc:
-        rf.FlockParams(n=10, g_x=math.nan, g_v=-2.0,
-                       rho_x={-1: -0.5, 0: 1.0, 1: -0.5}, rho_v=rows["rho_v"])
-    assert type(exc.value) is rf.RingflockError
-    assert str(exc.value) == ("g_x=nan is not finite; "
-                              "rho_v has weights outside the neighborhood: [2]")
+    cases = [
+        (dict(n=2, g_x=-2.0, **rows),
+         "agent count n=2 is below 3; rho_x row sum 1.000e-01 exceeds 1e-12; "
+         "rho_v has weights outside the neighborhood: [2]"),
+        (dict(n=10, g_x=-2.0, **rows),
+         "rho_x row sum 1.000e-01 exceeds 1e-12; "
+         "rho_v has weights outside the neighborhood: [2]"),
+        (dict(n=10, g_x=math.nan, rho_x={-1: -0.5, 0: 1.0, 1: -0.5}, rho_v=rows["rho_v"]),
+         "g_x=nan is not finite; rho_v has weights outside the neighborhood: [2]"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(rf.RingflockError) as exc:
+            rf.FlockParams(g_v=-2.0, **kwargs)
+        assert type(exc.value) is rf.RingflockError
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("field,value", [
@@ -77,7 +83,7 @@ def test_construction_fills_missing_offsets():
 def test_unclosed_row_rejected_instead_of_evolving():
     # rho_x sums to 1, so g_x rho_x would pull every agent toward an
     # absolute position; this used to evolve silently as if decentralized.
-    with pytest.raises(rf.RowSumViolation, match="rho_x row sum 1.000e\\+00"):
+    with pytest.raises(rf.RingflockError, match="rho_x row sum 1.000e\\+00"):
         rf.FlockParams(n=8, g_x=-2.0, g_v=-1.0,
                        rho_x={-1: -0.5, 0: 2.0, 1: -0.5},
                        rho_v={-1: -0.5, 0: 1.0, 1: -0.5})
@@ -87,7 +93,7 @@ def test_replace_and_normalize_are_checked():
     p = rf.FlockParams.nearest_neighbor(10, -2.0, -2.0)
     with pytest.raises(rf.RingflockError, match="g_x=nan is not finite"):
         replace(p, g_x=math.nan)
-    with pytest.raises(rf.RowSumViolation):
+    with pytest.raises(rf.RingflockError, match="rho_v row sum 5.000e-01 exceeds 1e-12"):
         replace(p, rho_v={-1: -0.5, 0: 1.5, 1: -0.5})
     q = replace(p, rho_x={-1: -1.0, 0: 2.0 - 1e-13, 1: -1.0})
     assert q.rho_x[0] == 2.0
@@ -123,7 +129,7 @@ def test_normalize_zero_center_rejected():
     p = rf.FlockParams(n=10, g_x=-2.0, g_v=-2.0,
                        rho_x={-1: -0.5, 0: 1.0, 1: -0.5},
                        rho_v={-1: -1.0, 0: 0.0, 1: 1.0})
-    with pytest.raises(rf.ZeroCenterWeight):
+    with pytest.raises(rf.RingflockError, match=r"normalization needs rho_x\[0\] != 0"):
         rf.normalize(p)
 
 

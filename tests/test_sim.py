@@ -57,7 +57,7 @@ def test_impulse_evolution_matches_rk4_through_the_critical_mode():
     p = rf.FlockParams.nearest_neighbor(200, -2.0, -2.0)
     z0, v0 = np.zeros(200), np.zeros(200)
     v0[0] = 1.0
-    with pytest.raises(rf.DegenerateMode):
+    with pytest.raises(rf.RingflockError, match="mode m=100 has coincident branches"):
         rf.modal_decompose(p, z0, v0)
     traj = rf.integrate(p, z0, v0, t_end=30.0, dt=0.02)
     z, v = rf.evolve(p, z0, v0, traj.times)
@@ -67,9 +67,9 @@ def test_impulse_evolution_matches_rk4_through_the_critical_mode():
 
 def test_integrate_rejects_large_step():
     p = rf.FlockParams.nearest_neighbor(16, -2.0, -2.0)
-    with pytest.raises(rf.StepTooLarge):
+    with pytest.raises(rf.RingflockError, match="dt=0.5 outside"):
         rf.integrate(p, np.zeros(16), np.zeros(16), t_end=1.0, dt=0.5)
-    with pytest.raises(rf.StepTooLarge):
+    with pytest.raises(rf.RingflockError, match="dt=-0.01 outside"):
         rf.integrate(p, np.zeros(16), np.zeros(16), t_end=1.0, dt=-0.01)
 
 
@@ -83,8 +83,8 @@ def test_integrate_detects_divergence():
     try:
         traj = rf.integrate(p, z0, v0, t_end=40.0, dt=0.02)
         assert np.abs(traj.z[-1]).max() > 1e3 * np.abs(traj.z[1]).max()
-    except rf.NonfiniteState:
-        pass
+    except rf.RingflockError as exc:
+        assert "non-finite state" in str(exc)
 
 
 def test_impulse_fits_symmetric_defaults():
@@ -108,7 +108,7 @@ def test_impulse_asymmetric_speeds():
 
 
 def test_impulse_requires_stability():
-    with pytest.raises(rf.UnstableParams):
+    with pytest.raises(rf.RingflockError, match="impulse experiment needs gate-stable parameters"):
         rf.impulse_experiment(rf.FlockParams.nearest_neighbor(50, 2.0, -1.0))
 
 

@@ -120,7 +120,7 @@ def test_series_fifth_order_convergence():
 
 def test_series_rejects_nonpositive_expansion_constant():
     p = rf.FlockParams.nearest_neighbor(64, 2.0, -1.0)  # g_x > 0 makes a < 0
-    with pytest.raises(rf.NonpositiveExpansionConstant):
+    with pytest.raises(rf.RingflockError, match=r"I_v1\^2/4 \+ I_x2/2 = .* <= 0"):
         rf.mode_eigenvalues_series(p, 1)
 
 
@@ -157,7 +157,7 @@ def test_hausdorff_examples():
     assert rf.hausdorff([0, 1 + 1j], [0, 1 + 1j]) == 0.0
     assert rf.hausdorff([0], [3 + 4j]) == pytest.approx(5.0)
     assert rf.hausdorff([0, 1], [0]) == pytest.approx(1.0)
-    with pytest.raises(rf.EmptySet):
+    with pytest.raises(rf.RingflockError, match="hausdorff needs two nonempty sets"):
         rf.hausdorff([], [0])
 
 
@@ -182,7 +182,7 @@ def test_spectra_fill_out_eigencurve():
 
 def test_dense_spectrum_size_guard():
     fake = rf.DenseSystem(m=np.zeros((2, 2)), l_x=np.empty((4096, 0)), l_v=np.empty((4096, 0)))
-    with pytest.raises(rf.TooLarge):
+    with pytest.raises(rf.RingflockError, match="n=4096 exceeds the dense eigensolve cap"):
         rf.dense_spectrum(fake)
 
 

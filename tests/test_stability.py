@@ -30,7 +30,7 @@ def test_gate_rejects_positive_velocity_product():
 
 def test_routh_zero_mode_excluded():
     p = rf.FlockParams.nearest_neighbor(10, -2.0, -2.0)
-    with pytest.raises(rf.ZeroMode):
+    with pytest.raises(rf.RingflockError, match="mode m=0 carries the coherent double zero"):
         rf.routh_hurwitz(p, 0)
 
 
@@ -44,6 +44,10 @@ def test_routh_first_condition_fails_for_positive_gv():
     p = rf.FlockParams.nearest_neighbor(512, -2.0, 2.0)
     conds = rf.routh_hurwitz(p, 1)
     assert conds[0] is False
+    # the verdict counts the same violated (mode, condition) pairs
+    q = p.with_n(16)
+    failed = [c for m in rf.mode_range(16) if m != 0 for c in rf.routh_hurwitz(q, m) if not c]
+    assert rf.spectral_verdict(q).rh_failures == len(failed) > 0
 
 
 def test_routh_reduces_to_real_part_signs_when_symmetric():
@@ -69,7 +73,7 @@ def test_verdict_stable_at_large_n():
     assert report.spectral_stable is True
     assert report.witness is None
     assert report.max_real_part < 0.0
-    assert report.rh_failures == []
+    assert report.rh_failures == 0
 
 
 def test_verdict_asymmetric_unstable_at_large_n_with_low_mode_witness():
@@ -137,5 +141,5 @@ def test_witness_immediate_for_positive_gx():
 
 def test_witness_refuses_stable_gate():
     p = rf.FlockParams.nearest_neighbor(8, -2.0, -2.0)
-    with pytest.raises(rf.GateWouldPass):
+    with pytest.raises(rf.RingflockError, match="parameters pass the closed-form gate"):
         rf.instability_witness(p)

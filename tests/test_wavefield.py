@@ -39,7 +39,7 @@ def test_phase_velocities_maximal_at_lowest_mode_near_symmetric_row():
 
 
 def test_phase_velocities_need_stability():
-    with pytest.raises(rf.UnstableParams):
+    with pytest.raises(rf.RingflockError, match="requires closed-form stable parameters"):
         rf.phase_velocities(rf.FlockParams.nearest_neighbor(100, 2.0, -1.0))
 
 
@@ -146,7 +146,7 @@ def test_modal_roundtrip_and_conjugate_links():
 
 def test_modal_decompose_degenerate_mode():
     p = rf.FlockParams.nearest_neighbor(8, -2.0, -2.0)  # double root at m = 4
-    with pytest.raises(rf.DegenerateMode):
+    with pytest.raises(rf.RingflockError, match="mode m=4 has coincident branches"):
         rf.modal_decompose(p, np.zeros(8), np.ones(8))
 
 
@@ -214,7 +214,7 @@ def test_evolve_rejects_overflowing_state():
     p = rf.FlockParams.nearest_neighbor(16, -2.0, -1.0)
     v0 = np.zeros(16)
     v0[0] = 1e300
-    with pytest.raises(rf.NonfiniteState):
+    with pytest.raises(rf.RingflockError, match="the evolved state is not finite"):
         rf.evolve(p, np.zeros(16), v0, np.array([0.0, 1e300]))
 
 
@@ -266,7 +266,7 @@ def test_wave_approximation_rejects_bad_exponents():
     p = rf.FlockParams.nearest_neighbor(128, -2.0, -1.0)
     co = rf.power_law_coefficients(128, 2.0, seed=2)
     for args in ((0.7, 0.3, 2.0, 2.0), (0.3, 0.7, 0.5, 2.0), (0.3, 0.7, 2.0, 1.0)):
-        with pytest.raises(rf.BadExponents):
+        with pytest.raises(rf.RingflockError, match="need 0 < alpha < beta < 1"):
             rf.wave_approximation(p, co, *args)
 
 
@@ -274,7 +274,7 @@ def test_wave_approximation_rejects_zero_coefficients():
     p = rf.FlockParams.nearest_neighbor(128, -2.0, -1.0)
     empty = rf.ModalCoefficients(n=128, a=np.zeros(128, complex),
                                  b=np.zeros(128, complex), coherent=(0.0, 0.0))
-    with pytest.raises(rf.NoDecayFit):
+    with pytest.raises(rf.RingflockError, match="all modal coefficients vanish"):
         rf.wave_approximation(p, empty, 0.3, 0.7, 2.0, 2.0)
 
 
@@ -292,7 +292,7 @@ def test_verify_wave_bound_empty_window():
     # very unequal speeds leave no common observation window at K = 2
     p = asym_params(128)
     co = rf.power_law_coefficients(128, 2.0, seed=3)
-    with pytest.raises(rf.EmptyTimeWindow):
+    with pytest.raises(rf.RingflockError, match="do not intersect"):
         rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
 
 
