@@ -27,7 +27,7 @@ for n in (256, 512, 1024):
         d_const = rep.d_const
         print(f"(bound constant fitted once at n={n}: D = {d_const:.4f})")
     rel = rep.measured[0] / rep.signal_sup[0]
-    print(f"{n:5d}   {rep.approximation.cutoff:4d}   {rep.measured[0]:.5f}"
+    print(f"{n:5d}   {rep.cutoff:4d}   {rep.measured[0]:.5f}"
           f"    {rel:.5f}   {rep.term1[0]:.5f}    {rep.term2[0]:.5f}"
           f"    {rep.term3[0]:.2e}  {rep.bound_holds()}")
 

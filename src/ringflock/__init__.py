@@ -50,7 +50,6 @@ from .wavefield import (
     ModalCoefficients,
     PhaseVelocities,
     SignalVelocities,
-    WaveApproximation,
     WaveBoundReport,
     evolve,
     exp_diff_bound_holds,
@@ -62,7 +61,6 @@ from .wavefield import (
     signal_velocities,
     signal_velocity_limit,
     verify_wave_bound,
-    wave_approximation,
 )
 
 __version__ = "0.1.0"

@@ -164,13 +164,13 @@ def cmd_stability(cfg, out_dir):
 def cmd_spectrum(cfg, out_dir):
     params = build_params(cfg)
     spec = spectrum(params)
+    curve = eigencurve(params, cfg["n_phi"])  # before any write: it checks n_phi
     _write_csv(out_dir / "spectrum.csv",
                ["m", "re_lambda_x", "im_lambda_x", "re_lambda_v", "im_lambda_v",
                 "re_nu_plus", "im_nu_plus", "re_nu_minus", "im_nu_minus"],
                spec.ms, spec.lambda_x.real, spec.lambda_x.imag,
                spec.lambda_v.real, spec.lambda_v.imag, spec.nu_plus.real,
                spec.nu_plus.imag, spec.nu_minus.real, spec.nu_minus.imag)
-    curve = eigencurve(params, cfg["n_phi"])
     r1, r2 = curve.roots.T
     _write_csv(out_dir / "eigencurve.csv",
                ["phi", "re_nu_1", "im_nu_1", "re_nu_2", "im_nu_2"],

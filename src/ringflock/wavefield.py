@@ -71,35 +71,29 @@ class SignalVelocities:
 
 @dataclass(frozen=True)
 class ModalCoefficients:
-    """Complex modal amplitudes in FFT bin order plus the coherent pair.
+    """Complex modal amplitudes by direction of travel, in FFT bin order.
 
-    a[f] multiplies exp(nu_plus t), b[f] multiplies exp(nu_minus t) for the
-    mode in FFT bin f; bin 0 is unused (zero) and the coherent motion is
-    carried by coherent = (mean position, mean velocity).
-
-    The branch labels follow the per-mode imaginary sign, under which the
-    two labels swap physical direction at negative m (nu_{-m,+} is the
-    conjugate of nu_{m,-}).  Real fields therefore satisfy the cross links
-    a[-m] = conj(b[m]) and b[-m] = conj(a[m]), and one traveling direction
-    is the pair (a on m > 0, b on m < 0); see directional_amplitudes.
+    leftward[f] multiplies exp(nu t) for the root of the mode in FFT bin f
+    whose phase moves toward smaller agent numbers (speed near c_minus), and
+    rightward[f] the other root: they are the Fourier coefficients of the
+    profiles f_- and f_+.  Bin 0 is unused (zero) and the coherent motion is
+    carried by coherent = (mean position, mean velocity).  A real field has
+    c[-m] = conj(c[m]) in each array, and rightward = conj(leftward) at the
+    half-ring bin of an even ring.
     """
 
     n: int
-    a: np.ndarray
-    b: np.ndarray
+    leftward: np.ndarray
+    rightward: np.ndarray
     coherent: tuple
 
-    def directional_amplitudes(self):
-        """(leftward, rightward) amplitude arrays in FFT bin order.
 
-        leftward[f] multiplies the branch whose phase moves toward smaller
-        agent numbers (speed near c_minus); rightward the other one.
-        """
-        ms = fft_modes(self.n)
-        neg = ms < 0
-        leftward = np.where(neg, self.b, self.a)
-        rightward = np.where(neg, self.a, self.b)
-        return leftward, rightward
+def _by_direction(at, plus, minus):
+    """Root pairs labelled by the sign of Im nu, as (leftward, rightward):
+    the "+" root travels toward smaller agent numbers at a positive mode or
+    angle `at`, the "-" root at a negative one."""
+    neg = np.asarray(at) < 0
+    return np.where(neg, minus, plus), np.where(neg, plus, minus)
 
 
 def phase_velocities(params: FlockParams) -> PhaseVelocities:
@@ -176,38 +170,37 @@ def signal_velocity_limit(params: FlockParams):
 def group_velocity(params: FlockParams):
     """d(omega)/d(wavenumber) of both branches at the origin.
 
-    Central finite differences of -Im(nu) across phi = +-h, h = 1e-5,
-    following each analytic branch through zero (the branch with negative
-    imaginary part at +h continues into the positive-imaginary root at -h).
-    Returns (toward increasing k, toward decreasing k), which matches the
-    signal velocities.
+    Central finite differences of -Im(nu) across phi = +-h, h = 1e-5, of
+    the root traveling each way.  Returns (toward increasing k, toward
+    decreasing k), which matches the signal velocities.
 
     Raises:
         RingflockError: closed-form gate fails.
     """
     _require_gate(params)
     h = 1e-5
-    plus_p, minus_p, deg_p = pencil_roots(params, np.array([h]))
-    plus_m, minus_m, deg_m = pencil_roots(params, np.array([-h]))
-    if deg_p.any() or deg_m.any():
+    phi = np.array([h, -h])
+    plus, minus, degenerate = pencil_roots(params, phi)
+    if degenerate.any():
         raise DegenerateBranches("branches degenerate near phi = 0")
-    g_plus = -(minus_p.imag[0] - plus_m.imag[0]) / (2.0 * h)
-    g_minus = -(plus_p.imag[0] - minus_m.imag[0]) / (2.0 * h)
-    return float(g_plus), float(g_minus)
+    left, right = _by_direction(phi, plus, minus)
+    return tuple(float(-(nu.imag[0] - nu.imag[1]) / (2.0 * h)) for nu in (right, left))
 
 
 def _mode_nus(params):
+    """FFT modes of the ring, their "+" roots and their (leftward, rightward) roots."""
     ms = fft_modes(params.n)
     _, _, plus, minus, _ = eigenvalue_arrays(params, ms)
-    return ms, plus, minus
+    return (ms, plus) + _by_direction(ms, plus, minus)
 
 
 def modal_decompose(params: FlockParams, z0, zdot0) -> ModalCoefficients:
     """Solve for the modal amplitudes reproducing the initial condition.
 
     The DFT turns the initial data into per-mode pairs; each nonzero mode
-    gives a 2x2 linear system a + b = z_hat, nu_+ a + nu_- b = zdot_hat.
-    The coherent pair holds the mean position and mean velocity.
+    gives a 2x2 linear system l + r = z_hat, nu_l l + nu_r r = zdot_hat in
+    its leftward and rightward roots.  The coherent pair holds the mean
+    position and mean velocity.
 
     Raises:
         RingflockError: closed-form gate fails, or branch eigenvalues of
@@ -216,16 +209,16 @@ def modal_decompose(params: FlockParams, z0, zdot0) -> ModalCoefficients:
     _require_gate(params)
     n = params.n
     zh, vh = _dft(n, z0, zdot0)
-    ms, plus, minus = _mode_nus(params)
-    den = plus - minus
+    ms, plus, left, right = _mode_nus(params)
+    den = left - right
     bad = (np.abs(den) < DEGENERATE_MODE_TOL * np.maximum(1.0, np.abs(plus))) & (ms != 0)
     if bad.any():
         raise RingflockError(f"mode m={int(ms[bad][0])} has coincident branches")
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = (vh - minus * zh) / den
-        b = (plus * zh - vh) / den
-    a[0] = b[0] = 0.0
-    return ModalCoefficients(n=n, a=a, b=b,
+        leftward = (vh - right * zh) / den
+        rightward = (left * zh - vh) / den
+    leftward[0] = rightward[0] = 0.0
+    return ModalCoefficients(n=n, leftward=leftward, rightward=rightward,
                              coherent=(float(zh[0].real), float(vh[0].real)))
 
 
@@ -289,10 +282,11 @@ def evolve(params: FlockParams, z0, zdot0, t):
 def modal_evolve(params: FlockParams, coeffs: ModalCoefficients, t):
     """Exact state (z, zdot) at time t from the modal amplitudes of a ring of
     params.n agents (RingflockError otherwise), shaped as in evolve: the
-    propagator runs on (a + b, nu_+ a + nu_- b), coherent in bin 0."""
+    propagator runs on (l + r, nu_l l + nu_r r), coherent in bin 0."""
     _require_same_ring(params, coeffs)
-    _, plus, minus = _mode_nus(params)
-    zh, vh = coeffs.a + coeffs.b, plus * coeffs.a + minus * coeffs.b
+    _, _, left, right = _mode_nus(params)
+    zh = coeffs.leftward + coeffs.rightward
+    vh = left * coeffs.leftward + right * coeffs.rightward
     zh[0], vh[0] = coeffs.coherent
     return _propagate(params, zh, vh, t)
 
@@ -302,146 +296,52 @@ def power_law_coefficients(n: int, p: float, seed: int = 0) -> ModalCoefficients
 
     Phases are drawn from a seeded generator, one pair per |m| in stream
     order, so rings of different sizes share the low-mode coefficients.
-    The negative modes are conjugate-linked (a[-m] = conj(b[m])) to make the
-    physical field real.
+    The negative modes are the conjugates of the positive ones, which
+    makes the physical field real.
+
+    Raises:
+        RingflockError: p is not a finite number above 1.
     """
+    if not 1.0 < p < math.inf:
+        raise RingflockError(f"need finite p > 1, got p={p:g}")
     rng = np.random.default_rng(seed)
     half = n // 2
     phases = rng.uniform(0.0, 2.0 * math.pi, size=(half, 2))
-    a = np.zeros(n, dtype=complex)
-    b = np.zeros(n, dtype=complex)
+    left = np.zeros(n, dtype=complex)
+    right = np.zeros(n, dtype=complex)
     for m in range(1, half + 1):
         mag = float(m) ** (-p)
-        am = mag * cmath.exp(1j * phases[m - 1, 0])
-        bm = mag * cmath.exp(1j * phases[m - 1, 1])
-        if m == n - m:  # self-conjugate half-ring bin of an even ring
-            a[m] = am
-            b[m] = am.conjugate()
-        else:
-            a[m] = am
-            b[m] = bm
-            a[n - m] = bm.conjugate()
-            b[n - m] = am.conjugate()
-    return ModalCoefficients(n=n, a=a, b=b, coherent=(0.0, 0.0))
-
-
-def _band(n, lo_exp, hi_exp):
-    lo = math.ceil(n ** lo_exp)
-    hi = math.floor(min(n / 2.0, n ** hi_exp))
-    return lo, hi
+        lm = mag * cmath.exp(1j * phases[m - 1, 0])
+        rm = mag * cmath.exp(1j * phases[m - 1, 1])
+        left[n - m], right[n - m] = lm.conjugate(), rm.conjugate()
+        # the half-ring bin of an even ring is its own conjugate: r = conj(l)
+        left[m], right[m] = lm, rm if m < n - m else lm.conjugate()
+    return ModalCoefficients(n=n, leftward=left, rightward=right, coherent=(0.0, 0.0))
 
 
 @dataclass(frozen=True)
-class WaveApproximation:
-    """Truncated-Fourier traveling profiles and their bound ingredients.
+class WaveBoundReport:
+    """Measured traveling-wave error against the three-term bound.
 
-    f_minus_coeffs holds the amplitudes over `modes` of the leftward-moving
-    branch (the profile f_-(x) = sum_m coeff_m exp(i theta m x), advected at
-    c_minus) and f_plus_coeffs those of the rightward branch; for real
-    fields both profiles are real-valued functions.
+    The profiles keep the modes |m| <= cutoff < n**alpha: f_minus_coeffs
+    holds the leftward amplitudes over `modes` (the profile f_-(x) =
+    sum_m coeff_m exp(i theta m x), advected at c_minus) and f_plus_coeffs
+    the rightward ones; for real fields both profiles are real-valued.
+    m_bound is the tightest envelope M = max |coeff_m| |m|**p of the data.
     damping_mid = C(alpha, beta) and damping_high = C(beta, 1) are the
-    minimal |Re(nu)| over the two frequency bands, taken over both branches.
+    minimal |Re(nu)| over the two frequency bands, taken over both roots.
     """
 
     n: int
-    theta: float
     cutoff: int
     modes: np.ndarray
     f_minus_coeffs: np.ndarray
     f_plus_coeffs: np.ndarray
     c_plus: float
     c_minus: float
-    alpha: float
-    beta: float
-    k_window: float
-    p: float
     m_bound: float
     damping_mid: float
     damping_high: float
-
-    def bound_terms(self, t, d_const: float):
-        """The three right-hand-side terms of the bound, shaped like t."""
-        t = np.asarray(t, dtype=float)
-        n, p = self.n, self.p
-        term1 = np.full(t.shape, self.m_bound * d_const * self.k_window
-                        * (1.0 / abs(self.c_minus) + 1.0 / self.c_plus)
-                        * n ** (3.0 * self.alpha - 1.0))
-        fac = 4.0 * self.m_bound / (p - 1.0)
-        low = (n ** self.alpha - 1.0) ** (1.0 - p)
-        mid = (n ** self.beta - 1.0) ** (1.0 - p)
-        term2 = fac * (low - mid) * np.exp(-self.damping_mid * t)
-        term3 = fac * mid * np.exp(-self.damping_high * t)
-        return term1, term2, term3
-
-
-def wave_approximation(params: FlockParams, coeffs: ModalCoefficients,
-                       alpha: float, beta: float, k_window: float,
-                       p: float) -> WaveApproximation:
-    """Build the traveling profiles f_+- with every bound ingredient.
-
-    The profiles keep modes |m| < n**alpha (strict); the tightest power-law
-    envelope M = max |coeff_m| |m|**p is computed from the data, making the
-    decay hypothesis checkable instead of assumed.
-
-    Raises:
-        RingflockError: exponent ordering violated, K or p not a finite
-            number above 1, or n**alpha <= 1; every modal coefficient is
-            zero; coeffs belong to a ring of another size; or, via the
-            signal velocities, the closed-form gate fails.
-    """
-    _require_same_ring(params, coeffs)
-    n = params.n
-    if not (0.0 < alpha < beta < 1.0 and 1.0 < k_window < math.inf and 1.0 < p < math.inf):
-        raise RingflockError("need 0 < alpha < beta < 1, finite K > 1, finite p > 1")
-    if n ** alpha <= 1.0:
-        raise RingflockError(f"n**alpha = {n ** alpha:.3g} must exceed 1")
-
-    ms, plus, minus = _mode_nus(params)
-    nz = ms != 0
-    mags = np.maximum(np.abs(coeffs.a), np.abs(coeffs.b))
-    if not (mags[nz] > 0).any():
-        raise RingflockError("all modal coefficients vanish")
-    m_bound = float((mags[nz] * np.abs(ms[nz]) ** p).max())
-
-    cutoff = math.floor(n ** alpha)
-    if cutoff >= n ** alpha:  # strict inequality |m| < n**alpha
-        cutoff -= 1
-    sel = np.abs(ms) <= cutoff
-    leftward, rightward = coeffs.directional_amplitudes()
-
-    sigs = signal_velocities(params)
-
-    def damping(lo_exp, hi_exp):
-        lo, hi = _band(n, lo_exp, hi_exp)
-        if lo > hi:
-            return math.inf
-        band = (np.abs(ms) >= lo) & (np.abs(ms) <= hi)
-        return float(np.minimum(np.abs(plus.real[band]), np.abs(minus.real[band])).min())
-
-    return WaveApproximation(
-        n=n,
-        theta=2.0 * math.pi / n,
-        cutoff=cutoff,
-        modes=ms[sel].copy(),
-        f_minus_coeffs=leftward[sel].copy(),
-        f_plus_coeffs=rightward[sel].copy(),
-        c_plus=sigs.c_plus,
-        c_minus=sigs.c_minus,
-        alpha=alpha,
-        beta=beta,
-        k_window=k_window,
-        p=p,
-        m_bound=m_bound,
-        damping_mid=damping(alpha, beta),
-        damping_high=damping(beta, 1.0),
-    )
-
-
-@dataclass(frozen=True)
-class WaveBoundReport:
-    """Measured traveling-wave error against the three-term bound."""
-
-    n: int
     d_const: float
     ts: np.ndarray
     measured: np.ndarray
@@ -449,7 +349,6 @@ class WaveBoundReport:
     term1: np.ndarray
     term2: np.ndarray
     term3: np.ndarray
-    approximation: WaveApproximation
 
     def bound(self) -> np.ndarray:
         return self.term1 + self.term2 + self.term3
@@ -463,7 +362,10 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
                         d_const: Optional[float] = None) -> WaveBoundReport:
     """Measure sup_k |z_k(t) - f_-(k - c_- t) - f_+(k - c_+ t)| on the window.
 
-    The observation window is the intersection of [n/|c|, K n/|c|] for both
+    The profiles f_+- keep the modes |m| < n**alpha (strict).  The tightest
+    power-law envelope M = max |coeff_m| |m|**p is computed from the data,
+    making the decay hypothesis checkable instead of assumed.  The
+    observation window is the intersection of [n/|c|, K n/|c|] for both
     signal speeds, sampled at 7 times.  Exact modal evolution provides the
     ground truth.  The profiles are summed in modal space: the coefficient
     of mode m, times exp(-i theta m c t), goes to FFT bin m mod n, and one
@@ -473,45 +375,86 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
     a sweep, then freeze it for the larger rings).
 
     Raises:
-        RingflockError: the two windows do not intersect, or coeffs belong
-            to a ring of another size.
+        RingflockError: exponent ordering violated, K or p not a finite
+            number above 1, or n**alpha <= 1; every modal coefficient is
+            zero; coeffs belong to a ring of another size; the two windows
+            do not intersect or K n/|c| overflows; a bound term overflows;
+            or, via the signal velocities, the closed-form gate fails.
     """
+    _require_same_ring(params, coeffs)
     n = params.n
-    wa = wave_approximation(params, coeffs, alpha, beta, k_window, p)
+    if not (0.0 < alpha < beta < 1.0 and 1.0 < k_window < math.inf and 1.0 < p < math.inf):
+        raise RingflockError("need 0 < alpha < beta < 1, finite K > 1, finite p > 1")
+    if n ** alpha <= 1.0:
+        raise RingflockError(f"n**alpha = {n ** alpha:.3g} must exceed 1")
 
-    lo = n / min(abs(wa.c_minus), wa.c_plus)
-    hi = k_window * n / max(abs(wa.c_minus), wa.c_plus)
+    ms, _, left, right = _mode_nus(params)
+    mags = np.maximum(np.abs(coeffs.leftward), np.abs(coeffs.rightward))
+    live = (ms != 0) & (mags > 0)
+    if not live.any():
+        raise RingflockError("all modal coefficients vanish")
+    mags, abs_ms = mags[live], np.abs(ms[live])
+    with np.errstate(over="ignore"):
+        envelope = mags * abs_ms ** p
+        # |m|**p overflows where the coefficient underflows (large p): use logs there
+        big = ~np.isfinite(envelope)
+        envelope[big] = np.exp(np.log(mags[big]) + p * np.log(abs_ms[big]))
+    m_bound = float(envelope.max())
+
+    cutoff = math.floor(n ** alpha)
+    if cutoff >= n ** alpha:  # strict inequality |m| < n**alpha
+        cutoff -= 1
+    sel = np.abs(ms) <= cutoff
+    modes = ms[sel]
+    sigs = signal_velocities(params)
+    c_plus, c_minus = sigs.c_plus, sigs.c_minus
+
+    def damping(lo_exp, hi_exp):
+        lo = math.ceil(n ** lo_exp)
+        hi = math.floor(min(n / 2.0, n ** hi_exp))
+        if lo > hi:
+            return math.inf
+        band = (np.abs(ms) >= lo) & (np.abs(ms) <= hi)
+        return float(np.minimum(np.abs(left.real[band]), np.abs(right.real[band])).min())
+
+    damping_mid, damping_high = damping(alpha, beta), damping(beta, 1.0)
+
+    lo = n / min(abs(c_minus), c_plus)
+    hi = k_window * n / max(abs(c_minus), c_plus)
+    if hi == math.inf:
+        raise RingflockError(f"the window end K n/|c| overflows float64 at K={k_window:g}")
     if lo > hi:
         raise RingflockError(
-            f"[{n / abs(wa.c_minus):.3g}, {k_window * n / abs(wa.c_minus):.3g}] and "
-            f"[{n / wa.c_plus:.3g}, {k_window * n / wa.c_plus:.3g}] do not intersect")
+            f"[{n / abs(c_minus):.3g}, {k_window * n / abs(c_minus):.3g}] and "
+            f"[{n / c_plus:.3g}, {k_window * n / c_plus:.3g}] do not intersect")
     ts = np.linspace(lo, hi, 7)
 
     z, _ = modal_evolve(params, coeffs, ts)
-    phase = -1j * wa.theta * wa.modes * ts[:, None]
+    f_minus, f_plus = coeffs.leftward[sel], coeffs.rightward[sel]
+    phase = -1j * params.theta * modes * ts[:, None]
     w = np.zeros((len(ts), n), dtype=complex)
-    w[:, wa.modes % n] = (wa.f_minus_coeffs * np.exp(phase * wa.c_minus)
-                          + wa.f_plus_coeffs * np.exp(phase * wa.c_plus))
-    approx = n * np.fft.ifft(w)
-    measured = np.abs(z - approx).max(axis=1)
-    sups = np.abs(z).max(axis=1)
+    w[:, modes % n] = f_minus * np.exp(phase * c_minus) + f_plus * np.exp(phase * c_plus)
+    measured = np.abs(z - n * np.fft.ifft(w)).max(axis=1)
 
-    unit1, term2, term3 = wa.bound_terms(ts, 1.0)
+    # The three right-hand-side terms of the bound; the first with D = 1.
+    unit1 = np.full(ts.shape, m_bound * k_window * (1.0 / abs(c_minus) + 1.0 / c_plus)
+                    * n ** (3.0 * alpha - 1.0))
+    fac = 4.0 * m_bound / (p - 1.0)
+    try:  # n**alpha - 1 may be below 1, and then large p overflows
+        low, mid = ((n ** e - 1.0) ** (1.0 - p) for e in (alpha, beta))
+    except OverflowError:
+        raise RingflockError(f"(n**alpha - 1)**(1 - p) overflows float64 at p={p:g}") from None
+    term2 = fac * (low - mid) * np.exp(-damping_mid * ts)
+    term3 = fac * mid * np.exp(-damping_high * ts)
 
     if d_const is None:
         d_const = float(max(0.0, ((measured - term2 - term3) / unit1).max()))
 
     return WaveBoundReport(
-        n=n,
-        d_const=d_const,
-        ts=ts,
-        measured=measured,
-        signal_sup=sups,
-        term1=unit1 * d_const,
-        term2=term2,
-        term3=term3,
-        approximation=wa,
-    )
+        n=n, cutoff=cutoff, modes=modes, f_minus_coeffs=f_minus, f_plus_coeffs=f_plus,
+        c_plus=c_plus, c_minus=c_minus, m_bound=m_bound, damping_mid=damping_mid,
+        damping_high=damping_high, d_const=d_const, ts=ts, measured=measured,
+        signal_sup=np.abs(z).max(axis=1), term1=unit1 * d_const, term2=term2, term3=term3)
 
 
 def exp_diff_bound_holds(a, b) -> bool:

@@ -197,7 +197,7 @@ def test_criterion_09_traveling_wave_bound():
                                      k_window=2.0, p=2.0, d_const=d_const)
         if d_const is None:
             d_const = rep.d_const  # fitted once at the smallest ring, then frozen
-        assert rep.ts[0] == pytest.approx(n / abs(rep.approximation.c_minus))
+        assert rep.ts[0] == pytest.approx(n / abs(rep.c_minus))
         assert rep.bound_holds()
         rels.append(rep.measured[0] / rep.signal_sup[0])
     assert rels[0] > rels[1] > rels[2]

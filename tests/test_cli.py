@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ringflock import errors
@@ -261,13 +261,20 @@ OVERFLOW = "g_x = -1e308\ng_v = -1e308\n"
     # 7 PiB each: beyond the address space, so numpy's allocation fails
     ("spectrum", "n = 16\nn_phi = 1000000000000000\n"),
     ("stability", "n = 1000000000000000\n"),
+    # m**-p overflows float64 unless p is checked first
+    ("wave-verify", "p = -400\nn_sweep = 64\n"),
+    # the window end K n / |c| overflows float64
+    ("wave-verify", "K = 1e308\nn_sweep = 64\n"),
+    # 64**0.001 - 1 < 1, raised to the power 1 - 1e308
+    ("wave-verify", "alpha = 0.001\nbeta = 0.002\np = 1e308\nn_sweep = 64\n"),
 ], ids=["g_x-nan", "n_sweep-2", "n_phi-3", "t_end-nan", "K-nan", "p-nan",
         "t_end-negative", "t_end-0", "v_impulse-nan", "v_impulse-0",
         "alpha-0.9", "wave-verify-unstable", "K-inf", "p-inf",
         "stability-overflow", "spectrum-overflow", "wave-verify-overflow",
         "n_sweep-decreasing", "simulate-overflow", "state-overflow",
         "row-sum-overflow", "symbol-overflow", "expansion-overflow",
-        "n_phi-unallocatable", "n-unallocatable"])
+        "n_phi-unallocatable", "n-unallocatable", "p--400", "K-1e308",
+        "tail-overflow"])
 def test_bad_value_exits_1_with_one_line(tmp_path, capsys, command, text):
     code = main([command, "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()
@@ -276,6 +283,7 @@ def test_bad_value_exits_1_with_one_line(tmp_path, capsys, command, text):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+    assert not list((tmp_path / "o").glob("*.csv"))
     if text.endswith(OVERFLOW):
         assert "gains" in captured.err
 
@@ -357,6 +365,13 @@ def _config(draw):
                    if value is not None)
 
 
+# At most one fuzzed wave-verify key per draw, the others at their defaults:
+# each has a narrow valid range, so fuzzing all four at once would rarely get
+# past the argument checks.
+_WAVE_KEY = st.one_of(st.just(""), st.builds(
+    "{} = {!r}\n".format, st.sampled_from(["alpha", "beta", "K", "p"]), _NUMBER))
+
+
 def _run_fuzzed(tmp_path, command, text):
     """Run one fuzzed config at n = 16 and check that it ends cleanly: an exit
     code in {0,1,2,3}, one stderr line and no stdout on exit 1, an empty
@@ -400,8 +415,17 @@ def test_simulate_fuzzed_config_ends_cleanly(tmp_path, text):
     ("wave-verify", "n_sweep = 64,128\n"),
 ], ids=["stability", "spectrum", "velocities", "wave-verify"])
 @settings(_FUZZ, max_examples=50)
-@given(text=_config())
-def test_subcommand_fuzzed_config_ends_cleanly(tmp_path, command, keys, text):
+@given(text=_config(), wave=_WAVE_KEY, default_flock=st.booleans())
+# Pinned draws that the random ones seldom reach: +-1e308 at p (0 * inf in the
+# envelope, m**-p overflowing) and at K (the window end overflowing).
+@example(text="", wave="p = 1e+308\n", default_flock=True)
+@example(text="", wave="p = -1e+308\n", default_flock=True)
+@example(text="", wave="K = 1e+308\n", default_flock=True)
+def test_subcommand_fuzzed_config_ends_cleanly(tmp_path, command, keys, text, wave,
+                                               default_flock):
+    if command == "wave-verify":
+        # the default flock passes the gate, so the wave key reaches the bound
+        text = wave if default_flock else text + wave
     code, stdout, out_dir = _run_fuzzed(tmp_path, command, text + keys)
     if code != 1:
         assert "nan" not in stdout.lower()

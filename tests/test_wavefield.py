@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -111,8 +112,8 @@ def test_group_velocity_equals_signal_velocity():
 def test_modal_decompose_coherent_only():
     p = rf.FlockParams.nearest_neighbor(32, -2.0, -1.0)
     co = rf.modal_decompose(p, np.full(32, 3.5), np.zeros(32))
-    assert np.abs(co.a).max() < 1e-14
-    assert np.abs(co.b).max() < 1e-14
+    assert np.abs(co.leftward).max() < 1e-14
+    assert np.abs(co.rightward).max() < 1e-14
     assert co.coherent == pytest.approx((3.5, 0.0))
 
 
@@ -123,9 +124,13 @@ def test_modal_decompose_single_leftward_mode():
     z0 = 2.0 * np.cos(p.theta * ks)
     zdot0 = np.real(nu_plus * 2.0 * np.exp(1j * p.theta * ks))
     co = rf.modal_decompose(p, z0, zdot0)
-    assert set(np.flatnonzero(np.abs(co.a) > 1e-12)) == {1}
-    assert set(np.flatnonzero(np.abs(co.b) > 1e-12)) == {63}
-    assert co.b[63] == pytest.approx(co.a[1].conjugate(), abs=1e-12)
+    assert set(np.flatnonzero(np.abs(co.leftward) > 1e-12)) == {1, 63}
+    assert co.leftward[63] == pytest.approx(co.leftward[1].conjugate(), abs=1e-12)
+    assert np.abs(co.rightward).max() < 1e-14
+    # so the rightward profile f_+ is empty
+    rep = rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
+    assert np.abs(rep.f_plus_coeffs).max() < 1e-14
+    assert np.abs(rep.f_minus_coeffs).max() > 0.5
 
 
 def test_modal_roundtrip_and_conjugate_links():
@@ -134,11 +139,10 @@ def test_modal_roundtrip_and_conjugate_links():
     z0 = rng.uniform(-1, 1, 64)
     v0 = rng.uniform(-1, 1, 64)
     co = rf.modal_decompose(p, z0, v0)
-    ms = rf.fft_modes(64)
-    for m in range(1, 32):
-        f_pos = int(np.flatnonzero(ms == m)[0])
-        f_neg = int(np.flatnonzero(ms == -m)[0])
-        assert co.a[f_neg] == pytest.approx(co.b[f_pos].conjugate(), abs=1e-12)
+    for c in (co.leftward, co.rightward):  # bin -m holds mode -m
+        for m in range(1, 32):
+            assert c[-m] == pytest.approx(c[m].conjugate(), abs=1e-12)
+    assert co.rightward[32] == pytest.approx(co.leftward[32].conjugate(), abs=1e-12)
     z, v = rf.modal_evolve(p, co, 0.0)
     assert np.abs(z - z0).max() <= 1e-10 * max(1.0, np.abs(z0).max())
     assert np.abs(v - v0).max() <= 1e-10 * max(1.0, np.abs(v0).max())
@@ -152,8 +156,8 @@ def test_modal_decompose_degenerate_mode():
 
 def test_modal_evolve_coherent_drift():
     p = rf.FlockParams.nearest_neighbor(16, -2.0, -1.0)
-    co = rf.ModalCoefficients(n=16, a=np.zeros(16, complex), b=np.zeros(16, complex),
-                              coherent=(1.25, -0.5))
+    co = rf.ModalCoefficients(n=16, leftward=np.zeros(16, complex),
+                              rightward=np.zeros(16, complex), coherent=(1.25, -0.5))
     z, v = rf.modal_evolve(p, co, 5.0)
     np.testing.assert_allclose(z, 1.25 - 2.5, atol=1e-12)
     np.testing.assert_allclose(v, -0.5, atol=1e-12)
@@ -174,11 +178,14 @@ def test_modal_evolve_batched_rows_match_scalar_calls():
 
 
 def _two_exponential_sum(p, co, t):
-    """Reference modal evolution: each mode as a exp(nu_+ t) + b exp(nu_- t)."""
-    _, _, plus, minus, _ = eigenvalue_arrays(p, rf.fft_modes(p.n))
+    """Reference modal evolution: each mode as l exp(nu_l t) + r exp(nu_r t),
+    where the "+" root (Im > 0) travels leftward at m > 0, rightward at m < 0."""
+    ms = rf.fft_modes(p.n)
+    _, _, plus, minus, _ = eigenvalue_arrays(p, ms)
+    left, right = np.where(ms < 0, minus, plus), np.where(ms < 0, plus, minus)
     t = np.asarray(t, dtype=float)[..., None]
-    ea, eb = co.a * np.exp(plus * t), co.b * np.exp(minus * t)
-    w, wd = ea + eb, plus * ea + minus * eb
+    el, er = co.leftward * np.exp(left * t), co.rightward * np.exp(right * t)
+    w, wd = el + er, left * el + right * er
     w[..., 0] = co.coherent[0] + co.coherent[1] * t[..., 0]
     wd[..., 0] = co.coherent[1]
     return (p.n * np.fft.ifft(w)).real, (p.n * np.fft.ifft(wd)).real
@@ -188,7 +195,7 @@ def test_modal_evolve_matches_two_exponential_sum():
     rng = np.random.default_rng(99)
     for p in (random_underdamped_params(rng, 64), random_moderate_damping_params(rng, 64)):
         co = rf.modal_decompose(p, rng.uniform(-1, 1, 64), rng.uniform(-1, 1, 64))
-        co = rf.ModalCoefficients(n=64, a=co.a, b=co.b, coherent=(0.4, -0.2))
+        co = dataclasses.replace(co, coherent=(0.4, -0.2))
         for t in (0.0, 1.7, np.array([0.0, 0.5, 3.0, 40.0])):
             z, v = rf.modal_evolve(p, co, t)
             z_ref, v_ref = _two_exponential_sum(p, co, t)
@@ -231,58 +238,75 @@ def test_signal_velocities_keep_the_small_root():
 
 
 def test_power_law_coefficients_real_and_nested():
-    for n in (128, 256):
+    for n in (128, 129, 256):
         co = rf.power_law_coefficients(n, 2.0, seed=5)
+        for c in (co.leftward, co.rightward):  # bin -m holds mode -m
+            for m in range(1, (n + 1) // 2):
+                assert c[-m] == c[m].conjugate()
+        if n % 2 == 0:  # the half-ring bin is its own conjugate
+            assert co.rightward[n // 2] == co.leftward[n // 2].conjugate()
         p = rf.FlockParams.nearest_neighbor(n, -2.0, -1.0)
         z, v = rf.modal_evolve(p, co, 0.0)  # raises if the field is not real
         assert np.isfinite(z).all() and np.isfinite(v).all()
     small = rf.power_law_coefficients(128, 2.0, seed=5)
     large = rf.power_law_coefficients(256, 2.0, seed=5)
     for m in range(1, 60):
-        assert large.a[m] == small.a[m]
-        assert large.b[m] == small.b[m]
+        assert large.leftward[m] == small.leftward[m]
+        assert large.rightward[m] == small.rightward[m]
 
 
-def test_wave_approximation_rightward_profile_empty_for_leftward_wave():
-    p = rf.FlockParams.nearest_neighbor(64, -2.0, -1.0)
-    ks = np.arange(64)
-    nu_plus, _ = rf.mode_eigenvalues(p, 1)
-    co = rf.modal_decompose(p, 2.0 * np.cos(p.theta * ks),
-                            np.real(nu_plus * 2.0 * np.exp(1j * p.theta * ks)))
-    wa = rf.wave_approximation(p, co, 0.3, 0.7, 2.0, 2.0)
-    assert np.abs(wa.f_plus_coeffs).max() < 1e-14
-    assert np.abs(wa.f_minus_coeffs).max() > 0.5
+def test_power_law_coefficients_reject_bad_p():
+    # m**-p overflowed at p = -400 before the check
+    for p in (-1e308, -400.0, 1.0, math.inf, math.nan):
+        with pytest.raises(rf.RingflockError, match="need finite p > 1"):
+            rf.power_law_coefficients(16, p)
 
 
-def test_wave_approximation_damping_band_ordering():
+def test_verify_wave_bound_damping_band_ordering():
     p = rf.FlockParams.nearest_neighbor(512, -2.0, -1.0)
     co = rf.power_law_coefficients(512, 2.0, seed=2)
-    wa = rf.wave_approximation(p, co, 0.3, 0.7, 2.0, 2.0)
-    assert 0.0 <= wa.damping_mid <= wa.damping_high
-    assert wa.m_bound == pytest.approx(1.0, rel=1e-12)
+    rep = rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
+    assert 0.0 <= rep.damping_mid <= rep.damping_high
+    assert rep.m_bound == pytest.approx(1.0, rel=1e-12)
 
 
-def test_wave_approximation_rejects_bad_exponents():
+def test_verify_wave_bound_envelope_at_large_p():
+    # The data underflow to 0 (or subnormals) where |m|**p overflows.
+    p = rf.FlockParams.nearest_neighbor(128, -2.0, -1.0)
+    for exponent in (400.0, 1e308):
+        co = rf.power_law_coefficients(128, exponent, seed=2)
+        rep = rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, exponent)
+        assert abs(rep.m_bound - 1.0) <= 1e-9
+        assert np.isfinite(rep.bound()).all() and rep.bound_holds()
+
+
+def test_verify_wave_bound_rejects_bad_exponents():
     p = rf.FlockParams.nearest_neighbor(128, -2.0, -1.0)
     co = rf.power_law_coefficients(128, 2.0, seed=2)
     for args in ((0.7, 0.3, 2.0, 2.0), (0.3, 0.7, 0.5, 2.0), (0.3, 0.7, 2.0, 1.0)):
         with pytest.raises(rf.RingflockError, match="need 0 < alpha < beta < 1"):
-            rf.wave_approximation(p, co, *args)
+            rf.verify_wave_bound(p, co, *args)
 
 
-def test_wave_approximation_rejects_zero_coefficients():
+def test_verify_wave_bound_rejects_overflowing_window():
     p = rf.FlockParams.nearest_neighbor(128, -2.0, -1.0)
-    empty = rf.ModalCoefficients(n=128, a=np.zeros(128, complex),
-                                 b=np.zeros(128, complex), coherent=(0.0, 0.0))
+    co = rf.power_law_coefficients(128, 2.0, seed=2)
+    with pytest.raises(rf.RingflockError, match=r"K n/\|c\| overflows float64 at K=1e\+308"):
+        rf.verify_wave_bound(p, co, 0.3, 0.7, 1e308, 2.0)
+
+
+def test_verify_wave_bound_rejects_zero_coefficients():
+    p = rf.FlockParams.nearest_neighbor(128, -2.0, -1.0)
+    empty = rf.ModalCoefficients(n=128, leftward=np.zeros(128, complex),
+                                 rightward=np.zeros(128, complex), coherent=(0.0, 0.0))
     with pytest.raises(rf.RingflockError, match="all modal coefficients vanish"):
-        rf.wave_approximation(p, empty, 0.3, 0.7, 2.0, 2.0)
+        rf.verify_wave_bound(p, empty, 0.3, 0.7, 2.0, 2.0)
 
 
 def test_modal_calls_reject_data_of_another_ring():
     p = rf.FlockParams.nearest_neighbor(128, -2.0, -1.0)
     co = rf.power_law_coefficients(256, 2.0, seed=2)
     for call in (lambda: rf.modal_evolve(p, co, 1.0),
-                 lambda: rf.wave_approximation(p, co, 0.3, 0.7, 2.0, 2.0),
                  lambda: rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)):
         with pytest.raises(ValueError, match="modal data for n=256 on a ring of n=128"):
             call()
@@ -317,17 +341,16 @@ def test_verify_wave_bound_matches_direct_profile_sum():
     p = rf.FlockParams.nearest_neighbor(n, -2.0, -1.0)
     co = rf.power_law_coefficients(n, 2.0, seed=4)
     rep = rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
-    wa = rep.approximation
     ks = np.arange(n)
 
     def profile(coeffs, x):
-        return coeffs @ np.exp(1j * wa.theta * np.outer(wa.modes, x))
+        return coeffs @ np.exp(1j * p.theta * np.outer(rep.modes, x))
 
     assert len(rep.ts) == 7
     for i, t in enumerate(rep.ts):
         z, _ = rf.modal_evolve(p, co, t)
-        approx = profile(wa.f_minus_coeffs, ks - wa.c_minus * t) + \
-            profile(wa.f_plus_coeffs, ks - wa.c_plus * t)
+        approx = profile(rep.f_minus_coeffs, ks - rep.c_minus * t) + \
+            profile(rep.f_plus_coeffs, ks - rep.c_plus * t)
         assert abs(rep.measured[i] - np.abs(z - approx).max()) <= 1e-12
         assert abs(rep.signal_sup[i] - np.abs(z).max()) <= 1e-12
 
