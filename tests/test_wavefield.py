@@ -127,7 +127,14 @@ def test_modal_decompose_single_leftward_mode():
     assert set(np.flatnonzero(np.abs(co.leftward) > 1e-12)) == {1, 63}
     assert co.leftward[63] == pytest.approx(co.leftward[1].conjugate(), abs=1e-12)
     assert np.abs(co.rightward).max() < 1e-14
-    # so the rightward profile f_+ is empty
+
+
+def test_wave_approximation_rightward_profile_empty_for_leftward_wave():
+    p = rf.FlockParams.nearest_neighbor(64, -2.0, -1.0)
+    ks = np.arange(64)
+    nu_plus, _ = rf.mode_eigenvalues(p, 1)
+    co = rf.modal_decompose(p, 2.0 * np.cos(p.theta * ks),
+                            np.real(nu_plus * 2.0 * np.exp(1j * p.theta * ks)))
     rep = rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
     assert np.abs(rep.f_plus_coeffs).max() < 1e-14
     assert np.abs(rep.f_minus_coeffs).max() > 0.5
