@@ -2,7 +2,7 @@
 
 The experiment samples the exact evolution (wavefield.evolve).  The RK4
 integrator, its independent check, never builds the dense matrix; the
-circulant couplings are applied by rolling the state, so a step costs O(n)
+circulant couplings are applied by slicing the state, so a step costs O(n)
 per neighbor offset.  Fixed steps keep runs bit-reproducible for fixtures.
 """
 
@@ -49,7 +49,7 @@ def _coupled(rho, x):
     out = np.zeros_like(x)
     for j, w in rho.items():
         if w != 0.0:
-            out += w * np.roll(x, -j)  # roll(-j)[k] = x[(k+j) mod n]
+            out += w * np.concatenate([x[j:], x[:j]])  # [k] = x[(k+j) mod n]
     return out
 
 

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import RingflockError
 from .model import DenseSystem, FlockParams, moments
@@ -247,23 +246,42 @@ def eigencurve(params: FlockParams, n_phi: int) -> Eigencurve:
     return Eigencurve(phi=phi, roots=np.column_stack([plus, minus]))
 
 
+def _xy(z):
+    return np.column_stack([z.real, z.imag])
+
+
+def _farthest_nearest(a, b) -> float:
+    """max over a of the distance to the nearest point of b, as np.abs gives it."""
+    from scipy.spatial import cKDTree  # imported here, so only callers of hausdorff pay for it
+
+    tree = cKDTree(_xy(b))
+    _, nearest = tree.query(_xy(a))
+    d = np.abs(a - b[nearest])
+    # The tree ranks by its own rounding of the distance, which can differ
+    # from np.abs in the last bit when neighbours tie, as on integer grids.
+    # Only points within 1e-12 of the largest distance can attain the
+    # maximum, so rank all their near-tied neighbours by np.abs itself
+    # (there are none to rank when every distance is 0).
+    edge = np.flatnonzero((d > 0.0) & (d >= d.max() * (1.0 - 1e-12)))
+    ties = tree.query_ball_point(_xy(a[edge]), d[edge] * (1.0 + 1e-12))
+    return max((float(np.abs(a[i] - b[k]).min()) for i, k in zip(edge, ties)), default=0.0)
+
+
 def hausdorff(set_a, set_b) -> float:
-    """Symmetric Hausdorff distance between finite complex point sets."""
+    """Symmetric Hausdorff distance between finite complex point sets.
+
+    A k-d tree picks each point's nearest neighbour in the other set, in
+    both directions; the distance itself is np.abs of the complex
+    difference, so the value equals that of the full distance matrix
+    bit for bit.
+    """
     a = np.asarray(set_a, dtype=complex).ravel()
     b = np.asarray(set_b, dtype=complex).ravel()
     if a.size == 0 or b.size == 0:
         raise RingflockError("hausdorff needs two nonempty sets")
-
-    # One pass over the distance matrix in cache-sized row blocks: a block's
-    # row minima give a -> b, its column minima fold into b -> a.
-    a_to_b = 0.0
-    b_to_a = np.full(b.size, np.inf)
-    step = max(1, 2 ** 16 // b.size)
-    for i in range(0, a.size, step):
-        d = np.abs(a[i:i + step, None] - b[None, :])
-        a_to_b = max(a_to_b, float(d.min(axis=1).max()))
-        np.minimum(b_to_a, d.min(axis=0), out=b_to_a)
-    return max(a_to_b, float(b_to_a.max()))
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise RingflockError("hausdorff needs finite points")
+    return max(_farthest_nearest(a, b), _farthest_nearest(b, a))
 
 
 def max_matching_distance(set_a, set_b) -> float:
@@ -272,6 +290,8 @@ def max_matching_distance(set_a, set_b) -> float:
     b = np.asarray(set_b, dtype=complex).ravel()
     if a.size != b.size:
         raise RingflockError(f"multiset sizes differ: {a.size} vs {b.size}")
+    from scipy.optimize import linear_sum_assignment  # imported here, so only the oracle pays for it
+
     d = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(d)
     return float(d[rows, cols].max())

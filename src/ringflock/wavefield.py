@@ -131,8 +131,9 @@ def signal_velocities(params: FlockParams) -> SignalVelocities:
     normalize, so any center weights will do.
 
     Raises:
-        RingflockError: closed-form gate fails, a overflows float64, or
-            a <= 0 (cannot occur for gate-true parameters, kept as a guard).
+        RingflockError: closed-form gate fails, a overflows float64,
+            a <= 0 (cannot occur for gate-true parameters, kept as a guard),
+            or a speed underflows to 0.
     """
     _require_gate(params)
     with np.errstate(all="ignore"):
@@ -145,6 +146,8 @@ def signal_velocities(params: FlockParams) -> SignalVelocities:
         raise RingflockError(f"expansion constant {a:.6g} <= 0")
     far = -v1 / 2.0 + math.copysign(math.sqrt(a), -v1)  # the root free of cancellation
     near = -x2 / 2.0 / far if v1 else -far  # since c_+ c_- = -I_x2 / 2
+    if 0.0 in (far, near):
+        raise RingflockError(f"a signal speed underflows float64 to 0 (c_+ c_- = {-x2 / 2.0:.6g})")
     return SignalVelocities(c_plus=max(far, near), c_minus=min(far, near), a=a)
 
 

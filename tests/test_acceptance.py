@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
+from scipy.spatial.distance import pdist
 
 import ringflock as rf
 from helpers import (
@@ -109,8 +110,7 @@ def test_criterion_04_series_error_shrinks_fifth_order():
 def _diameter(points):
     xy = np.column_stack([points.real, points.imag])
     hull = xy[ConvexHull(xy).vertices]
-    d = np.linalg.norm(hull[:, None, :] - hull[None, :, :], axis=-1)
-    return float(d.max())
+    return float(pdist(hull).max())
 
 
 def test_criterion_05_hausdorff_convergence_to_eigencurve():

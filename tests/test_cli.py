@@ -2,7 +2,10 @@ import ast
 import contextlib
 import io
 import math
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -34,6 +37,17 @@ UNSTABLE_GV = """
 n = 64
 g_v = 2
 """
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy takes about 0.4 s to import and only spectrum's k-d tree and the
+    # dense oracle's matching need it, so those functions import it themselves.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, ringflock.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -232,6 +246,8 @@ def test_wave_verify_bound_and_decay(tmp_path, capsys):
 
 # Gains this large overflow the pencil roots to inf/nan.
 OVERFLOW = "g_x = -1e308\ng_v = -1e308\n"
+# A signal speed this small underflows float64 to 0.
+UNDERFLOW = "g_x = -1e-300\ng_v = -1e100\nrho_v.m1 = -0.95\nrho_v.0 = 1.35\nrho_v.p1 = -0.40\n"
 
 
 @pytest.mark.parametrize("command,text", [
@@ -267,6 +283,9 @@ OVERFLOW = "g_x = -1e308\ng_v = -1e308\n"
     ("wave-verify", "K = 1e308\nn_sweep = 64\n"),
     # 64**0.001 - 1 < 1, raised to the power 1 - 1e308
     ("wave-verify", "alpha = 0.001\nbeta = 0.002\np = 1e308\nn_sweep = 64\n"),
+    # c_- = -I_x2 / (2 c_+) underflows to 0, and both commands divide by it
+    ("wave-verify", f"{UNDERFLOW}n_sweep = 64\n"),
+    ("simulate", f"n = 16\n{UNDERFLOW}"),
 ], ids=["g_x-nan", "n_sweep-2", "n_phi-3", "t_end-nan", "K-nan", "p-nan",
         "t_end-negative", "t_end-0", "v_impulse-nan", "v_impulse-0",
         "alpha-0.9", "wave-verify-unstable", "K-inf", "p-inf",
@@ -274,7 +293,7 @@ OVERFLOW = "g_x = -1e308\ng_v = -1e308\n"
         "n_sweep-decreasing", "simulate-overflow", "state-overflow",
         "row-sum-overflow", "symbol-overflow", "expansion-overflow",
         "n_phi-unallocatable", "n-unallocatable", "p--400", "K-1e308",
-        "tail-overflow"])
+        "tail-overflow", "wave-verify-underflow", "simulate-underflow"])
 def test_bad_value_exits_1_with_one_line(tmp_path, capsys, command, text):
     code = main([command, "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()

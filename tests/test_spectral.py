@@ -159,6 +159,8 @@ def test_hausdorff_examples():
     assert rf.hausdorff([0, 1], [0]) == pytest.approx(1.0)
     with pytest.raises(rf.RingflockError, match="hausdorff needs two nonempty sets"):
         rf.hausdorff([], [0])
+    with pytest.raises(rf.RingflockError, match="hausdorff needs finite points"):
+        rf.hausdorff([0], [complex("nan")])
 
 
 @pytest.mark.parametrize("sizes", [(1000, 100), (100, 1000), (3, 70000)])
@@ -169,6 +171,42 @@ def test_hausdorff_matches_full_distance_matrix(sizes):
     want = max(d.min(axis=1).max(), d.min(axis=0).max())
     assert rf.hausdorff(a, b) == want
     assert rf.hausdorff(b, a) == want
+
+
+def _hausdorff_by_rows(a, b):
+    """The full distance matrix, 256 rows at a time: the reference."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    a_to_b, b_to_a = 0.0, np.full(b.size, np.inf)
+    for i in range(0, a.size, 256):
+        d = np.abs(a[i:i + 256, None] - b[None, :])
+        a_to_b = max(a_to_b, d.min(axis=1).max())
+        b_to_a = np.minimum(b_to_a, d.min(axis=0))
+    return max(a_to_b, b_to_a.max())
+
+
+def test_hausdorff_matches_full_distance_matrix_on_spectra():
+    rng = np.random.default_rng(59)
+    p = random_underdamped_params(rng, 1000)
+    nus = rf.spectrum(p).all_nus()
+    curve = rf.eigencurve(p, 4001).points()
+    want = _hausdorff_by_rows(nus, curve)
+    assert rf.hausdorff(nus, curve) == want
+    assert rf.hausdorff(curve, nus) == want
+
+
+def test_hausdorff_exact_on_tied_neighbours():
+    # 85 = 9^2 + 2^2 = 7^2 + 6^2, yet np.abs can put 9+2j one ulp above
+    # 7+6j (numpy's AVX-512 loop does), and a k-d tree ranking by its own
+    # rounding may return either (with k = 2 it returns 9+2j and 2+9j).
+    # Only the point 0 is far from b.
+    b = np.array([9 + 2j, 2 + 9j, 7 + 6j, 6 + 7j])
+    a = np.concatenate([[0j], b + 1])
+    assert rf.hausdorff(a, b) == rf.hausdorff(b, a) == _hausdorff_by_rows(a, b)
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        a, b = (rng.integers(-30, 30, k) + 1j * rng.integers(-30, 30, k) for k in (400, 40))
+        want = _hausdorff_by_rows(a, b)
+        assert rf.hausdorff(a, b) == rf.hausdorff(b, a) == want
 
 
 def test_spectra_fill_out_eigencurve():
