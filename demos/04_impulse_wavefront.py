@@ -30,8 +30,7 @@ for k in (10, 25, 50, 75, 90):
 # themselves are rf.positions(traj, delta=1.0)
 out = Path("demo_out")
 out.mkdir(exist_ok=True)
-fp, fm = rf.front_overlay(traj, front.predicted_c_plus, front.predicted_c_minus,
-                          delta=1.0)
+fp, fm = rf.front_overlay(traj, front.predicted_c_plus, front.predicted_c_minus)
 with open(out / "orbits.csv", "w") as fh:
     fh.write("t,front_plus_x,front_minus_x\n")
     for t, xp, xm in zip(traj.times, fp, fm):

@@ -7,7 +7,7 @@ velocities, evolves modal solutions exactly, and verifies the traveling-wave
 approximation numerically against dense-eigensolver and ODE oracles.
 """
 
-from .errors import ConfigError, DegenerateBranches, RingflockError
+from .errors import ConfigError, RingflockError
 from .model import (
     DenseSystem,
     FlockParams,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateBranches, RingflockError
+from .errors import ConfigError, RingflockError
 from .model import FlockParams
 from .sim import front_overlay, impulse_experiment
 from .spectral import eigencurve, hausdorff, spectrum
@@ -186,10 +186,10 @@ def cmd_velocities(cfg, out_dir):
     if not stable_for_all_n(params):
         print("closed_form=false")
         return 2
-    try:
-        pv = phase_velocities(params)
-    except DegenerateBranches as exc:
-        print(f"degenerate_branches=true  # {exc}")
+    pv = phase_velocities(params)
+    if pv.overdamped.any():
+        m = pv.ms[pv.overdamped][0]
+        print(f"degenerate_branches=true  # mode m={m} has real branches; no phase velocity")
         return 3
     sigs = signal_velocities(params)
     _write_csv(out_dir / "velocities.csv",
@@ -216,8 +216,7 @@ def cmd_simulate(cfg, out_dir):
     branch = np.where(ks == 0, "0", np.where(ks <= n // 2, "+", "-"))
     _write_csv(out_dir / "wavefront.csv", ["k", "arrival_time", "branch"],
                ks, front.arrival_time, branch)
-    fp, fm = front_overlay(traj, front.predicted_c_plus, front.predicted_c_minus,
-                           delta=1.0, v_nominal=0.0)
+    fp, fm = front_overlay(traj, front.predicted_c_plus, front.predicted_c_minus)
     _write_csv(out_dir / "orbits.csv", ["t", "front_plus_x", "front_minus_x"],
                traj.times, fp, fm)
 

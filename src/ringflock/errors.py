@@ -1,4 +1,4 @@
-"""The package's error type and the two subclasses that callers catch."""
+"""The package's error type and the one subclass that callers catch."""
 
 
 class RingflockError(ValueError):
@@ -6,15 +6,8 @@ class RingflockError(ValueError):
     that does not exist, named in the message."""
 
 
-class DegenerateBranches(RingflockError):
-    """Both roots of a nonzero mode are real, so the imaginary-sign
-    branch labels are undefined; velocities reports it as exit 3."""
-
-
 class ConfigError(RingflockError):
     """Malformed configuration file; the CLI prefixes it with 'config error:'."""
 
     def __init__(self, path, line, message):
         super().__init__(f"{path}:{line}: {message}")
-        self.path = path
-        self.line = line

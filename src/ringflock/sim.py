@@ -131,8 +131,9 @@ def impulse_experiment(params: FlockParams, v_impulse: float = 1.0,
 
     Raises:
         RingflockError: v_impulse is zero or not finite, t_end is not
-            positive and finite, the closed-form gate fails, or the evolved
-            state is not finite in float64.
+            positive and finite, the closed-form gate fails, the evolved
+            state is not finite in float64, or the mean velocity, which the
+            couplings conserve, strays from v_impulse / n by 1e-12 relative.
     """
     if not (math.isfinite(v_impulse) and v_impulse != 0.0):
         raise RingflockError(f"v_impulse={v_impulse} must be nonzero and finite")
@@ -151,6 +152,9 @@ def impulse_experiment(params: FlockParams, v_impulse: float = 1.0,
     v0[0] = v_impulse
     times = np.linspace(0.0, t_end, 2001)
     traj = Trajectory(times, *evolve(params, np.zeros(n), v0, times))
+    drift = float(np.abs(traj.zdot.mean(axis=1) - v_impulse / n).max())
+    if drift > 1e-12 * abs(v_impulse) / n:
+        raise RingflockError(f"mean velocity drifts by {drift:.3e} from v_impulse / n")
     window = np.linspace(0.0, min(t_end, t_front), 2001)  # traj.times if t_end <= t_front
     zdot = traj.zdot if t_end <= t_front else evolve(params, np.zeros(n), v0, window)[1]
 
@@ -192,23 +196,23 @@ def positions(traj: Trajectory, delta: float, v_nominal: float = 0.0) -> np.ndar
     return traj.z + ks[None, :] * delta + v_nominal * traj.times[:, None]
 
 
-def front_overlay(traj: Trajectory, c_plus: float, c_minus: float,
-                  delta: float, v_nominal: float = 0.0):
+def front_overlay(traj: Trajectory, c_plus: float, c_minus: float):
     """Predicted wavefront positions in orbit space, one value per frame.
 
-    The front sits at real-valued ring index c*t; its position interpolates
-    the orbits linearly between neighboring agents (with the n*delta offset
-    across the wrap).  NaN after the two fronts meet at the antipode.
+    The orbits are positions(traj, delta=1) (unit spacing, no drift).  The
+    front sits at real-valued ring index c*t; its position interpolates the
+    orbits linearly between neighboring agents (with the offset n across
+    the wrap).  NaN after the two fronts meet at the antipode.
     """
-    x = positions(traj, delta, v_nominal)
+    x = positions(traj, 1.0)
     n = traj.z.shape[1]
     frames = np.arange(traj.times.size)
 
     def locate(ring_index, lo, hi):
         inside = (lo <= ring_index) & (ring_index <= hi)
         k0 = np.floor(np.where(inside, ring_index, lo)).astype(int)
-        x0 = x[frames, k0 % n] + (k0 // n) * n * delta
-        x1 = x[frames, (k0 + 1) % n] + ((k0 + 1) // n) * n * delta
+        x0 = x[frames, k0 % n] + (k0 // n) * n
+        x1 = x[frames, (k0 + 1) % n] + ((k0 + 1) // n) * n
         return np.where(inside, x0 + (ring_index - k0) * (x1 - x0), np.nan)
 
     with np.errstate(over="ignore", invalid="ignore"):  # c * t may overflow to inf

@@ -13,9 +13,10 @@ traces the n-independent root locus ("eigencurve"), and provides the dense
 eigensolver oracle plus the point-set metrics used to compare against it.
 
 Branch convention: for m != 0 the "+" root is the one with positive
-imaginary part.  When both roots of a nonzero mode are real that label is
-undefined; this module then falls back to a deterministic order (descending
-real part), and wavefield.phase_velocities raises DegenerateBranches.
+imaginary part.  When both roots of a nonzero mode are real (an overdamped
+mode) that label is undefined; this module then falls back to a
+deterministic order (descending real part), and wavefield.phase_velocities
+gives the mode speed 0.
 """
 
 import math
@@ -25,9 +26,6 @@ import numpy as np
 
 from .errors import RingflockError
 from .model import DenseSystem, FlockParams, moments
-
-#: Below this absolute imaginary part a root counts as real for labeling.
-DEGENERATE_IM_TOL = 1e-12
 
 #: Dense eigensolves are refused above this ring size.
 DENSE_N_CAP = 2048
@@ -69,17 +67,16 @@ def lambda_curves(params: FlockParams, phi):
 
 def laplacian_eigenvalues(params: FlockParams, m: int):
     """(lambda_x, lambda_v) at mode m; both exactly zero for m = 0 mod n."""
-    lx, lv, _, _, _ = eigenvalue_arrays(params, np.array([m]))
+    lx, lv, _, _ = eigenvalue_arrays(params, np.array([m]))
     return complex(lx[0]), complex(lv[0])
 
 
 def _labeled_roots(lam_x, lam_v):
     """Root pairs of the mode pencils, labeled by imaginary sign.
 
-    Returns (plus, minus, degenerate): degenerate marks entries where both
-    roots are real (|Im| < DEGENERATE_IM_TOL) and the label is a fallback
-    (descending real part).  A root that is not finite (gains that
-    overflow float64) raises RingflockError.
+    Returns (plus, minus); where both roots have the same imaginary part
+    (two real roots) the order falls back to descending real part.  A root
+    that is not finite (gains that overflow float64) raises RingflockError.
     """
     lam_x = np.asarray(lam_x, dtype=complex)
     lam_v = np.asarray(lam_v, dtype=complex)
@@ -92,8 +89,7 @@ def _labeled_roots(lam_x, lam_v):
     swap = (r1.imag < r2.imag) | ((r1.imag == r2.imag) & (r1.real < r2.real))
     plus = np.where(swap, r2, r1)
     minus = np.where(swap, r1, r2)
-    degenerate = (np.abs(r1.imag) < DEGENERATE_IM_TOL) & (np.abs(r2.imag) < DEGENERATE_IM_TOL)
-    return plus, minus, degenerate
+    return plus, minus
 
 
 def eigenvalue_arrays(params: FlockParams, ms):
@@ -106,8 +102,7 @@ def eigenvalue_arrays(params: FlockParams, ms):
     zero = (ms % params.n) == 0
     lx = np.where(zero, 0j, lx)
     lv = np.where(zero, 0j, lv)
-    plus, minus, degenerate = _labeled_roots(lx, lv)
-    return lx, lv, plus, minus, degenerate & ~zero
+    return (lx, lv) + _labeled_roots(lx, lv)
 
 
 def mode_eigenvalues(params: FlockParams, m: int):
@@ -116,7 +111,7 @@ def mode_eigenvalues(params: FlockParams, m: int):
     For m = 0 mod n returns (0, 0), the coherent double zero.  A nonzero
     mode whose roots are both real comes in the fallback order.
     """
-    _, _, plus, minus, _ = eigenvalue_arrays(params, np.array([m]))
+    _, _, plus, minus = eigenvalue_arrays(params, np.array([m]))
     return complex(plus[0]), complex(minus[0])
 
 
@@ -139,7 +134,7 @@ class Spectrum:
 def spectrum(params: FlockParams) -> Spectrum:
     """Closed-form spectrum over the symmetric mode range."""
     ms = mode_range(params.n)
-    lx, lv, plus, minus, _ = eigenvalue_arrays(params, ms)
+    lx, lv, plus, minus = eigenvalue_arrays(params, ms)
     return Spectrum(n=params.n, ms=ms, lambda_x=lx, lambda_v=lv,
                     nu_plus=plus, nu_minus=minus)
 
@@ -213,7 +208,7 @@ def mode_eigenvalues_series(params: FlockParams, m: int, order: int = 4):
 def pencil_roots(params: FlockParams, phi):
     """Labeled root pairs of the mode pencil at arbitrary angles phi.
 
-    Returns (plus, minus, degenerate) arrays; the labeling matches
+    Returns (plus, minus) arrays; the labeling matches
     mode_eigenvalues when phi = m * theta.
     """
     lx, lv = lambda_curves(params, phi)
@@ -242,7 +237,7 @@ def eigencurve(params: FlockParams, n_phi: int) -> Eigencurve:
     if n_phi < 16:
         raise RingflockError("n_phi must be at least 16")
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi)
-    plus, minus, _ = pencil_roots(params, phi)
+    plus, minus = pencil_roots(params, phi)
     return Eigencurve(phi=phi, roots=np.column_stack([plus, minus]))
 
 

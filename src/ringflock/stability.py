@@ -70,9 +70,12 @@ def _rh_conditions(lam_x, lam_v):
     xr, xi = lam_x.real, lam_x.imag
     vr, vi = lam_v.real, lam_v.imag
     c1 = vr < 0.0
-    c2 = 2.0 * xr < vr * vr + vi * vi
-    c3 = xr * vr + xi * vi > 0.0
-    c4 = xr * vr * vr + vr * xi * vi + xi * xi < 0.0
+    # An overflowing product is a signed inf, which still compares right;
+    # inf - inf is NaN, and the inequality counts as failed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        c2 = 2.0 * xr < vr * vr + vi * vi
+        c3 = xr * vr + xi * vi > 0.0
+        c4 = xr * vr * vr + vr * xi * vi + xi * xi < 0.0
     return c1, c2, c3, c4
 
 
@@ -104,7 +107,7 @@ def spectral_verdict(params: FlockParams, n: Optional[int] = None) -> StabilityR
     """
     p = params if n is None else params.with_n(n)
     ms = mode_range(p.n)
-    lx, lv, plus, minus, _ = eigenvalue_arrays(p, ms)
+    lx, lv, plus, minus = eigenvalue_arrays(p, ms)
     keep = ms != 0
 
     nus = np.concatenate([plus[keep], minus[keep]])

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateBranches, RingflockError
+from .errors import RingflockError
 from .model import FlockParams, moments
 from .spectral import eigenvalue_arrays, fft_modes, pencil_roots
 from .stability import stable_for_all_n
@@ -47,6 +47,8 @@ class PhaseVelocities:
 
     c_plus[i] > 0 is the speed (agents/time) of the branch running toward
     larger agent numbers at mode ms[i]; c_minus[i] < 0 runs the other way.
+    An overdamped mode (overdamped[i]) has two real roots: it decays
+    without travelling, so both its speeds are 0.
     """
 
     ms: np.ndarray
@@ -54,6 +56,7 @@ class PhaseVelocities:
     c_minus: np.ndarray
     re_nu_plus: np.ndarray
     re_nu_minus: np.ndarray
+    overdamped: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -99,28 +102,27 @@ def _by_direction(at, plus, minus):
 def phase_velocities(params: FlockParams) -> PhaseVelocities:
     """Propagation speed and damping of every mode 1..n//2.
 
+    A mode is overdamped, with speeds +0.0, when both roots are real (|Im|
+    below 1e-12) or their imaginary parts do not have opposite signs; the
+    half-ring mode is once g_v**2 rho_v0**2 reaches -2 g_x rho_x0.
+
     Raises:
         RingflockError: closed-form gate fails.
-        DegenerateBranches: some mode has two real branch eigenvalues, which
-            happens at the half-ring mode once g_v**2 rho_v0**2 reaches
-            -2 g_x rho_x0 (overdamped regime); speeds are undefined there.
     """
     _require_gate(params)
     n = params.n
     ms = np.arange(1, n // 2 + 1)
-    _, _, plus, minus, degenerate = eigenvalue_arrays(params, ms)
-    if degenerate.any():
-        bad = int(ms[degenerate][0])
-        raise DegenerateBranches(f"mode m={bad} has real branches; no phase velocity")
-    if not ((plus.imag > 0).all() and (minus.imag < 0).all()):
-        raise DegenerateBranches("branch imaginary parts do not have opposite signs")
+    _, _, plus, minus = eigenvalue_arrays(params, ms)
+    real = (np.abs(plus.imag) < 1e-12) & (np.abs(minus.imag) < 1e-12)
+    overdamped = real | ~((plus.imag > 0) & (minus.imag < 0))
     mtheta = ms * params.theta
     return PhaseVelocities(
         ms=ms,
-        c_plus=-minus.imag / mtheta,
-        c_minus=-plus.imag / mtheta,
+        c_plus=np.where(overdamped, 0.0, -minus.imag / mtheta),
+        c_minus=np.where(overdamped, 0.0, -plus.imag / mtheta),
         re_nu_plus=plus.real,
         re_nu_minus=minus.real,
+        overdamped=overdamped,
     )
 
 
@@ -157,17 +159,15 @@ def signal_velocity_limit(params: FlockParams):
     Richardson-extrapolates the m = 1, 2 phase velocities on a 10000 ring
     (the per-mode error is quadratic in m*theta).  Serves as the independent
     cross-check of the closed form.
+
+    Raises:
+        RingflockError: closed-form gate fails, or mode 1 or 2 is overdamped.
     """
-    _require_gate(params)
-    p = params.with_n(10000)
-    theta = p.theta
-    _, _, plus, minus, degenerate = eigenvalue_arrays(p, np.array([1, 2]))
-    if degenerate.any():
-        raise DegenerateBranches("low modes degenerate; cannot extrapolate")
-    c_plus = -minus.imag / (np.array([1.0, 2.0]) * theta)
-    c_minus = -plus.imag / (np.array([1.0, 2.0]) * theta)
+    pv = phase_velocities(params.with_n(10000))
+    if pv.overdamped[:2].any():
+        raise RingflockError("low modes degenerate; cannot extrapolate")
     extrap = lambda c: float((4.0 * c[0] - c[1]) / 3.0)
-    return extrap(c_plus), extrap(c_minus)
+    return extrap(pv.c_plus), extrap(pv.c_minus)
 
 
 def group_velocity(params: FlockParams):
@@ -178,14 +178,15 @@ def group_velocity(params: FlockParams):
     decreasing k), which matches the signal velocities.
 
     Raises:
-        RingflockError: closed-form gate fails.
+        RingflockError: closed-form gate fails, or the roots at phi = +-h
+            are real.
     """
     _require_gate(params)
     h = 1e-5
     phi = np.array([h, -h])
-    plus, minus, degenerate = pencil_roots(params, phi)
-    if degenerate.any():
-        raise DegenerateBranches("branches degenerate near phi = 0")
+    plus, minus = pencil_roots(params, phi)
+    if ((np.abs(plus.imag) < 1e-12) & (np.abs(minus.imag) < 1e-12)).any():
+        raise RingflockError("branches degenerate near phi = 0")
     left, right = _by_direction(phi, plus, minus)
     return tuple(float(-(nu.imag[0] - nu.imag[1]) / (2.0 * h)) for nu in (right, left))
 
@@ -193,7 +194,7 @@ def group_velocity(params: FlockParams):
 def _mode_nus(params):
     """FFT modes of the ring, their "+" roots and their (leftward, rightward) roots."""
     ms = fft_modes(params.n)
-    _, _, plus, minus, _ = eigenvalue_arrays(params, ms)
+    _, _, plus, minus = eigenvalue_arrays(params, ms)
     return (ms, plus) + _by_direction(ms, plus, minus)
 
 
@@ -249,7 +250,7 @@ def _propagate(params, zh, vh, t):
     RingflockError.
     """
     n = params.n
-    lx, lv, _, _, _ = eigenvalue_arrays(params, fft_modes(n))
+    lx, lv, _, _ = eigenvalue_arrays(params, fft_modes(n))
     d = np.sqrt(lv * lv / 4.0 + lx)
     r1, r2 = lv / 2.0 + d, lv / 2.0 - d
     w = vh - r1 * zh

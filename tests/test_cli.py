@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import random_gate_true_params
 from ringflock import errors
 from ringflock.cli import DEFAULTS, build_params, main
 from ringflock.sim import impulse_experiment
@@ -326,13 +327,12 @@ def test_simulate_long_run_returns(tmp_path, capsys, text):
 
 
 def test_one_package_error_type():
-    # ConfigError gives the "config error:" prefix and DegenerateBranches
-    # velocities' exit 3; every other failure is a plain RingflockError.
+    # ConfigError gives the "config error:" prefix; every other failure is a
+    # plain RingflockError.
     classes = {name for name, obj in vars(errors).items() if isinstance(obj, type)}
-    assert classes == {"RingflockError", "ConfigError", "DegenerateBranches"}
+    assert classes == {"RingflockError", "ConfigError"}
     assert errors.RingflockError.__bases__ == (ValueError,)
     assert errors.ConfigError.__bases__ == (errors.RingflockError,)
-    assert errors.DegenerateBranches.__bases__ == (errors.RingflockError,)
     for path in Path(errors.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Raise):
@@ -380,8 +380,32 @@ def _config(draw):
             p1 = m1 if shape == "symmetric" else draw(weight)
             center = draw(weight) if shape == "any" else -(m1 + p1)
             values.update({f"{row}.m1": m1, f"{row}.0": center, f"{row}.p1": p1})
+    return _text(values)
+
+
+def _text(values):
+    """Config lines for the values that are not None."""
     return "".join(f"{key} = {value!r}\n" for key, value in values.items()
                    if value is not None)
+
+
+@st.composite
+def _gate_true_config(draw):
+    """A gate-true flock (helpers.random_gate_true_params) with one float key
+    set to a special value; a side weight that is set re-closes its row, as
+    the "closed" rows of _config do.  Many of these draws run to exit 0,
+    which the draws of _config seldom do."""
+    p = random_gate_true_params(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), 16)
+    values = {"g_x": p.g_x, "g_v": p.g_v}
+    for row in ("rho_x", "rho_v"):
+        w = getattr(p, row)
+        values.update({f"{row}.m1": w[-1], f"{row}.0": w[0], f"{row}.p1": w[1]})
+    key = draw(st.sampled_from(["t_end", "v_impulse", "alpha", "beta", "K", "p", *values]))
+    values[key] = draw(st.sampled_from(_SPECIAL))
+    row, _, side = key.partition(".")
+    if side in ("m1", "p1"):
+        values[f"{row}.0"] = -(values[f"{row}.m1"] + values[f"{row}.p1"])
+    return _text(values)
 
 
 # At most one fuzzed wave-verify key per draw, the others at their defaults:
@@ -418,13 +442,32 @@ _FUZZ = settings(derandomize=True, deadline=None, database=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-@settings(_FUZZ, max_examples=100)
-@given(_config())
-def test_simulate_fuzzed_config_ends_cleanly(tmp_path, text):
-    code, _, out_dir = _run_fuzzed(tmp_path, "simulate", text)
-    if code == 0:
+def _check_success(command, out_dir):
+    """The invariants of a run that exits 0 at n = 16."""
+    if command == "velocities":
+        _, c_plus, c_minus, _, _ = np.loadtxt(out_dir / "velocities.csv", delimiter=",",
+                                              skiprows=1, ndmin=2).T
+        assert (c_plus > 0).all() and (c_minus < 0).all()
+    elif command == "simulate":
         cells = (out_dir / "trajectory.csv").read_text().lower()
         assert "nan" not in cells and "inf" not in cells
+        # momentum is conserved: the mean velocity stays v_impulse / n
+        _, _, _, zdot = np.loadtxt(out_dir / "trajectory.csv", delimiter=",", skiprows=1).T
+        mean = float(kv((out_dir / "resolved_config").read_text(), "v_impulse")) / 16
+        assert np.abs(zdot.reshape(-1, 16).mean(axis=1) - mean).max() <= 1e-12 * abs(mean)
+    elif command == "wave-verify":
+        cells = np.loadtxt(out_dir / "wave_verify.csv", delimiter=",", skiprows=1)
+        assert cells.size and np.isfinite(cells).all()
+
+
+# Each draw runs twice: the config of _config, then a gate-true one.
+@settings(_FUZZ, max_examples=100)
+@given(text=_config(), gate_true=_gate_true_config())
+def test_simulate_fuzzed_config_ends_cleanly(tmp_path, text, gate_true):
+    for flock in (text, gate_true):
+        code, _, out_dir = _run_fuzzed(tmp_path, "simulate", flock)
+        if code == 0:
+            _check_success("simulate", out_dir)
 
 
 @pytest.mark.parametrize("command,keys", [
@@ -434,20 +477,26 @@ def test_simulate_fuzzed_config_ends_cleanly(tmp_path, text):
     ("wave-verify", "n_sweep = 64,128\n"),
 ], ids=["stability", "spectrum", "velocities", "wave-verify"])
 @settings(_FUZZ, max_examples=50)
-@given(text=_config(), wave=_WAVE_KEY, default_flock=st.booleans())
+@given(text=_config(), wave=_WAVE_KEY, default_flock=st.booleans(),
+       gate_true=_gate_true_config())
 # Pinned draws that the random ones seldom reach: +-1e308 at p (0 * inf in the
 # envelope, m**-p overflowing) and at K (the window end overflowing).
-@example(text="", wave="p = 1e+308\n", default_flock=True)
-@example(text="", wave="p = -1e+308\n", default_flock=True)
-@example(text="", wave="K = 1e+308\n", default_flock=True)
+@example(text="", wave="p = 1e+308\n", default_flock=True, gate_true="")
+@example(text="", wave="p = -1e+308\n", default_flock=True, gate_true="")
+@example(text="", wave="K = 1e+308\n", default_flock=True, gate_true="")
 def test_subcommand_fuzzed_config_ends_cleanly(tmp_path, command, keys, text, wave,
-                                               default_flock):
+                                               default_flock, gate_true):
     if command == "wave-verify":
         # the default flock passes the gate, so the wave key reaches the bound
         text = wave if default_flock else text + wave
-    code, stdout, out_dir = _run_fuzzed(tmp_path, command, text + keys)
-    if code != 1:
-        assert "nan" not in stdout.lower()
-    for csv in out_dir.glob("*.csv"):
-        cells = csv.read_text().lower()
-        assert "nan" not in cells and "inf" not in cells, csv.name
+    # Each draw runs twice: the config of _config, then a gate-true one
+    # (whose special value may already sit at a wave key).
+    for flock in (text, gate_true):
+        code, stdout, out_dir = _run_fuzzed(tmp_path, command, flock + keys)
+        if code != 1:
+            assert "nan" not in stdout.lower()
+        for csv in out_dir.glob("*.csv"):
+            cells = csv.read_text().lower()
+            assert "nan" not in cells and "inf" not in cells, csv.name
+        if code == 0:
+            _check_success(command, out_dir)

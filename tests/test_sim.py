@@ -164,9 +164,8 @@ def _steepest_front(speed_row, lo, hi):
 def test_front_overlay_tracks_steepest_gradient_pulse():
     p = rf.FlockParams.nearest_neighbor(200, -2.0, -2.0)
     traj, front = rf.impulse_experiment(p)
-    delta = 1.0
-    fp, fm = rf.front_overlay(traj, front.predicted_c_plus, front.predicted_c_minus, delta)
-    x = rf.positions(traj, delta)
+    fp, fm = rf.front_overlay(traj, front.predicted_c_plus, front.predicted_c_minus)
+    x = rf.positions(traj, 1.0)
     checked = 0
     for frac in np.linspace(0.1, 0.7, 10):
         i = int(frac * (traj.times.size - 1))
@@ -174,7 +173,7 @@ def test_front_overlay_tracks_steepest_gradient_pulse():
             continue
         k_front = _steepest_front(np.abs(traj.zdot[i]), 2, 98)
         x_front = np.interp(k_front, np.arange(200), x[i])
-        assert abs(fp[i] - x_front) <= 1.0 * delta
+        assert abs(fp[i] - x_front) <= 1.0
         checked += 1
     assert checked >= 8
 
@@ -183,7 +182,7 @@ def test_front_overlay_curves_are_not_straight():
     # orbit-space front curves bend because the agents themselves move
     p = rf.FlockParams.nearest_neighbor(200, -2.0, -2.0)
     traj, front = rf.impulse_experiment(p, v_impulse=5.0)
-    fp, _ = rf.front_overlay(traj, front.predicted_c_plus, front.predicted_c_minus, 1.0)
+    fp, _ = rf.front_overlay(traj, front.predicted_c_plus, front.predicted_c_minus)
     good = np.isfinite(fp)
     t = traj.times[good]
     vals = fp[good]

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -86,6 +87,18 @@ def test_verdict_asymmetric_unstable_at_large_n_with_low_mode_witness():
     # the destabilized branch lives at low angles (the maximizing angle is
     # n-independent, so the witness index scales with n but phi stays small)
     assert abs(m) * 2.0 * np.pi / 4096 < 1.0
+
+
+def test_verdict_with_overflowing_routh_products_warns_nothing():
+    # g_x = 1e308 overflows the Routh-Hurwitz products; the verdict comes
+    # from the roots, and the inequalities fail without a RuntimeWarning.
+    p = rf.FlockParams(n=16, g_x=1e308, g_v=-2.0, rho_x={-1: 0.0, 0: -0.5, 1: 0.5},
+                       rho_v={-1: -0.5, 0: 1.0, 1: -0.5})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = rf.spectral_verdict(p)
+    assert not report.spectral_stable and report.max_real_part > 0.0
+    assert report.rh_failures > 0
 
 
 def test_verdict_matches_dense_oracle():

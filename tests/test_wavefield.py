@@ -45,9 +45,31 @@ def test_phase_velocities_need_stability():
 
 
 def test_phase_velocities_degenerate_half_ring():
-    # g_v**2 = -2 g_x puts a real double root at phi = pi of an even ring
-    with pytest.raises(rf.DegenerateBranches):
-        rf.phase_velocities(rf.FlockParams.nearest_neighbor(200, -2.0, -2.0))
+    # g_v**2 = -2 g_x puts a real double root at phi = pi of an even ring:
+    # that mode decays without travelling, so both its speeds are +0.0.
+    p = rf.FlockParams.nearest_neighbor(200, -2.0, -2.0)
+    pv = rf.phase_velocities(p)
+    assert pv.ms[pv.overdamped].tolist() == [100]
+    assert pv.c_plus[-1] == pv.c_minus[-1] == 0.0
+    assert math.copysign(1.0, pv.c_plus[-1]) == math.copysign(1.0, pv.c_minus[-1]) == 1.0
+    # every travelling mode keeps -Im(nu) / (m theta) bit for bit
+    _, _, plus, minus = eigenvalue_arrays(p, pv.ms)
+    mtheta = pv.ms * p.theta
+    assert np.array_equal(pv.c_plus[:-1], (-minus.imag / mtheta)[:-1])
+    assert np.array_equal(pv.c_minus[:-1], (-plus.imag / mtheta)[:-1])
+
+
+def test_strongly_overdamped_flock_has_no_wave_speeds():
+    # A tiny position gain makes every mode overdamped: phase velocities are
+    # all 0, and the extrapolated and group velocities do not exist.
+    p = rf.FlockParams.nearest_neighbor(64, -1e-12, -1.0)
+    pv = rf.phase_velocities(p)
+    assert pv.overdamped.all()
+    assert not pv.c_plus.any() and not pv.c_minus.any()
+    with pytest.raises(rf.RingflockError, match="low modes degenerate; cannot extrapolate"):
+        rf.signal_velocity_limit(p)
+    with pytest.raises(rf.RingflockError, match="branches degenerate near phi = 0"):
+        rf.group_velocity(p)
 
 
 def test_opposite_imaginary_signs_across_modes():
@@ -188,7 +210,7 @@ def _two_exponential_sum(p, co, t):
     """Reference modal evolution: each mode as l exp(nu_l t) + r exp(nu_r t),
     where the "+" root (Im > 0) travels leftward at m > 0, rightward at m < 0."""
     ms = rf.fft_modes(p.n)
-    _, _, plus, minus, _ = eigenvalue_arrays(p, ms)
+    _, _, plus, minus = eigenvalue_arrays(p, ms)
     left, right = np.where(ms < 0, minus, plus), np.where(ms < 0, plus, minus)
     t = np.asarray(t, dtype=float)[..., None]
     el, er = co.leftward * np.exp(left * t), co.rightward * np.exp(right * t)
@@ -275,6 +297,15 @@ def test_verify_wave_bound_damping_band_ordering():
     rep = rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
     assert 0.0 <= rep.damping_mid <= rep.damping_high
     assert rep.m_bound == pytest.approx(1.0, rel=1e-12)
+
+
+def test_verify_wave_bound_cutoff_is_strict_at_an_integer_power():
+    # 64**0.5 == 8 exactly, and the profiles keep only |m| < n**alpha
+    p = rf.FlockParams.nearest_neighbor(64, -2.0, -1.0)
+    co = rf.power_law_coefficients(64, 2.0, seed=2)
+    rep = rf.verify_wave_bound(p, co, 0.5, 0.7, 2.0, 2.0)
+    assert rep.cutoff == 7
+    assert np.abs(rep.modes).max() == 7
 
 
 def test_verify_wave_bound_envelope_at_large_p():
