@@ -241,34 +241,91 @@ def eigencurve(params: FlockParams, n_phi: int) -> Eigencurve:
     return Eigencurve(phi=phi, roots=np.column_stack([plus, minus]))
 
 
-def _xy(z):
-    return np.column_stack([z.real, z.imag])
+#: Point pairs the nearest-neighbour search measures at once; bounds its memory.
+_PAIRS = 1 << 17
+
+
+def _farthest_by_rows(a, b) -> float:
+    """max over a of the distance to the nearest point of b, from every pair."""
+    rows = max(1, _PAIRS // b.size)
+    return max((float(np.abs(a[i:i + rows, None] - b[None, :]).min(axis=1).max())
+                for i in range(0, a.size, rows)), default=0.0)
+
+
+def _cell_ids(z, x0, y0, k, nx, ny):
+    """Row-major ids of the 2**k-sided cells holding z, one ring of cells past the nx-by-ny grid."""
+    cx = np.floor(np.clip(np.ldexp(z.real - x0, -k), -1.0, nx))
+    cy = np.floor(np.clip(np.ldexp(z.imag - y0, -k), -1.0, ny))
+    return ((cy + 1.0) * (nx + 2) + cx + 1.0).astype(np.int64)
 
 
 def _farthest_nearest(a, b) -> float:
     """max over a of the distance to the nearest point of b, as np.abs gives it."""
-    from scipy.spatial import cKDTree  # imported here, so only callers of hausdorff pay for it
+    x0, y0 = b.real.min(), b.imag.min()
+    w, h = b.real.max() - x0, b.imag.max() - y0
+    span = max(w, h, math.ulp(0.0))  # the floor gives a one-point set a grid too
+    if not math.isfinite(span):
+        return _farthest_by_rows(a, b)
+    # Cells are 2**k wide, so scaling by 2**-k is exact; there are at most
+    # 2**20 of them per axis, so a rounded cell coordinate is off by less
+    # than 2**-32 of a side.  Start from the box area per point (or the span
+    # per point on a line), then shrink while curve points crowd the cells.
+    top = math.frexp(span)[1]
+    ws, hs = math.ldexp(w, -top), math.ldexp(h, -top)
+    side = max(math.sqrt(ws * hs / b.size), math.ldexp(span, -top) / b.size)
+    k_min = top - 20
+    k = max(k_min, top + math.floor(math.log2(side)))
+    for shrinks in range(3):
+        nx, ny = int(math.ldexp(w, -k)) + 1, int(math.ldexp(h, -k)) + 1
+        ids = _cell_ids(b, x0, y0, k, nx, ny)
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        crowd = b.size / (np.count_nonzero(np.diff(ids)) + 1)
+        if crowd <= 4.0 or k == k_min or shrinks == 2:
+            break
+        k = max(k_min, k - math.ceil(math.log2(crowd / 4.0)))
+    b_sorted = b[order]
 
-    tree = cKDTree(_xy(b))
-    _, nearest = tree.query(_xy(a))
-    d = np.abs(a - b[nearest])
-    # The tree ranks by its own rounding of the distance, which can differ
-    # from np.abs in the last bit when neighbours tie, as on integer grids.
-    # Only points within 1e-12 of the largest distance can attain the
-    # maximum, so rank all their near-tied neighbours by np.abs itself
-    # (there are none to rank when every distance is 0).
-    edge = np.flatnonzero((d > 0.0) & (d >= d.max() * (1.0 - 1e-12)))
-    ties = tree.query_ball_point(_xy(a[edge]), d[edge] * (1.0 + 1e-12))
-    return max((float(np.abs(a[i] - b[k]).min()) for i, k in zip(edge, ties)), default=0.0)
+    # A point of b outside the 3x3 cells around a query is at least one side
+    # away (less the 2**-32 rounding), so a nearest distance found inside them
+    # below 1 - 1e-9 sides is exact; the rest are measured against all of b.
+    # Each row of three cells is one run of the sorted ids.  Queries go in
+    # blocks of at most 4096, cut short where their pairs pass _PAIRS.
+    row = nx + 2
+    lo_off = np.array([-row - 1, -1, row - 1])
+    hi_off = lo_off + 2
+    a_ids = _cell_ids(a, x0, y0, k, nx, ny)
+    farthest, rest, s = 0.0, [], 0
+    while s < a.size:
+        q = a_ids[s:s + 4096, None]
+        lo = np.searchsorted(ids, q + lo_off)
+        n = np.searchsorted(ids, q + hi_off, side="right") - lo
+        ends = np.cumsum(n.sum(axis=1))
+        m = max(1, int(np.searchsorted(ends, _PAIRS, side="right")))
+        lo, n, ends = lo[:m].ravel(), n[:m].ravel(), ends[:m]
+        count = np.diff(ends, prepend=0)
+        idx = np.arange(ends[-1]) + np.repeat(lo - (np.cumsum(n) - n), n)
+        d = np.abs(np.repeat(a[s:s + m], count) - b_sorted[idx])
+        near = np.full(m, np.inf)
+        near[count > 0] = np.minimum.reduceat(d, (ends - count)[count > 0])
+        hit = np.ldexp(near, -k) < 1.0 - 1e-9
+        farthest = max(farthest, float(near[hit].max(initial=0.0)))
+        rest.append(a[s:s + m][~hit])
+        s += m
+    return max(farthest, _farthest_by_rows(np.concatenate(rest), b))
 
 
 def hausdorff(set_a, set_b) -> float:
     """Symmetric Hausdorff distance between finite complex point sets.
 
-    A k-d tree picks each point's nearest neighbour in the other set, in
-    both directions; the distance itself is np.abs of the complex
-    difference, so the value equals that of the full distance matrix
-    bit for bit.
+    Each point's nearest neighbour in the other set, in both directions, is
+    looked up on a grid of square cells laid over that set.  Every point
+    outside the 3x3 cells around a query is at least one cell side away, so a
+    neighbour found there closer than one side (less a 1e-9 margin for
+    rounding) is the nearest; the other queries are measured against the
+    whole set.  Every distance is np.abs of the complex difference, so the
+    value equals that of the full distance matrix bit for bit, overflow to
+    inf included.
     """
     a = np.asarray(set_a, dtype=complex).ravel()
     b = np.asarray(set_b, dtype=complex).ravel()
@@ -276,7 +333,8 @@ def hausdorff(set_a, set_b) -> float:
         raise RingflockError("hausdorff needs two nonempty sets")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise RingflockError("hausdorff needs finite points")
-    return max(_farthest_nearest(a, b), _farthest_nearest(b, a))
+    with np.errstate(over="ignore"):
+        return max(_farthest_nearest(a, b), _farthest_nearest(b, a))
 
 
 def max_matching_distance(set_a, set_b) -> float:

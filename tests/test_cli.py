@@ -40,15 +40,27 @@ g_v = 2
 """
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy takes about 0.4 s to import and only spectrum's k-d tree and the
-    # dense oracle's matching need it, so those functions import it themselves.
+def _scipy_modules_after(code):
+    """The scipy modules loaded once a fresh interpreter has run code."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = "import sys, ringflock.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    code += "; import sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy takes about 0.4 s to import and only the dense oracle's matching
+    # needs it, so that function imports it itself.
+    assert _scipy_modules_after("import ringflock.cli") == "[]"
+
+
+def test_spectrum_loads_no_scipy(tmp_path):
+    # spectrum's Hausdorff search needs no scipy either.
+    cfg = write(tmp_path, "")
+    args = ["spectrum", "--config", cfg, "--out", str(tmp_path / "out"), "--n", "200"]
+    assert _scipy_modules_after(f"from ringflock.cli import main; main({args!r})") == "[]"
 
 
 def write(tmp_path, text, name="run.cfg"):

@@ -196,9 +196,9 @@ def test_hausdorff_matches_full_distance_matrix_on_spectra():
 
 def test_hausdorff_exact_on_tied_neighbours():
     # 85 = 9^2 + 2^2 = 7^2 + 6^2, yet np.abs can put 9+2j one ulp above
-    # 7+6j (numpy's AVX-512 loop does), and a k-d tree ranking by its own
-    # rounding may return either (with k = 2 it returns 9+2j and 2+9j).
-    # Only the point 0 is far from b.
+    # 7+6j (numpy's AVX-512 loop does), so a search that ranked neighbours
+    # by any other rounding of the distance could return either.  Only the
+    # point 0 is far from b.
     b = np.array([9 + 2j, 2 + 9j, 7 + 6j, 6 + 7j])
     a = np.concatenate([[0j], b + 1])
     assert rf.hausdorff(a, b) == rf.hausdorff(b, a) == _hausdorff_by_rows(a, b)
@@ -207,6 +207,42 @@ def test_hausdorff_exact_on_tied_neighbours():
         a, b = (rng.integers(-30, 30, k) + 1j * rng.integers(-30, 30, k) for k in (400, 40))
         want = _hausdorff_by_rows(a, b)
         assert rf.hausdorff(a, b) == rf.hausdorff(b, a) == want
+
+
+def test_hausdorff_matches_full_distance_matrix_at_extreme_scales():
+    rng = np.random.default_rng(67)
+
+    def normal(k, scale=1.0):
+        return (rng.normal(size=k) + 1j * rng.normal(size=k)) * scale
+
+    def integer_grid(k, step):
+        return (rng.integers(-30, 30, k) + 1j * rng.integers(-30, 30, k)) * step
+
+    cases = [
+        (normal(300, 1e300), normal(50, 1e300)),
+        ([-1e308, 1e308], [-1e308 + 1j, 1e308]),
+        (integer_grid(400, 1e-310), integer_grid(40, 1e-310)),
+        (normal(100), np.full(50, 0.3 - 2j)),
+        (2 + 1j * rng.normal(size=200), 2.5 + 1j * rng.normal(size=30)),
+        (rng.normal(size=200) + 0j, rng.normal(size=30) + 0.1j),
+        (np.concatenate([1e6 + normal(300, 1e-3), -1e6j + normal(300, 1e-3)]),
+         np.concatenate([1e6 + normal(300, 1e-3), 7e5 + normal(3, 1e-3)])),
+        (np.append(normal(100, 1e-12), [0.5, 1 + 1j]), np.append(normal(30000, 1e-12), 1 + 1j)),
+        ([1 + 2j], [-3 + 0.5j]),
+        (1e8 + 1e8j + normal(300, 1e-8), 1e8 + 1e8j + normal(30, 1e-8)),
+    ]
+    for a, b in cases:
+        with np.errstate(over="ignore"):  # [-1e308, 1e308] has pairs farther apart than 1.8e308
+            want = _hausdorff_by_rows(a, b)
+        assert rf.hausdorff(a, b) == rf.hausdorff(b, a) == want
+    assert rf.hausdorff(*cases[1]) == 1.0
+    assert rf.hausdorff(*cases[2]) > 0.0
+
+
+def test_hausdorff_of_default_flock_at_large_n():
+    p = rf.FlockParams.nearest_neighbor(50000, -2.0, -2.0)
+    d = rf.hausdorff(rf.spectrum(p).all_nus(), rf.eigencurve(p, 4096).points())
+    assert d == 0.00076717767437023215
 
 
 def test_spectra_fill_out_eigencurve():
