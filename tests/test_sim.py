@@ -87,6 +87,61 @@ def test_integrate_detects_divergence():
         assert "non-finite state" in str(exc)
 
 
+def _stage_by_stage_rk4(p, z, v, t_end, dt):
+    """The per-step RK4 loop, one stage after another, sampled like integrate."""
+    def coupled(rho, x):
+        return sum(w * np.roll(x, -j) for j, w in rho.items())  # [k] = x[(k+j) mod n]
+
+    def acc(zz, vv):
+        return p.g_x * coupled(p.rho_x, zz) + p.g_v * coupled(p.rho_v, vv)
+
+    steps = max(1, int(round(t_end / dt)))
+    stride = max(1, steps // 500)
+    times, zs, vs = [0.0], [z], [v]
+    for step in range(1, steps + 1):
+        k1z, k1v = v, acc(z, v)
+        z2, v2 = z + 0.5 * dt * k1z, v + 0.5 * dt * k1v
+        k2z, k2v = v2, acc(z2, v2)
+        z3, v3 = z + 0.5 * dt * k2z, v + 0.5 * dt * k2v
+        k3z, k3v = v3, acc(z3, v3)
+        z4, v4 = z + dt * k3z, v + dt * k3v
+        k4z, k4v = v4, acc(z4, v4)
+        z = z + dt / 6.0 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+        v = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        if step % stride == 0 or step == steps:
+            times.append(step * dt)
+            zs.append(z)
+            vs.append(v)
+    return np.array(times), np.array(zs), np.array(vs)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 10, 200])
+def test_integrate_matches_stage_by_stage_rk4(n):
+    # integrate steps with a precomputed increment stencil of reach 4; below
+    # n = 9 it wraps onto itself around the ring.
+    p = rf.FlockParams.nearest_neighbor(n, -1.5, -0.75, -0.3, -0.8, -0.7, -0.2)
+    rng = np.random.default_rng(n)
+    z0, v0 = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+    traj = rf.integrate(p, z0, v0, t_end=10.0, dt=0.01)
+    times, z, v = _stage_by_stage_rk4(p, z0, v0, 10.0, 0.01)
+    np.testing.assert_array_equal(traj.times, times)
+    assert traj.z.shape == traj.zdot.shape == z.shape == (501, n)
+    assert np.abs(traj.z - z).max() <= 1e-13
+    assert np.abs(traj.zdot - v).max() <= 1e-13
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_integrate_rejects_non_finite_initial_arrays(bad):
+    p = rf.FlockParams.nearest_neighbor(8, -2.0, -1.0)
+    z0, v0 = np.zeros(8), np.zeros(8)
+    z0[3] = bad
+    with pytest.raises(rf.RingflockError, match="initial arrays must be finite"):
+        rf.integrate(p, z0, np.zeros(8), t_end=1.0, dt=0.01)
+    v0[5] = bad
+    with pytest.raises(rf.RingflockError, match="initial arrays must be finite"):
+        rf.integrate(p, np.zeros(8), v0, t_end=1.0, dt=0.01)
+
+
 def test_impulse_fits_symmetric_defaults():
     p = rf.FlockParams.nearest_neighbor(200, -2.0, -2.0)
     traj, front = rf.impulse_experiment(p)
@@ -149,6 +204,12 @@ def test_positions_fan_for_quiet_flock():
     np.testing.assert_allclose(x, expect, atol=1e-12)
     with pytest.raises(ValueError):
         rf.positions(traj, delta=0.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(rf.RingflockError, match="must be positive and finite"):
+            rf.positions(traj, delta=bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(rf.RingflockError, match="v_nominal=.* must be finite"):
+            rf.positions(traj, delta=2.0, v_nominal=bad)
 
 
 def _steepest_front(speed_row, lo, hi):
