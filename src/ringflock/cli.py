@@ -28,11 +28,9 @@ DEFAULTS = {
     "n": 200,
     "g_x": -2.0,
     "g_v": -2.0,
-    "rho_x.m1": -0.5,
-    "rho_x.0": 1.0,
+    "rho_x.m1": -0.5,  # each row's center weight is -(m1 + p1)
     "rho_x.p1": -0.5,
     "rho_v.m1": -0.5,
-    "rho_v.0": 1.0,
     "rho_v.p1": -0.5,
     "n_phi": 4096,
     "alpha": 0.3,
@@ -43,15 +41,12 @@ DEFAULTS = {
     "v_impulse": 1.0,
     "seed": 0,
     "n_sweep": (256, 512, 1024),
-    "output_dir": "out",
 }
 
 
 def _convert(key, text):
     """Parse a value with the type of the key's default; None means float."""
     default = DEFAULTS[key]
-    if isinstance(default, str):
-        return text
     if isinstance(default, tuple):
         return tuple(int(part) for part in text.split(","))
     if isinstance(default, int):
@@ -82,13 +77,9 @@ def parse_config(path):
 
 
 def build_params(cfg) -> FlockParams:
-    return FlockParams(
-        n=cfg["n"],
-        g_x=cfg["g_x"],
-        g_v=cfg["g_v"],
-        rho_x={-1: cfg["rho_x.m1"], 0: cfg["rho_x.0"], 1: cfg["rho_x.p1"]},
-        rho_v={-1: cfg["rho_v.m1"], 0: cfg["rho_v.0"], 1: cfg["rho_v.p1"]},
-    )
+    return FlockParams.nearest_neighbor(cfg["n"], cfg["g_x"], cfg["g_v"],
+                                        cfg["rho_x.p1"], cfg["rho_v.p1"],
+                                        cfg["rho_x.m1"], cfg["rho_v.m1"])
 
 
 def _fmt(value):
@@ -116,9 +107,8 @@ def _write_atomic(path: Path, chunks):
 
 def _write_csv(path: Path, header, *columns):
     """Atomic CSV write of equal-length 1-D arrays: %d for integer columns,
-    %s for string columns, %.17g (17 significant digits) for the rest."""
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%s" if c.dtype.kind == "U"
-                   else "%.17g" for c in columns) + "\n"
+    %.17g (17 significant digits) for the rest."""
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
 
     def blocks():
         yield ",".join(header) + "\n"
@@ -195,8 +185,8 @@ def cmd_velocities(cfg, out_dir):
     _write_csv(out_dir / "velocities.csv",
                ["m", "c_plus", "c_minus", "re_nu_plus", "re_nu_minus"],
                pv.ms, pv.c_plus, pv.c_minus, pv.re_nu_plus, pv.re_nu_minus)
-    print(f"c_plus={sigs.c_plus:.6f}")
-    print(f"c_minus={sigs.c_minus:.6f}")
+    print(f"c_plus={_fmt(sigs.c_plus)}")
+    print(f"c_minus={_fmt(sigs.c_minus)}")
     print(f"a={_fmt(sigs.a)}")
     return 0
 
@@ -213,9 +203,7 @@ def cmd_simulate(cfg, out_dir):
     _write_csv(out_dir / "trajectory.csv", ["t", "k", "z", "zdot"],
                np.repeat(traj.times, n), np.tile(ks, traj.times.size),
                traj.z.ravel(), traj.zdot.ravel())
-    branch = np.where(ks == 0, "0", np.where(ks <= n // 2, "+", "-"))
-    _write_csv(out_dir / "wavefront.csv", ["k", "arrival_time", "branch"],
-               ks, front.arrival_time, branch)
+    _write_csv(out_dir / "wavefront.csv", ["k", "arrival_time"], ks, front.arrival_time)
     fp, fm = front_overlay(traj, front.predicted_c_plus, front.predicted_c_minus)
     _write_csv(out_dir / "orbits.csv", ["t", "front_plus_x", "front_minus_x"],
                traj.times, fp, fm)
@@ -277,7 +265,7 @@ def main(argv=None) -> int:
         description="Spectral analysis and wave diagnostics of ring flocks.")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="key = value config file")
-    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--out", default="out", help="output directory (out)")
     parser.add_argument("--n", type=int, default=None, help="override agent count")
     parser.add_argument("--seed", type=int, default=None, help="override seed")
     args = parser.parse_args(argv)
@@ -289,7 +277,7 @@ def main(argv=None) -> int:
             cfg["n"] = args.n
         if args.seed is not None:
             cfg["seed"] = args.seed
-        out_dir = Path(args.out if args.out is not None else cfg["output_dir"])
+        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         _echo_config(cfg, out_dir)
         return _COMMANDS[args.command](cfg, out_dir)

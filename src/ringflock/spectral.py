@@ -71,6 +71,24 @@ def laplacian_eigenvalues(params: FlockParams, m: int):
     return complex(lx[0]), complex(lv[0])
 
 
+def root_pair(lam_x, lam_v):
+    """(d, r1, r2): the roots r1,2 = lam_v/2 +- d of the mode pencils, with d
+    the principal sqrt(lam_v**2/4 + lam_x).
+
+    Where one root is below half the other in magnitude, the subtraction
+    cancels its leading digits (g_x = -1, g_v = -1e9 gives 0 for a true
+    -1e-9), so that root is recomputed from the product r1 r2 = -lam_x.  A
+    conjugate pair has equal magnitudes and is left as it is.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.sqrt(lam_v * lam_v / 4.0 + lam_x)
+        r1, r2 = np.asarray(lam_v / 2.0 + d), np.asarray(lam_v / 2.0 - d)  # 0-d arrays too
+        for a, b in ((r1, r2), (r2, r1)):  # never both small
+            small = np.abs(a) < 0.5 * np.abs(b)
+            a[small] = -lam_x[small] / b[small]
+    return d, r1, r2
+
+
 def _labeled_roots(lam_x, lam_v):
     """Root pairs of the mode pencils, labeled by imaginary sign.
 
@@ -78,12 +96,7 @@ def _labeled_roots(lam_x, lam_v):
     (two real roots) the order falls back to descending real part.  A root
     that is not finite (gains that overflow float64) raises RingflockError.
     """
-    lam_x = np.asarray(lam_x, dtype=complex)
-    lam_v = np.asarray(lam_v, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = np.sqrt(lam_v * lam_v / 4.0 + lam_x)
-        r1 = lam_v / 2.0 + s
-        r2 = lam_v / 2.0 - s
+    _, r1, r2 = root_pair(lam_x, lam_v)
     if not (np.isfinite(r1).all() and np.isfinite(r2).all()):
         raise RingflockError("mode pencil roots are not finite; the gains overflow float64")
     swap = (r1.imag < r2.imag) | ((r1.imag == r2.imag) & (r1.real < r2.real))

@@ -21,7 +21,7 @@ from .errors import RingflockError
 from .model import FlockParams
 from .spectral import eigenvalue_arrays, laplacian_eigenvalues, mode_range
 
-#: Relative half-width of each mode's marginal band around Re(nu) = 0.
+#: Relative half-width of each root's marginal band around Re(nu) = 0.
 MARGINAL_BAND = 1e-10
 
 #: Relative tolerance for detecting a symmetric position row.
@@ -98,12 +98,13 @@ def routh_hurwitz(params: FlockParams, m: int):
 def spectral_verdict(params: FlockParams, n: Optional[int] = None) -> StabilityReport:
     """Evaluate every branch eigenvalue at ring size n and classify.
 
-    Each nonzero mode m gets its own marginal band, MARGINAL_BAND *
-    (|nu_{m,+}| + |nu_{m,-}|), since the rounding error of Re(nu) scales with
-    |nu| and the low modes of a large ring are tiny.  Strict stability means
-    every real part falls below minus its band; a real part above its band
-    makes the spectrum unstable; anything else is marginal.  The coherent
-    mode contributes exactly the double zero by construction and is excluded.
+    Each root nu of a nonzero mode gets its own marginal band, MARGINAL_BAND *
+    |nu|, since the rounding error of Re(nu) scales with |nu| (spectral.root_pair
+    keeps the smaller root of a stiff pencil accurate) and the low modes of a
+    large ring are tiny.  Strict stability means every real part falls below
+    minus its band; a real part above its band makes the spectrum unstable;
+    anything else is marginal.  The coherent mode contributes exactly the
+    double zero by construction and is excluded.
     """
     p = params if n is None else params.with_n(n)
     ms = mode_range(p.n)
@@ -112,7 +113,7 @@ def spectral_verdict(params: FlockParams, n: Optional[int] = None) -> StabilityR
 
     nus = np.concatenate([plus[keep], minus[keep]])
     res = nus.real
-    band = np.tile(MARGINAL_BAND * (np.abs(plus[keep]) + np.abs(minus[keep])), 2)
+    band = MARGINAL_BAND * np.abs(nus)
     stable = bool((res < -band).all())
     above = res > band
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import RingflockError
 from .model import FlockParams, moments
-from .spectral import eigenvalue_arrays, fft_modes, pencil_roots
+from .spectral import eigenvalue_arrays, fft_modes, pencil_roots, root_pair
 from .stability import stable_for_all_n
 
 #: Two branch eigenvalues closer than this (relative) make the mode Jordan-like.
@@ -241,7 +241,7 @@ def _propagate(params, zh, vh, t):
     """Exact (z, zdot) at the times t from the DFT data (zh, vh) of the state.
 
     Per mode z_hat(t) = e^(r1 t) (zh + P w), zdot_hat(t) = e^(r1 t) (vh + r2 P w)
-    with r1,2 = lambda_v/2 +- sqrt(lambda_v**2/4 + lambda_x) (principal root d),
+    with r1,2 = lambda_v/2 +- d from spectral.root_pair (d the principal root),
     w = vh - r1 zh and P = t expm1(y)/y, y = -2 d t, which Re y <= 0 bounds by t.
     No labels, 2x2 solve or special case: the coherent mode gives zh + t vh, a
     critical one (d = 0) its Jordan solution.  A cell whose e^(r1 t) underflows
@@ -250,9 +250,7 @@ def _propagate(params, zh, vh, t):
     RingflockError.
     """
     n = params.n
-    lx, lv, _, _ = eigenvalue_arrays(params, fft_modes(n))
-    d = np.sqrt(lv * lv / 4.0 + lx)
-    r1, r2 = lv / 2.0 + d, lv / 2.0 - d
+    d, r1, r2 = root_pair(*eigenvalue_arrays(params, fft_modes(n))[:2])
     w = vh - r1 * zh
     ts = np.asarray(t, dtype=float)
     out = np.empty((2, ts.size, n))

@@ -135,6 +135,22 @@ def test_verdict_stable_at_large_n_with_per_mode_band():
     assert report.witness is None
 
 
+def test_verdict_stable_for_stiff_pencil():
+    # g_v = -1e9 gives each mode a fast root near lambda_v and a slow one near
+    # -lambda_x / lambda_v, about -1e-9.  lambda_v/2 + d cancelled the slow
+    # root to 0 and a band scaled by the fast root hid it anyway: the verdict
+    # read marginal for a gate-true flock with no Routh-Hurwitz failure.
+    p = rf.FlockParams.nearest_neighbor(16, -1.0, -1e9)
+    for m in range(1, 9):
+        lx, lv = rf.laplacian_eigenvalues(p, m)
+        fast, slow = sorted(rf.mode_eigenvalues(p, m), key=abs, reverse=True)
+        assert slow == pytest.approx(-lx / fast, rel=1e-15)
+        assert slow.real < 0.0
+    report = rf.spectral_verdict(p)
+    assert (report.spectral_stable, report.marginal, report.rh_failures) == (True, False, 0)
+    assert report.max_real_part == pytest.approx(-1e-9, rel=1e-12)
+
+
 def test_witness_found_for_asymmetric_row():
     rng = np.random.default_rng(79)
     p = random_asymmetric_x_params(rng, 8)

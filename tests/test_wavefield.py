@@ -246,6 +246,17 @@ def test_evolve_overdamped_long_run_is_the_coherent_drift():
     assert np.abs(v - v0.mean()).max() <= 1e-12
 
 
+def test_evolve_decays_the_slow_mode_of_a_stiff_pencil():
+    # At g_v = -1e9 mode 1 has roots near -7.6e7 and -1e-9; lambda_v/2 + d
+    # cancels the slow one to 0, which froze the mode instead of letting it
+    # decay by 1/e at t = 1e9.
+    p = rf.FlockParams.nearest_neighbor(16, -1.0, -1e9)
+    z0 = np.cos(2.0 * np.pi * np.arange(16) / 16)
+    z, v = rf.evolve(p, z0, -1e-9 * z0, 1e9)
+    assert np.abs(z - z0 / math.e).max() <= 1e-12
+    assert np.abs(v + 1e-9 * z0 / math.e).max() <= 1e-21
+
+
 def test_evolve_rejects_overflowing_state():
     p = rf.FlockParams.nearest_neighbor(16, -2.0, -1.0)
     v0 = np.zeros(16)
