@@ -19,10 +19,8 @@ from .model import (
 from .sim import (
     Trajectory,
     WavefrontReport,
-    front_overlay,
     impulse_experiment,
     integrate,
-    positions,
 )
 from .spectral import (
     Eigencurve,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, RingflockError
 from .model import FlockParams
-from .sim import front_overlay, impulse_experiment
+from .sim import impulse_experiment
 from .spectral import eigencurve, hausdorff, spectrum
 from .stability import WITNESS_N_MAX, instability_witness, spectral_verdict, stable_for_all_n
 from .wavefield import (
@@ -94,7 +94,7 @@ def _fmt(value):
     return str(value)
 
 
-_CSV_BLOCK_ROWS = 4096
+_CSV_BLOCK_CELLS = 1 << 15
 
 
 def _write_atomic(path: Path, chunks):
@@ -109,13 +109,14 @@ def _write_csv(path: Path, header, *columns):
     """Atomic CSV write of equal-length 1-D arrays: %d for integer columns,
     %.17g (17 significant digits) for the rest."""
     row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    block_rows = max(1, _CSV_BLOCK_CELLS // len(columns))
 
     def blocks():
         yield ",".join(header) + "\n"
         # tolist() makes a Python object per cell; going block by block keeps
-        # that to a few thousand rows instead of doubling simulate's peak RSS.
-        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            block = [c[start:start + _CSV_BLOCK_ROWS].tolist() for c in columns]
+        # that to _CSV_BLOCK_CELLS cells instead of doubling simulate's peak RSS.
+        for start in range(0, len(columns[0]), block_rows):
+            block = [c[start:start + block_rows].tolist() for c in columns]
             yield "".join(row % cells for cells in zip(*block))
 
     _write_atomic(path, blocks())
@@ -199,14 +200,11 @@ def cmd_simulate(cfg, out_dir):
     traj, front = impulse_experiment(params, v_impulse=cfg["v_impulse"],
                                      t_end=cfg["t_end"])
     n = params.n
-    ks = np.arange(n)
-    _write_csv(out_dir / "trajectory.csv", ["t", "k", "z", "zdot"],
-               np.repeat(traj.times, n), np.tile(ks, traj.times.size),
-               traj.z.ravel(), traj.zdot.ravel())
-    _write_csv(out_dir / "wavefront.csv", ["k", "arrival_time"], ks, front.arrival_time)
-    fp, fm = front_overlay(traj, front.predicted_c_plus, front.predicted_c_minus)
-    _write_csv(out_dir / "orbits.csv", ["t", "front_plus_x", "front_minus_x"],
-               traj.times, fp, fm)
+    _write_csv(out_dir / "trajectory.csv",
+               ["t", *(f"z_{k}" for k in range(n)), *(f"zdot_{k}" for k in range(n))],
+               traj.times, *traj.z.T, *traj.zdot.T)
+    _write_csv(out_dir / "wavefront.csv", ["k", "arrival_time"], np.arange(n),
+               front.arrival_time)
 
     print(f"fitted_c_plus={_fmt(front.fitted_c_plus)}")
     print(f"fitted_c_minus={_fmt(front.fitted_c_minus)}")

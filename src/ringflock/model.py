@@ -81,14 +81,21 @@ class FlockParams:
         The minus-side weights default to the plus side (symmetric rows).
         With the default weights the center entries come out as 1, i.e. the
         normalized convention.
+
+        Raises:
+            RingflockError: two finite side weights sum past float64, so no
+                center closes the row; or any check of the constructor.
         """
-        if rho_x_minus is None:
-            rho_x_minus = rho_x_plus
-        if rho_v_minus is None:
-            rho_v_minus = rho_v_plus
-        rho_x = {-1: rho_x_minus, 0: -(rho_x_minus + rho_x_plus), 1: rho_x_plus}
-        rho_v = {-1: rho_v_minus, 0: -(rho_v_minus + rho_v_plus), 1: rho_v_plus}
-        return cls(n=n, g_x=g_x, g_v=g_v, rho_x=rho_x, rho_v=rho_v)
+        rows = {}
+        for name, minus, plus in (("rho_x", rho_x_minus, rho_x_plus),
+                                  ("rho_v", rho_v_minus, rho_v_plus)):
+            if minus is None:
+                minus = plus
+            center = -(minus + plus)
+            if math.isinf(center) and math.isfinite(minus) and math.isfinite(plus):
+                raise RingflockError(f"{name} side weights m1 + p1 overflow float64")
+            rows[name] = {-1: minus, 0: center, 1: plus}
+        return cls(n=n, g_x=g_x, g_v=g_v, **rows)
 
     def with_n(self, n):
         """Same couplings on a ring of a different size."""

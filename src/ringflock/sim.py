@@ -213,41 +213,3 @@ def impulse_experiment(params: FlockParams, v_impulse: float = 1.0,
     )
     return traj, report
 
-
-def positions(traj: Trajectory, delta: float, v_nominal: float = 0.0) -> np.ndarray:
-    """Physical orbits x_k(t) = z_k(t) + k*delta + v_nominal*t.
-
-    Raises:
-        RingflockError: delta is not positive and finite, or v_nominal is
-            not finite.
-    """
-    if not 0.0 < delta < math.inf:
-        raise RingflockError(f"delta={delta} must be positive and finite")
-    if not math.isfinite(v_nominal):
-        raise RingflockError(f"v_nominal={v_nominal} must be finite")
-    ks = np.arange(traj.z.shape[1])
-    return traj.z + ks[None, :] * delta + v_nominal * traj.times[:, None]
-
-
-def front_overlay(traj: Trajectory, c_plus: float, c_minus: float):
-    """Predicted wavefront positions in orbit space, one value per frame.
-
-    The orbits are positions(traj, delta=1) (unit spacing, no drift).  The
-    front sits at real-valued ring index c*t; its position interpolates the
-    orbits linearly between neighboring agents (with the offset n across
-    the wrap).  NaN after the two fronts meet at the antipode.
-    """
-    x = positions(traj, 1.0)
-    n = traj.z.shape[1]
-    frames = np.arange(traj.times.size)
-
-    def locate(ring_index, lo, hi):
-        inside = (lo <= ring_index) & (ring_index <= hi)
-        k0 = np.floor(np.where(inside, ring_index, lo)).astype(int)
-        x0 = x[frames, k0 % n] + (k0 // n) * n
-        x1 = x[frames, (k0 + 1) % n] + ((k0 + 1) // n) * n
-        return np.where(inside, x0 + (ring_index - k0) * (x1 - x0), np.nan)
-
-    with np.errstate(over="ignore", invalid="ignore"):  # c * t may overflow to inf
-        return (locate(c_plus * traj.times, 0.0, n / 2.0),
-                locate(n + c_minus * traj.times, n / 2.0, n))

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_gate_true_params
-from ringflock import errors
+from ringflock import cli, errors
 from ringflock.cli import DEFAULTS, build_params, main
 from ringflock.sim import impulse_experiment
 
@@ -226,15 +226,16 @@ def test_simulate_deterministic_and_complete(tmp_path, capsys):
         assert code == 0
         outs.append(out)
     capsys.readouterr()
-    for name in ("trajectory.csv", "wavefront.csv", "orbits.csv", "resolved_config"):
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == ["resolved_config", "trajectory.csv", "wavefront.csv"]
+    for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     front_rows = (outs[0] / "wavefront.csv").read_text().strip().splitlines()
     assert len(front_rows) == 1 + 64
-    frames = {row.split(",")[0]
-              for row in (outs[0] / "trajectory.csv").read_text().splitlines()[1:]}
-    orbit_rows = (outs[0] / "orbits.csv").read_text().splitlines()
-    assert orbit_rows[0] == "t,front_plus_x,front_minus_x"
-    assert len(orbit_rows) == 1 + len(frames)
+    rows = (outs[0] / "trajectory.csv").read_text().splitlines()
+    assert len(rows[0].split(",")) == 1 + 2 * 64
+    frames = {row.split(",")[0] for row in rows[1:]}
+    assert len(rows) == 1 + len(frames) == 1 + 2001
 
 
 def test_simulate_csv_floats_round_trip_exactly(tmp_path, capsys):
@@ -245,15 +246,12 @@ def test_simulate_csv_floats_round_trip_exactly(tmp_path, capsys):
     n = params.n
 
     rows = (out_dir / "trajectory.csv").read_text().splitlines()
-    assert rows[0] == "t,k,z,zdot"
-    cells = [row.split(",") for row in rows[1:]]
-    assert len(cells) == traj.times.size * n
-    t, ks, z, zdot = zip(*cells)
-    assert all(cell.isdigit() for cell in ks)
-    assert [int(cell) for cell in ks] == list(range(n)) * traj.times.size
-    for column, want in ((t, np.repeat(traj.times, n)), (z, traj.z.ravel()),
-                         (zdot, traj.zdot.ravel())):
-        assert [float(cell) for cell in column] == want.tolist()
+    assert rows[0].split(",") == (["t"] + [f"z_{k}" for k in range(n)]
+                                  + [f"zdot_{k}" for k in range(n)])
+    cells = [[float(cell) for cell in row.split(",")] for row in rows[1:]]
+    assert len(cells) == traj.times.size
+    for row, t, z, zdot in zip(cells, traj.times, traj.z, traj.zdot):
+        assert row == [t, *z.tolist(), *zdot.tolist()]
 
     assert front.no_arrival
     rows = (out_dir / "wavefront.csv").read_text().splitlines()[1:]
@@ -262,6 +260,18 @@ def test_simulate_csv_floats_round_trip_exactly(tmp_path, capsys):
     for k, cell in enumerate(arrival):
         if k not in front.no_arrival:
             assert float(cell) == front.arrival_time[k]
+
+
+def test_write_csv_blocks_narrower_than_a_row(tmp_path, monkeypatch):
+    # A block of fewer cells than one row still writes whole rows.
+    columns = (np.arange(7), np.linspace(-1.0, 1.0, 7), np.full(7, math.pi))
+    texts = []
+    for cells in (2, 1 << 15):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", cells)
+        cli._write_csv(tmp_path / "out.csv", ["k", "x", "y"], *columns)
+        texts.append((tmp_path / "out.csv").read_text())
+    assert texts[0] == texts[1]
+    assert texts[0].count("\n") == 1 + 7
 
 
 def test_simulate_lists_no_arrival_agents(tmp_path, capsys):
@@ -293,6 +303,8 @@ def test_wave_verify_bound_and_decay(tmp_path, capsys):
 
 # Gains this large overflow the pencil roots to inf/nan.
 OVERFLOW = "g_x = -1e308\ng_v = -1e308\n"
+# Finite side weights whose sum, and so the center -(m1 + p1), overflows.
+SIDE_OVERFLOW = "rho_v.m1 = 1e308\nrho_v.p1 = 1e308\n"
 # A signal speed this small underflows float64 to 0.
 UNDERFLOW = "g_x = -1e-300\ng_v = -1e100\nrho_v.m1 = -0.95\nrho_v.p1 = -0.40\n"
 
@@ -318,8 +330,7 @@ UNDERFLOW = "g_x = -1e-300\ng_v = -1e100\nrho_v.m1 = -0.95\nrho_v.p1 = -0.40\n"
     ("wave-verify", "n_sweep = 128,64\n"),
     ("simulate", f"n = 16\n{OVERFLOW}"),
     ("simulate", "n = 16\nt_end = 1e300\nv_impulse = 1e300\n"),
-    # row-sum-overflow: the center weight -(m1 + p1) overflows float64
-    ("stability", "n = 16\nrho_v.m1 = 1e308\nrho_v.p1 = 1e308\n"),
+    ("stability", f"n = 16\n{SIDE_OVERFLOW}"),
     ("stability", "n = 16\nrho_x.m1 = -4.5e307\nrho_x.p1 = -4.5e307\n"),
     ("simulate", "n = 16\nrho_v.m1 = 0\nrho_v.p1 = -1e308\n"),
     # 7 PiB each: beyond the address space, so numpy's allocation fails
@@ -353,13 +364,15 @@ def test_bad_value_exits_1_with_one_line(tmp_path, capsys, command, text):
     assert not list((tmp_path / "o").glob("*.csv"))
     if text.endswith(OVERFLOW):
         assert "gains" in captured.err
+    if text.endswith(SIDE_OVERFLOW):  # not an offset the config never set
+        assert captured.err == "error: rho_v side weights m1 + p1 overflow float64\n"
 
 
 @pytest.mark.parametrize("text", [
     "n = 16\nt_end = 1e300\n",
     # the phases of the decayed modes overflow float64 as well
     "n = 16\nt_end = 1e308\n",
-    # overdamped at every mode; c_+ t overflows in the front overlay
+    # overdamped at every mode, with t_end near the float64 limit
     "n = 16\ng_x = -392\ng_v = -1340\nrho_x.m1 = -292.5\nrho_x.p1 = -292.5\n"
     "t_end = 5.3e305\n",
 ], ids=["t_end-1e300", "t_end-1e308", "front-overflow"])
@@ -369,7 +382,7 @@ def test_simulate_long_run_returns(tmp_path, capsys, text):
     code, _, out_dir = run(capsys, tmp_path, "simulate", text)
     assert code == 0
     data = np.loadtxt(out_dir / "trajectory.csv", delimiter=",", skiprows=1)
-    assert data.shape == (2001 * 16, 4)
+    assert data.shape == (2001, 1 + 2 * 16)
     assert np.isfinite(data).all()
 
 
@@ -494,9 +507,12 @@ def _check_success(command, out_dir):
         cells = (out_dir / "trajectory.csv").read_text().lower()
         assert "nan" not in cells and "inf" not in cells
         # momentum is conserved: the mean velocity stays v_impulse / n
-        _, _, _, zdot = np.loadtxt(out_dir / "trajectory.csv", delimiter=",", skiprows=1).T
+        data = np.loadtxt(out_dir / "trajectory.csv", delimiter=",", skiprows=1)
+        header = cells.split("\n", 1)[0].split(",")
+        zdot = data[:, [i for i, name in enumerate(header) if name.startswith("zdot_")]]
+        assert zdot.shape == (2001, 16)
         mean = float(kv((out_dir / "resolved_config").read_text(), "v_impulse")) / 16
-        assert np.abs(zdot.reshape(-1, 16).mean(axis=1) - mean).max() <= 1e-12 * abs(mean)
+        assert np.abs(zdot.mean(axis=1) - mean).max() <= 1e-12 * abs(mean)
     elif command == "wave-verify":
         cells = np.loadtxt(out_dir / "wave_verify.csv", delimiter=",", skiprows=1)
         assert cells.size and np.isfinite(cells).all()

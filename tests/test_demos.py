@@ -1,7 +1,7 @@
 """Smoke test: every script under demos/ runs to completion.
 
-Each demo runs in a fresh interpreter from a temporary directory (demo 04
-writes demo_out/ into its working directory) with the package on the path.
+Each demo runs in a fresh interpreter from a temporary directory with the
+package on the path.
 """
 
 import os

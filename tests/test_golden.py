@@ -5,16 +5,19 @@ code, stdout, stderr and every written file with tests/golden/<config>/
 <command>/: `result.json` holds the exit code and the two streams, and each
 written file is stored gzipped under its own name.  Text, CSV headers, row
 counts and integer cells must match exactly.  Floats match to a relative
-1e-12, measured in a CSV against the largest magnitude of the cell's column,
-so a last-bit difference in numpy's vectorized transcendentals on another
-CPU passes while any real change fails.  No byte hash is used for the same
+1e-12, measured in a CSV against the largest magnitude of the cell's column
+(of all z_<k> columns, or all zdot_<k> columns, in a trajectory), so a
+last-bit difference in numpy's vectorized transcendentals on another CPU
+passes while any real change fails.  No byte hash is used for the same
 reason.
 
 After a deliberate output change, regenerate with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and record the change and its reason in CHANGES.md.
+which rewrites only the files that no longer match, deletes the ones no
+case writes any more and prints which files it kept, wrote or deleted.
+Record the change and its reason in CHANGES.md.
 """
 
 import contextlib
@@ -23,7 +26,6 @@ import io
 import json
 import math
 import re
-import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -42,7 +44,7 @@ CONFIGS = {
 }
 
 # Small runs keep the goldens small: n = 16 comes from --n, simulate stops
-# at t = 2 (its fixed 2001 frames, 32 016 trajectory rows) and the
+# at t = 2 (its fixed 2001 frames, one trajectory row each) and the
 # eigencurve has 64 samples.
 SMALL_RUN = "t_end = 2\nn_sweep = 64,128\nn_phi = 64\n"
 
@@ -86,15 +88,22 @@ def _same_token(got, want, scale):
     return abs(x - y) <= RTOL * max(abs(x), abs(y), scale)
 
 
+# Columns z_<k> share one scale and zdot_<k> another: each agent's cells are
+# measured against the whole ring's largest value, as in one long column.
+_AGENT_COLUMN = re.compile(r"(z|zdot)_\d+")
+
+
 def _column_scales(lines):
-    """Largest finite magnitude per comma-separated column."""
-    scales = {}
-    for line in lines:
-        for col, cell in enumerate(line.split(",")):
+    """Largest finite magnitude per comma-separated column (or column group)."""
+    groups = [m.group(1) if (m := _AGENT_COLUMN.fullmatch(name)) else col
+              for col, name in enumerate(lines[0].split(","))]
+    largest = {}
+    for line in lines[1:]:
+        for group, cell in zip(groups, line.split(",")):
             value = _number(cell)
             if value is not None and math.isfinite(value):
-                scales[col] = max(scales.get(col, 0.0), abs(value))
-    return scales
+                largest[group] = max(largest.get(group, 0.0), abs(value))
+    return {col: largest.get(group, 0.0) for col, group in enumerate(groups)}
 
 
 def assert_same_text(got, want, what, csv=False):
@@ -113,32 +122,59 @@ def assert_same_text(got, want, what, csv=False):
             assert _same_token(a, b, scale), f"{what}:{lineno}: {g!r} != {w!r}"
 
 
+def golden_texts(result, files):
+    """The text of each golden file, by its name under tests/golden/<case>/."""
+    texts = {"result.json": json.dumps(result, indent=1) + "\n"}
+    texts.update((name + ".gz", text) for name, text in files.items())
+    return texts
+
+
+def assert_matches_golden(name, text, path):
+    """Check the new text of golden file name against the file at path."""
+    if name == "result.json":
+        got, want = json.loads(text), json.loads(path.read_text())
+        assert got["exit_code"] == want["exit_code"]
+        assert_same_text(got["stdout"], want["stdout"], "stdout")
+        assert_same_text(got["stderr"], want["stderr"], "stderr")
+    else:
+        want = gzip.decompress(path.read_bytes()).decode()
+        name = name[:-len(".gz")]
+        assert_same_text(text, want, name, csv=name.endswith(".csv"))
+
+
 @pytest.mark.parametrize("config,command", CASES, ids=[f"{c}-{m}" for c, m in CASES])
 def test_cli_output_matches_golden(tmp_path, config, command):
     case = GOLDEN / config / command
-    result, files = run_case(tmp_path, config, command)
-    want = json.loads((case / "result.json").read_text())
-    assert result["exit_code"] == want["exit_code"]
-    assert_same_text(result["stdout"], want["stdout"], "stdout")
-    assert_same_text(result["stderr"], want["stderr"], "stderr")
-    want_names = sorted(p.name[:-len(".gz")] for p in case.glob("*.gz"))
-    assert sorted(files) == want_names
-    for name in want_names:
-        want_text = gzip.decompress((case / (name + ".gz")).read_bytes()).decode()
-        assert_same_text(files[name], want_text, name, csv=name.endswith(".csv"))
+    texts = golden_texts(*run_case(tmp_path, config, command))
+    assert sorted(texts) == sorted(p.name for p in case.iterdir())
+    for name, text in texts.items():
+        assert_matches_golden(name, text, case / name)
 
 
 def regenerate():
+    """Re-record the goldens, keeping every file whose new text still matches
+    it, so last-bit noise from the CPU it runs on churns no file."""
     for config, command in CASES:
         case = GOLDEN / config / command
         with tempfile.TemporaryDirectory() as work:
-            result, files = run_case(Path(work), config, command)
-        shutil.rmtree(case, ignore_errors=True)
-        case.mkdir(parents=True)
-        (case / "result.json").write_text(json.dumps(result, indent=1) + "\n")
-        for name, text in files.items():
-            (case / (name + ".gz")).write_bytes(gzip.compress(text.encode(), mtime=0))
-        print(f"{config}/{command}: exit {result['exit_code']}, {len(files)} files")
+            texts = golden_texts(*run_case(Path(work), config, command))
+        case.mkdir(parents=True, exist_ok=True)
+        done = {"kept": [], "wrote": [], "deleted": []}
+        for path in sorted(case.iterdir()):
+            if path.name not in texts:
+                path.unlink()
+                done["deleted"].append(path.name)
+        for name, text in texts.items():
+            path = case / name
+            try:
+                assert_matches_golden(name, text, path)
+                done["kept"].append(name)
+            except (AssertionError, FileNotFoundError):
+                data = text.encode()
+                path.write_bytes(data if name == "result.json" else gzip.compress(data, mtime=0))
+                done["wrote"].append(name)
+        print(f"{config}/{command}: " + "; ".join(
+            f"{verb} {', '.join(names)}" for verb, names in done.items() if names))
 
 
 if __name__ == "__main__":

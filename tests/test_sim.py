@@ -196,62 +196,6 @@ def test_impulse_fits_on_long_runs_match_default_window(n, g_v, t_end):
         assert abs(long_run.fitted_c_minus / long_run.predicted_c_minus - 1.0) < 0.05
 
 
-def test_positions_fan_for_quiet_flock():
-    p = rf.FlockParams.nearest_neighbor(8, -2.0, -1.0)
-    traj = rf.integrate(p, np.zeros(8), np.zeros(8), t_end=1.0, dt=0.01)
-    x = rf.positions(traj, delta=2.0, v_nominal=3.0)
-    expect = np.arange(8)[None, :] * 2.0 + 3.0 * traj.times[:, None]
-    np.testing.assert_allclose(x, expect, atol=1e-12)
-    with pytest.raises(ValueError):
-        rf.positions(traj, delta=0.0)
-    for bad in (-1.0, math.nan, math.inf):
-        with pytest.raises(rf.RingflockError, match="must be positive and finite"):
-            rf.positions(traj, delta=bad)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(rf.RingflockError, match="v_nominal=.* must be finite"):
-            rf.positions(traj, delta=2.0, v_nominal=bad)
-
-
-def _steepest_front(speed_row, lo, hi):
-    """Center of the leading pulse in the color field: the wavefront pulse is
-    flanked by the two steepest-gradient ridges (rising and falling edge),
-    and the front line runs midway between them."""
-    grad = np.diff(speed_row[lo:hi])
-    k_rise = lo + int(np.argmax(grad)) + 0.5
-    k_fall = lo + int(np.argmin(grad)) + 0.5
-    return 0.5 * (k_rise + k_fall)
-
-
-def test_front_overlay_tracks_steepest_gradient_pulse():
-    p = rf.FlockParams.nearest_neighbor(200, -2.0, -2.0)
-    traj, front = rf.impulse_experiment(p)
-    fp, fm = rf.front_overlay(traj, front.predicted_c_plus, front.predicted_c_minus)
-    x = rf.positions(traj, 1.0)
-    checked = 0
-    for frac in np.linspace(0.1, 0.7, 10):
-        i = int(frac * (traj.times.size - 1))
-        if not np.isfinite(fp[i]):
-            continue
-        k_front = _steepest_front(np.abs(traj.zdot[i]), 2, 98)
-        x_front = np.interp(k_front, np.arange(200), x[i])
-        assert abs(fp[i] - x_front) <= 1.0
-        checked += 1
-    assert checked >= 8
-
-
-def test_front_overlay_curves_are_not_straight():
-    # orbit-space front curves bend because the agents themselves move
-    p = rf.FlockParams.nearest_neighbor(200, -2.0, -2.0)
-    traj, front = rf.impulse_experiment(p, v_impulse=5.0)
-    fp, _ = rf.front_overlay(traj, front.predicted_c_plus, front.predicted_c_minus)
-    good = np.isfinite(fp)
-    t = traj.times[good]
-    vals = fp[good]
-    coeffs = np.polyfit(t, vals, 1)
-    resid = np.abs(vals - np.polyval(coeffs, t)).max()
-    assert resid > 1e-3
-
-
 def test_impulse_experiment_rejects_bad_impulse():
     p = rf.FlockParams.nearest_neighbor(16, -2.0, -1.0)
     for v in (0.0, math.nan, math.inf):
