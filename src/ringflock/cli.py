@@ -6,6 +6,7 @@ inconclusive.
 """
 
 import argparse
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -94,37 +95,37 @@ def _fmt(value):
     return str(value)
 
 
-_CSV_BLOCK_CELLS = 1 << 15
+_CSV_BLOCK_CELLS = 1 << 13
 
 
 def _write_atomic(path: Path, chunks):
-    """Write the text chunks to a temp file beside path, then move it into place."""
+    """Write the byte chunks to a temp file beside path, then move it into
+    place. A failed write removes the temp file and leaves path as it was."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.writelines(chunks)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already once os.replace succeeds
 
 
 def _write_csv(path: Path, header, *columns):
-    """Atomic CSV write of equal-length 1-D arrays: %d for integer columns,
-    %.17g (17 significant digits) for the rest."""
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    """Atomic CSV write of equal-length 1-D arrays. Each cell's text is exactly
+    '%d' % v for integer columns and '%.17g' % v for the rest, which keeps every
+    float64 bit; numpy renders it _CSV_BLOCK_CELLS cells at a time."""
+    from .csvtext import block_renderer  # loaded only by runs that write a CSV
+
+    render = block_renderer(columns)
     block_rows = max(1, _CSV_BLOCK_CELLS // len(columns))
-
-    def blocks():
-        yield ",".join(header) + "\n"
-        # tolist() makes a Python object per cell; going block by block keeps
-        # that to _CSV_BLOCK_CELLS cells instead of doubling simulate's peak RSS.
-        for start in range(0, len(columns[0]), block_rows):
-            block = [c[start:start + block_rows].tolist() for c in columns]
-            yield "".join(row % cells for cells in zip(*block))
-
-    _write_atomic(path, blocks())
+    starts = range(0, len(columns[0]), block_rows)
+    _write_atomic(path, itertools.chain([(",".join(header) + "\n").encode()],
+                                        (render(i, i + block_rows) for i in starts)))
 
 
 def _echo_config(cfg, out_dir: Path):
     _write_atomic(out_dir / "resolved_config",
-                  (f"{key}={_fmt(cfg[key])}\n" for key in sorted(cfg)))
+                  (f"{key}={_fmt(cfg[key])}\n".encode() for key in sorted(cfg)))
 
 
 def cmd_stability(cfg, out_dir):

@@ -309,15 +309,16 @@ def power_law_coefficients(n: int, p: float, seed: int = 0) -> ModalCoefficients
     rng = np.random.default_rng(seed)
     half = n // 2
     phases = rng.uniform(0.0, 2.0 * math.pi, size=(half, 2))
+    # float ** float, not np.power, which can differ in the last bit
+    mag = np.array([float(m) ** (-p) for m in range(1, half + 1)])
+    lm, rm = (mag[:, None] * np.exp(1j * phases)).T
+    ms = np.arange(1, half + 1)
     left = np.zeros(n, dtype=complex)
     right = np.zeros(n, dtype=complex)
-    for m in range(1, half + 1):
-        mag = float(m) ** (-p)
-        lm = mag * cmath.exp(1j * phases[m - 1, 0])
-        rm = mag * cmath.exp(1j * phases[m - 1, 1])
-        left[n - m], right[n - m] = lm.conjugate(), rm.conjugate()
-        # the half-ring bin of an even ring is its own conjugate: r = conj(l)
-        left[m], right[m] = lm, rm if m < n - m else lm.conjugate()
+    left[n - ms], right[n - ms] = lm.conj(), rm.conj()
+    left[ms], right[ms] = lm, rm
+    if half and n % 2 == 0:  # an even ring's half-ring bin is its own conjugate
+        right[half] = left[half].conjugate()
     return ModalCoefficients(n=n, leftward=left, rightward=right, coherent=(0.0, 0.0))
 
 

@@ -248,13 +248,16 @@ def test_simulate_csv_floats_round_trip_exactly(tmp_path, capsys):
     rows = (out_dir / "trajectory.csv").read_text().splitlines()
     assert rows[0].split(",") == (["t"] + [f"z_{k}" for k in range(n)]
                                   + [f"zdot_{k}" for k in range(n)])
-    cells = [[float(cell) for cell in row.split(",")] for row in rows[1:]]
+    cells = [row.split(",") for row in rows[1:]]
     assert len(cells) == traj.times.size
     for row, t, z, zdot in zip(cells, traj.times, traj.z, traj.zdot):
-        assert row == [t, *z.tolist(), *zdot.tolist()]
+        values = [t, *z.tolist(), *zdot.tolist()]
+        assert [float(cell) for cell in row] == values
+        assert row == ["%.17g" % v for v in values]
 
     assert front.no_arrival
     rows = (out_dir / "wavefront.csv").read_text().splitlines()[1:]
+    assert rows == ["%d,%.17g" % kt for kt in enumerate(front.arrival_time.tolist())]
     arrival = [row.split(",")[1] for row in rows]
     assert [k for k, cell in enumerate(arrival) if cell == "nan"] == front.no_arrival
     for k, cell in enumerate(arrival):
@@ -272,6 +275,76 @@ def test_write_csv_blocks_narrower_than_a_row(tmp_path, monkeypatch):
         texts.append((tmp_path / "out.csv").read_text())
     assert texts[0] == texts[1]
     assert texts[0].count("\n") == 1 + 7
+
+
+def _csv_reference(header, *columns):
+    """The per-cell formatter _write_csv once ran: the reference text."""
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    cells = zip(*(c.tolist() for c in columns))
+    return ",".join(header) + "\n" + "".join(row % values for values in cells)
+
+
+def _awkward_floats(rng, size):
+    """87 440 chosen float64 values that reach every path of the renderer, then
+    size random 64-bit patterns."""
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]
+    edges = np.concatenate([10.0 ** np.arange(-323, 309), [1e-280, 1e280, 2.0**-1022,
+                                                            np.finfo(float).max]])
+    near = [edges]
+    up = down = edges
+    with np.errstate(over="ignore"):  # the largest float steps up to inf
+        for _ in range(4):  # nextafter neighbours, four steps out each way
+            up, down = np.nextafter(up, math.inf), np.nextafter(down, -math.inf)
+            near += [up, down]
+    shifts = rng.integers(1, 64, 20_000).astype(float)
+    return np.concatenate([
+        specials, *near, -edges,
+        2.0 ** -np.arange(1, 1075),  # powers of two: exact ties such as 2**-25
+        rng.integers(1, 2**21, 20_000) * 2.0 ** -shifts,  # decimal ties n * 2**-m
+        rng.integers(1, 2**52, 20_000, dtype=np.uint64).view(np.float64),  # subnormals
+        rng.integers(-2**62, 2**62, 20_000).astype(float),  # integer-valued
+        rng.normal(size=20_000) * 10.0 ** rng.integers(-8, 20, 20_000),
+        rng.integers(0, 2**64, size, dtype=np.uint64).view(np.float64),  # any bit pattern
+    ])
+
+
+def test_write_csv_text_is_exactly_the_per_cell_format(tmp_path):
+    rng = np.random.default_rng(17)
+    floats = _awkward_floats(rng, 1_000_000)
+    rows = floats.size // 3
+    powers = 10 ** np.arange(19)
+    ints = np.concatenate([[0, 1, -1, 2**53, -2**53, 2**63 - 1, -2**63],
+                           powers, powers - 1, -powers, 1 - powers,
+                           rng.integers(-2**53, 2**53 + 1, rows)])[:rows]
+    columns = (ints, *floats[:3 * rows].reshape(3, rows),
+               rng.integers(0, 2**64, rows, dtype=np.uint64))
+    header = ["k", "x", "y", "z", "u"]
+    assert rows * len(columns) > 10**6
+    cli._write_csv(tmp_path / "out.csv", header, *columns)
+    assert (tmp_path / "out.csv").read_text() == _csv_reference(header, *columns)
+
+
+def test_write_csv_block_edges_match_the_per_cell_format(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    x = _awkward_floats(rng, 0)
+    rng.shuffle(x)
+    columns = (np.arange(-50, 650), *x[:2100].reshape(3, 700))
+    want = _csv_reference(["k", "x", "y", "z"], *columns)
+    for cells in (1, 3, 4, 5, 401, 8191):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", cells)
+        cli._write_csv(tmp_path / "out.csv", ["k", "x", "y", "z"], *columns)
+        assert (tmp_path / "out.csv").read_text() == want
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    def chunks():
+        yield b"t,z\n"
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError):
+        cli._write_atomic(tmp_path / "out.csv", chunks())
+    assert not (tmp_path / "out.csv.tmp").exists()
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_simulate_lists_no_arrival_agents(tmp_path, capsys):

@@ -295,6 +295,29 @@ def test_power_law_coefficients_real_and_nested():
         assert large.rightward[m] == small.rightward[m]
 
 
+def _power_law_coefficients_loop(n, p, seed):
+    """The per-mode loop power_law_coefficients once ran: the reference."""
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=(n // 2, 2))
+    left = np.zeros(n, dtype=complex)
+    right = np.zeros(n, dtype=complex)
+    for m in range(1, n // 2 + 1):
+        mag = float(m) ** (-p)
+        lm = mag * cmath.exp(1j * phases[m - 1, 0])
+        rm = mag * cmath.exp(1j * phases[m - 1, 1])
+        left[n - m], right[n - m] = lm.conjugate(), rm.conjugate()
+        left[m], right[m] = lm, rm if m < n - m else lm.conjugate()
+    return left, right
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 16, 17, 64, 128, 4096, 16384, 65536])
+def test_power_law_coefficients_match_the_loop_bit_for_bit(n):
+    for p in (1.5, 2.0, 3.7):
+        co = rf.power_law_coefficients(n, p, seed=n)
+        left, right = _power_law_coefficients_loop(n, p, seed=n)
+        assert np.array_equal(co.leftward.view(np.uint64), left.view(np.uint64))
+        assert np.array_equal(co.rightward.view(np.uint64), right.view(np.uint64))
+
+
 def test_power_law_coefficients_reject_bad_p():
     # m**-p overflowed at p = -400 before the check
     for p in (-1e308, -400.0, 1.0, math.inf, math.nan):
