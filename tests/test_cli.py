@@ -50,8 +50,8 @@ def _scipy_modules_after(code):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy takes about 0.4 s to import and only the dense oracle's matching
-    # needs it, so that function imports it itself.
+    # No module of the package imports scipy, whose optimize package alone
+    # takes about 0.6 s to import.
     assert _scipy_modules_after("import ringflock.cli") == "[]"
 
 
@@ -60,6 +60,13 @@ def test_spectrum_loads_no_scipy(tmp_path):
     cfg = write(tmp_path, "")
     args = ["spectrum", "--config", cfg, "--out", str(tmp_path / "out"), "--n", "200"]
     assert _scipy_modules_after(f"from ringflock.cli import main; main({args!r})") == "[]"
+
+
+def test_dense_oracle_loads_no_scipy():
+    # The dense check's bottleneck matching is numpy only as well.
+    code = ("import ringflock as rf; p = rf.FlockParams.nearest_neighbor(16, -2.0, -1.0); "
+            "rf.max_matching_distance(rf.spectrum(p).all_nus(), rf.dense_spectrum(rf.build_dense(p)))")
+    assert _scipy_modules_after(code) == "[]"
 
 
 def write(tmp_path, text, name="run.cfg"):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -276,3 +277,52 @@ def test_dense_matches_closed_form():
             closed = rf.spectrum(p).all_nus()
             dense = rf.dense_spectrum(rf.build_dense(p))
             assert rf.max_matching_distance(closed, dense) < 1e-9
+
+
+def test_max_matching_distance_is_the_bottleneck_of_every_pairing():
+    # Points on a 0.1 grid tie often; on 49 of these draws the bottleneck
+    # lies above the Hausdorff bound, so the threshold search runs.
+    rng = np.random.default_rng(71)
+    for k in range(300):
+        n = int(rng.integers(1, 7))
+        a = np.round(rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n), 1)
+        if k % 3 == 0:
+            b = rng.permutation(a)
+        else:
+            b = np.round(rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n), 1)
+        d = np.abs(a[:, None] - b[None, :])
+        perms = np.array(list(itertools.permutations(range(n))))
+        assert rf.max_matching_distance(a, b) == d[np.arange(n), perms].max(axis=1).min()
+
+
+def test_max_matching_distance_at_most_the_min_sum_pairing():
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(73)
+    for n in (1, 2, 7, 64, 512):
+        for _ in range(4):
+            a, b = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+            d = np.abs(a[:, None] - b[None, :])
+            rows, cols = linear_sum_assignment(d)
+            assert rf.max_matching_distance(a, b) <= d[rows, cols].max()
+
+
+def test_max_matching_distance_of_identical_points_is_zero():
+    same = np.full(300, 0.5 - 2j)
+    assert rf.max_matching_distance(same, same) == 0.0
+
+
+def test_max_matching_distance_rejects_empty_sets():
+    with pytest.raises(rf.RingflockError, match="max_matching_distance needs two nonempty sets"):
+        rf.max_matching_distance([], [])
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0, -math.inf)])
+def test_max_matching_distance_rejects_non_finite_points(bad):
+    with pytest.raises(rf.RingflockError, match="max_matching_distance needs finite points"):
+        rf.max_matching_distance([0, 1], [1, bad])
+
+
+def test_max_matching_distance_overflow_is_inf():
+    assert rf.max_matching_distance([1e308], [-1e308]) == math.inf
+    assert rf.max_matching_distance([1e308, 0], [-1e308, 0]) == 1e308
