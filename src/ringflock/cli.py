@@ -111,16 +111,18 @@ def _write_atomic(path: Path, chunks):
 
 
 def _write_csv(path: Path, header, *columns):
-    """Atomic CSV write of equal-length 1-D arrays. Each cell's text is exactly
-    '%d' % v for integer columns and '%.17g' % v for the rest, which keeps every
-    float64 bit; numpy renders it _CSV_BLOCK_CELLS cells at a time."""
-    from .csvtext import block_renderer  # loaded only by runs that write a CSV
+    """Atomic CSV write of equal-length columns: 1-D arrays, or 2-D arrays
+    that each give several adjacent columns. Each cell's text is exactly
+    '%.17g' % float(v), which keeps every float64 bit and writes integers
+    below 2**53 as plain integers; numpy renders it _CSV_BLOCK_CELLS cells at
+    a time."""
+    from .csvtext import render  # loaded only by runs that write a CSV
 
-    render = block_renderer(columns)
-    block_rows = max(1, _CSV_BLOCK_CELLS // len(columns))
-    starts = range(0, len(columns[0]), block_rows)
+    rows = max(1, _CSV_BLOCK_CELLS // len(header))
+    blocks = (np.column_stack([c[i:i + rows] for c in columns])
+              for i in range(0, len(columns[0]), rows))
     _write_atomic(path, itertools.chain([(",".join(header) + "\n").encode()],
-                                        (render(i, i + block_rows) for i in starts)))
+                                        map(render, blocks)))
 
 
 def _echo_config(cfg, out_dir: Path):
@@ -128,8 +130,7 @@ def _echo_config(cfg, out_dir: Path):
                   (f"{key}={_fmt(cfg[key])}\n".encode() for key in sorted(cfg)))
 
 
-def cmd_stability(cfg, out_dir):
-    params = build_params(cfg)
+def cmd_stability(cfg, params, out_dir):
     report = spectral_verdict(params)
     print(f"ring of {params.n} agents, g_x={params.g_x:g}, g_v={params.g_v:g}")
     print(f"closed_form={_fmt(report.closed_form_stable)}")
@@ -153,8 +154,7 @@ def cmd_stability(cfg, out_dir):
     return 2
 
 
-def cmd_spectrum(cfg, out_dir):
-    params = build_params(cfg)
+def cmd_spectrum(cfg, params, out_dir):
     spec = spectrum(params)
     curve = eigencurve(params, cfg["n_phi"])  # before any write: it checks n_phi
     _write_csv(out_dir / "spectrum.csv",
@@ -173,8 +173,7 @@ def cmd_spectrum(cfg, out_dir):
     return 0
 
 
-def cmd_velocities(cfg, out_dir):
-    params = build_params(cfg)
+def cmd_velocities(cfg, params, out_dir):
     if not stable_for_all_n(params):
         print("closed_form=false")
         return 2
@@ -193,8 +192,7 @@ def cmd_velocities(cfg, out_dir):
     return 0
 
 
-def cmd_simulate(cfg, out_dir):
-    params = build_params(cfg)
+def cmd_simulate(cfg, params, out_dir):
     if not stable_for_all_n(params):
         print("closed_form=false")
         return 2
@@ -203,7 +201,7 @@ def cmd_simulate(cfg, out_dir):
     n = params.n
     _write_csv(out_dir / "trajectory.csv",
                ["t", *(f"z_{k}" for k in range(n)), *(f"zdot_{k}" for k in range(n))],
-               traj.times, *traj.z.T, *traj.zdot.T)
+               traj.times, traj.z, traj.zdot)
     _write_csv(out_dir / "wavefront.csv", ["k", "arrival_time"], np.arange(n),
                front.arrival_time)
 
@@ -217,8 +215,7 @@ def cmd_simulate(cfg, out_dir):
     return 0
 
 
-def cmd_wave_verify(cfg, out_dir):
-    params = build_params(cfg)
+def cmd_wave_verify(cfg, params, out_dir):
     if list(cfg["n_sweep"]) != sorted(set(cfg["n_sweep"])):
         raise RingflockError(f"n_sweep must be strictly increasing, got {_fmt(cfg['n_sweep'])}")
     alpha = cfg["alpha"]
@@ -279,7 +276,7 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         _echo_config(cfg, out_dir)
-        return _COMMANDS[args.command](cfg, out_dir)
+        return _COMMANDS[args.command](cfg, build_params(cfg), out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,6 @@
-"""CSV cell text rendered in numpy: exactly '%.17g' % v for floats and
-'%d' % v for integers, block by block, without a Python call per cell.
+"""CSV cell text rendered in numpy: exactly '%.17g' % v for each float64
+cell, block by block, without a Python call per cell. Integer values below
+2**53 come out as plain integers ('%.17g' % 5.0 is '5').
 
 Digits come from integer-exact arithmetic on float64: k = floor(log10|x|),
 corrected from the integer result, and y = |x| * 10**(16 - k) as a Dekker
@@ -20,11 +21,10 @@ import numpy as np
 # The row of _tables().template for the cell's class keeps a byte (0xFF),
 # sets it to a constant, or drops it (NUL). Each block's NULs are then deleted
 # by one bytes.translate call. The classes, for k the decimal exponent and sd
-# the significant digits of a float, nd the digits of an integer:
+# the significant digits:
 _FIXED = 0  # + (k + 4) * 17 + sd - 1: %g's fixed notation, -4 <= k <= 16
 _EXPONENTIAL = _FIXED + 21 * 17  # + (2 * (k < 0) + (|k| >= 100)) * 17 + sd - 1
 _ZERO, _NAN, _INF = range(_EXPONENTIAL + 4 * 17, _EXPONENTIAL + 4 * 17 + 3)
-_INT = _INF + 1  # + nd - 1
 _CELL, _DIGITS, _EXP, _SEP = 46, 6, 40, 45
 _FAST = 280  # cells with 1e-280 <= |x| <= 1e280 get their digits in numpy
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
@@ -40,7 +40,7 @@ def _split(a):
 @functools.cache
 def _tables():
     """The renderer's read-only lookup tables, built on first use."""
-    template = np.zeros((_INT + 20, _CELL), np.uint8)
+    template = np.zeros((_INF + 1, _CELL), np.uint8)
     template[:, [0, _SEP]] = 0xFF
     digit = [_DIGITS + 2 * i for i in range(17)]
     for sd in range(1, 18):
@@ -61,8 +61,6 @@ def _tables():
     template[_ZERO, 1] = ord("0")
     template[[_NAN, _INF], 1:4] = np.frombuffer(b"naninf", np.uint8).reshape(2, 3)
     template[_NAN, 0] = 0
-    for nd in range(1, 21):  # the last nd of 20 digits
-        template[_INT + nd - 1, 21 - nd:21] = 0xFF
 
     n = np.arange(10000)
     quads = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], 1)
@@ -82,19 +80,19 @@ def _tables():
         hi=hi, hi_parts=_split(hi), lo=np.array(lo))
 
 
-def _decimal20(n, quads):
-    """Five 4-digit groups of non-negative int64 or uint64 values below 10**20,
-    and their ASCII digits, zero-padded to 20."""
+def _decimal17(n, quads):
+    """Five 4-digit groups of non-negative int64 values below 10**17, the
+    first of one digit, and their 17 ASCII digits."""
     groups = np.empty((len(n), 5), np.intp)
     groups[:, 0] = n // 10**16
-    rem = (n - groups[:, 0].astype(n.dtype) * 10**16).astype(np.int64)
+    rem = n - groups[:, 0] * 10**16
     high = rem // 10**8
     low = rem - high * 10**8
     groups[:, 1] = high // 10**4
     groups[:, 2] = high - groups[:, 1] * 10**4
     groups[:, 3] = low // 10**4
     groups[:, 4] = low - groups[:, 3] * 10**4
-    return groups, quads[groups].view(np.uint8)
+    return groups, quads[groups].view(np.uint8)[:, 3:]
 
 
 def _round17(a, k, tables):
@@ -135,7 +133,7 @@ def _float_cells(x, tables):
     for j in np.flatnonzero(slow | ~(fast | special)):
         text = "%.16e" % abs(float(x[j]))
         n[j], k[j] = int(text[0] + text[2:18]), int(text[19:])
-    groups, digits = _decimal20(n, tables.quads)
+    groups, digits = _decimal17(n, tables.quads)
     # significant digits: 17 less the trailing zeros, group by group
     trailing = tables.trailing_zeros[groups[:, 4]]
     at = np.flatnonzero(groups[:, 4] == 0)
@@ -151,45 +149,21 @@ def _float_cells(x, tables):
         cls[np.isnan(x)] = _NAN
         cls[np.isinf(x)] = _INF
     exp = tables.quads[np.abs(k)].view(np.uint8).reshape(-1, 4)[:, 1:]
-    return cls, digits[:, 3:], exp
+    return cls, digits, exp
 
 
-def block_renderer(columns):
-    """Return render(start, stop), the CSV bytes of rows start:stop of the
-    equal-length 1-D arrays: '%d' text for integer columns, '%.17g' for the
-    rest, ',' between cells and a newline after each row."""
+def render(block):
+    """CSV bytes of a 2-D block of rows: '%.17g' % float(v) for each cell,
+    ',' between cells and a newline after each row."""
     tables = _tables()
-    ints = [j for j, c in enumerate(columns) if c.dtype.kind in "iu"]
-    floats = [j for j, c in enumerate(columns) if c.dtype.kind not in "iu"]
-    at_floats = np.array(floats) if ints else slice(None)
-    sep = np.full(len(columns), ord(","), np.uint8)
-    sep[-1] = ord("\n")
-
-    def render(start, stop):
-        rows = len(columns[0][start:stop])
-        cls = np.empty((rows, len(columns)), np.int64)
-        cell = np.full((rows, len(columns), _CELL), 0xFF, np.uint8)
-        cell[:, :, _SEP] = sep
-        if floats:
-            x = np.concatenate([columns[j][start:stop] for j in floats])
-            x = x.astype(np.float64, copy=False).reshape(len(floats), rows).T.ravel()
-            c, digits, exp = _float_cells(x, tables)
-            shape = rows, len(floats)
-            cls[:, at_floats] = c.reshape(shape)
-            cell[:, at_floats, 0] = np.where(np.signbit(x), ord("-"), 0).reshape(shape)
-            cell[:, at_floats, _DIGITS:_EXP:2] = digits.reshape(*shape, 17)
-            cell[:, at_floats, _EXP + 2:_SEP] = exp.reshape(*shape, 3)
-        if ints:
-            v = [columns[j][start:stop] for j in ints]
-            neg = np.stack([c < 0 for c in v], 1)
-            u = np.stack([c.astype(np.uint64) for c in v], 1)
-            u = np.where(neg, -u, u)  # |v|, also for the most negative int64
-            nd = 1 + (u[..., None] >= 10 ** np.arange(1, 20, dtype=np.uint64)).sum(-1)
-            cls[:, ints] = _INT + nd - 1
-            cell[:, ints, 0] = np.where(neg, ord("-"), 0)
-            _, digits = _decimal20(u.ravel(), tables.quads)
-            cell[:, ints, 1:21] = digits.reshape(rows, len(ints), 20)
-        np.bitwise_and(tables.template[cls], cell, out=cell)
-        return cell.tobytes().translate(None, b"\0")
-
-    return render
+    x = np.asarray(block, np.float64)
+    rows, cols = x.shape
+    cls, digits, exp = _float_cells(x.ravel(), tables)
+    cell = np.full((rows, cols, _CELL), 0xFF, np.uint8)
+    cell[:, :, _SEP] = ord(",")
+    cell[:, -1, _SEP] = ord("\n")
+    cell[:, :, 0] = np.where(np.signbit(x), ord("-"), 0)
+    cell[:, :, _DIGITS:_EXP:2] = digits.reshape(rows, cols, 17)
+    cell[:, :, _EXP + 2:_SEP] = exp.reshape(rows, cols, 3)
+    np.bitwise_and(tables.template[cls.reshape(rows, cols)], cell, out=cell)
+    return cell.tobytes().translate(None, b"\0")

@@ -384,12 +384,26 @@ def test_modal_calls_reject_data_of_another_ring():
             call()
 
 
-def test_verify_wave_bound_empty_window():
-    # very unequal speeds leave no common observation window at K = 2
-    p = asym_params(128)
-    co = rf.power_law_coefficients(128, 2.0, seed=3)
-    with pytest.raises(rf.RingflockError, match="do not intersect"):
-        rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
+def test_verify_wave_bound_window_follows_the_slower_speed():
+    # speeds more than K = 2 apart: the window is [n/c, K n/c] for the slower c
+    n, k_window = 128, 2.0
+    p = asym_params(n)
+    co = rf.power_law_coefficients(n, 2.0, seed=3)
+    rep = rf.verify_wave_bound(p, co, 0.3, 0.7, k_window, 2.0)
+    c_slow = min(rep.c_plus, -rep.c_minus)
+    assert max(rep.c_plus, -rep.c_minus) > k_window * c_slow
+    assert rep.ts[0] == n / c_slow and rep.ts[-1] == k_window * n / c_slow
+    assert (rep.term1 == rep.d_const * (rep.m_bound * k_window * (2.0 / c_slow)
+                                        * n ** (3 * 0.3 - 1.0))).all()
+    assert rep.bound_holds()
+    # equal and opposite speeds: the same window and term as 1/c_+ + 1/|c_-|
+    sym = rf.verify_wave_bound(rf.FlockParams.nearest_neighbor(n, -2.0, -1.0), co,
+                               0.3, 0.7, k_window, 2.0)
+    assert sym.c_plus == -sym.c_minus
+    assert sym.ts[0] == n / sym.c_plus and sym.ts[-1] == k_window * n / sym.c_plus
+    assert (sym.term1 == sym.d_const * (sym.m_bound * k_window
+                                        * (1.0 / -sym.c_minus + 1.0 / sym.c_plus)
+                                        * n ** (3 * 0.3 - 1.0))).all()
 
 
 def test_verify_wave_bound_bound_and_decay():
