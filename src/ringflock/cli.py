@@ -132,11 +132,12 @@ def _echo_config(cfg, out_dir: Path):
 
 def cmd_stability(cfg, params, out_dir):
     report = spectral_verdict(params)
+    closed_form = stable_for_all_n(params)
     print(f"ring of {params.n} agents, g_x={params.g_x:g}, g_v={params.g_v:g}")
-    print(f"closed_form={_fmt(report.closed_form_stable)}")
+    print(f"closed_form={_fmt(closed_form)}")
     print(f"spectral={_fmt(report.spectral_stable)}")
     print(f"max_re={_fmt(report.max_real_part)}")
-    if report.closed_form_stable:
+    if closed_form:
         return 0
     if report.marginal:
         print("verdict=marginal")

@@ -1,15 +1,15 @@
 """Asymptotic-stability verdicts for the ring flock.
 
 Stability here means: the coherent double zero is the only eigenvalue off
-the open left half plane.  Three routes to a verdict are provided and cross
-checked against each other by the test suite:
+the open left half plane.  Three routes to a verdict are provided, one
+function each, and the test suite cross checks them against each other:
 
-* the closed-form gate on the weights (symmetric position row, both
-  gain/center products negative), which decides stability for every n at
-  once;
-* the four Routh-Hurwitz inequalities applied per mode to the quadratic
-  pencil with complex coefficients;
-* the spectral verdict, which evaluates every branch eigenvalue at one n.
+* stable_for_all_n, the closed-form gate on the weights (symmetric position
+  row, both gain/center products negative), which decides stability for
+  every n at once;
+* routh_hurwitz, the four Routh-Hurwitz inequalities of the quadratic pencil
+  with complex coefficients, evaluated at any set of modes;
+* spectral_verdict, which classifies every branch eigenvalue at one n.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import RingflockError
 from .model import FlockParams
-from .spectral import eigenvalue_arrays, laplacian_eigenvalues, mode_range
+from .spectral import lambda_curves, spectrum
 
 #: Relative half-width of each root's marginal band around Re(nu) = 0.
 MARGINAL_BAND = 1e-10
@@ -33,22 +33,19 @@ WITNESS_N_MAX = 4096
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Combined verdict at one ring size.
+    """Spectral verdict at one ring size.
 
     witness = (m, branch, nu) is present exactly when the spectrum is not
     strictly stable: the branch eigenvalue with the largest real part above
     its mode's marginal band if there is one, else the one realizing
-    max_real_part.  rh_failures counts the violated Routh-Hurwitz
-    inequalities, summed over the four conditions and the nonzero modes.
+    max_real_part.
     """
 
     n: int
-    closed_form_stable: bool
     spectral_stable: bool
     marginal: bool
     max_real_part: float
     witness: Optional[tuple]
-    rh_failures: int
 
 
 def stable_for_all_n(params: FlockParams) -> bool:
@@ -65,8 +62,20 @@ def stable_for_all_n(params: FlockParams) -> bool:
             and params.g_v * params.rho_v[0] < 0.0)
 
 
-def _rh_conditions(lam_x, lam_v):
-    """The four per-mode Routh-Hurwitz inequalities, vectorized."""
+def routh_hurwitz(params: FlockParams, ms):
+    """The four stability inequalities (c1, c2, c3, c4) at the modes ms.
+
+    ms is an int or an integer array; each inequality is a bool array shaped
+    like ms.  At a mode all four hold iff both branch eigenvalues lie
+    strictly in the left half plane.
+
+    Raises:
+        RingflockError: some m = 0 mod n (the coherent mode is excluded by definition).
+    """
+    ms = np.asarray(ms, dtype=int)
+    if (ms % params.n == 0).any():
+        raise RingflockError("mode m=0 carries the coherent double zero")
+    lam_x, lam_v = lambda_curves(params, ms * params.theta)
     xr, xi = lam_x.real, lam_x.imag
     vr, vi = lam_v.real, lam_v.imag
     c1 = vr < 0.0
@@ -79,24 +88,8 @@ def _rh_conditions(lam_x, lam_v):
     return c1, c2, c3, c4
 
 
-def routh_hurwitz(params: FlockParams, m: int):
-    """The four stability inequalities evaluated at mode m.
-
-    All four hold iff both branch eigenvalues of the mode lie strictly in
-    the left half plane.
-
-    Raises:
-        RingflockError: m = 0 mod n (the coherent mode is excluded by definition).
-    """
-    if m % params.n == 0:
-        raise RingflockError("mode m=0 carries the coherent double zero")
-    lam_x, lam_v = laplacian_eigenvalues(params, m)
-    c1, c2, c3, c4 = _rh_conditions(np.asarray(lam_x), np.asarray(lam_v))
-    return bool(c1), bool(c2), bool(c3), bool(c4)
-
-
-def spectral_verdict(params: FlockParams, n: Optional[int] = None) -> StabilityReport:
-    """Evaluate every branch eigenvalue at ring size n and classify.
+def spectral_verdict(params: FlockParams) -> StabilityReport:
+    """Classify every branch eigenvalue of spectrum(params).
 
     Each root nu of a nonzero mode gets its own marginal band, MARGINAL_BAND *
     |nu|, since the rounding error of Re(nu) scales with |nu| (spectral.root_pair
@@ -106,31 +99,26 @@ def spectral_verdict(params: FlockParams, n: Optional[int] = None) -> StabilityR
     anything else is marginal.  The coherent mode contributes exactly the
     double zero by construction and is excluded.
     """
-    p = params if n is None else params.with_n(n)
-    ms = mode_range(p.n)
-    lx, lv, plus, minus = eigenvalue_arrays(p, ms)
-    keep = ms != 0
-
-    nus = np.concatenate([plus[keep], minus[keep]])
+    spec = spectrum(params)
+    keep = spec.ms != 0
+    nus = np.concatenate([spec.nu_plus[keep], spec.nu_minus[keep]])
     res = nus.real
     band = MARGINAL_BAND * np.abs(nus)
     stable = bool((res < -band).all())
     above = res > band
 
-    i = int(np.argmax(np.where(above, res, -np.inf) if above.any() else res))
-    half = res.size // 2
-    witness = (int(ms[keep][i % half]), "+" if i < half else "-", complex(nus[i]))
-
-    rh_failures = sum(int(np.count_nonzero(~c)) for c in _rh_conditions(lx[keep], lv[keep]))
+    witness = None
+    if not stable:
+        i = int(np.argmax(np.where(above, res, -np.inf) if above.any() else res))
+        half = res.size // 2
+        witness = (int(spec.ms[keep][i % half]), "+" if i < half else "-", complex(nus[i]))
 
     return StabilityReport(
-        n=p.n,
-        closed_form_stable=stable_for_all_n(p),
+        n=params.n,
         spectral_stable=stable,
         marginal=not stable and not above.any(),
-        max_real_part=float(res.max()),
-        witness=None if stable else witness,
-        rh_failures=rh_failures,
+        max_real_part=float(res.max()) + 0.0,  # an exact zero prints as 0, not -0
+        witness=witness,
     )
 
 
@@ -148,7 +136,7 @@ def instability_witness(params: FlockParams) -> Optional[StabilityReport]:
         raise RingflockError("parameters pass the closed-form gate; no witness exists")
     n = 8
     while n <= WITNESS_N_MAX:
-        report = spectral_verdict(params, n)
+        report = spectral_verdict(params.with_n(n))
         if not (report.spectral_stable or report.marginal):
             return report
         n *= 2

@@ -1,10 +1,10 @@
-"""Seeded parameter draws shared by the unit and acceptance tests."""
+"""Seeded parameter draws and checks shared by the unit and acceptance tests."""
 
 import math
 
 import numpy as np
 
-from ringflock import FlockParams
+from ringflock import FlockParams, mode_range, routh_hurwitz
 
 
 def dyadic(rng, lo, hi, bits=20):
@@ -90,3 +90,9 @@ def random_asymmetric_x_params(rng, n, min_gap=0.15):
         rho_x=_closed_row(rxm1, rx1),
         rho_v=_closed_row(-(1.0 + rv1), rv1),
     )
+
+
+def routh_hurwitz_holds(p):
+    """True iff every Routh-Hurwitz inequality holds at every nonzero mode of p."""
+    ms = mode_range(p.n)
+    return all(c.all() for c in routh_hurwitz(p, ms[ms != 0]))

@@ -176,6 +176,30 @@ def test_stability_unstable_velocity_gain(tmp_path, capsys):
     assert kv(out, "closed_form") == "false"
 
 
+def test_stability_marginal_config(tmp_path, capsys):
+    # g_x = 0 gives every mode a zero root: an exact zero maximum prints as 0, not -0.
+    code, out, _ = run(capsys, tmp_path, "stability", "n = 16\ng_x = 0\ng_v = -1\n")
+    assert code == 3
+    assert out == ("ring of 16 agents, g_x=0, g_v=-1\n"
+                   "closed_form=false\n"
+                   "spectral=false\n"
+                   "max_re=0\n"
+                   "verdict=marginal\n")
+
+
+def test_stability_inconclusive_config(tmp_path, capsys):
+    # A 2e-7 tilt of the position row first destabilizes a ring of about
+    # 9935 agents, beyond the witness search.
+    text = "n = 16\nrho_x.m1 = -0.5000001\nrho_x.p1 = -0.4999999\n"
+    code, out, _ = run(capsys, tmp_path, "stability", text)
+    assert code == 3
+    assert out == ("ring of 16 agents, g_x=-2, g_v=-2\n"
+                   "closed_form=false\n"
+                   "spectral=true\n"
+                   "max_re=-0.076120267488713284\n"
+                   "verdict=inconclusive  # no witness up to n=4096\n")
+
+
 def test_spectrum_emits_files(tmp_path, capsys):
     code, out, out_dir = run(capsys, tmp_path, "spectrum", STABLE)
     assert code == 0

@@ -9,6 +9,7 @@ from helpers import (
     random_asymmetric_x_params,
     random_gate_true_params,
     random_valid_params,
+    routh_hurwitz_holds,
 )
 
 
@@ -31,8 +32,9 @@ def test_gate_rejects_positive_velocity_product():
 
 def test_routh_zero_mode_excluded():
     p = rf.FlockParams.nearest_neighbor(10, -2.0, -2.0)
-    with pytest.raises(rf.RingflockError, match="mode m=0 carries the coherent double zero"):
-        rf.routh_hurwitz(p, 0)
+    for ms in (0, np.array([1, 2, 20, 3])):  # an int, and an array holding a multiple of n
+        with pytest.raises(rf.RingflockError, match="mode m=0 carries the coherent double zero"):
+            rf.routh_hurwitz(p, ms)
 
 
 def test_routh_all_hold_for_stable_params():
@@ -44,11 +46,23 @@ def test_routh_all_hold_for_stable_params():
 def test_routh_first_condition_fails_for_positive_gv():
     p = rf.FlockParams.nearest_neighbor(512, -2.0, 2.0)
     conds = rf.routh_hurwitz(p, 1)
-    assert conds[0] is False
-    # the verdict counts the same violated (mode, condition) pairs
+    assert not conds[0]
+    # the vectorized call counts the same violated (mode, condition) pairs
     q = p.with_n(16)
-    failed = [c for m in rf.mode_range(16) if m != 0 for c in rf.routh_hurwitz(q, m) if not c]
-    assert rf.spectral_verdict(q).rh_failures == len(failed) > 0
+    ms = rf.mode_range(16)[rf.mode_range(16) != 0]
+    failed = [c for m in ms for c in rf.routh_hurwitz(q, m) if not c]
+    assert sum(int(np.count_nonzero(~c)) for c in rf.routh_hurwitz(q, ms)) == len(failed) > 0
+
+
+def test_routh_vectorized_equals_per_mode_calls():
+    rng = np.random.default_rng(59)
+    for i in range(40):
+        p = random_valid_params(rng, 8 + i)
+        ms = np.array([m for m in range(-2 * p.n, 2 * p.n) if m % p.n]).reshape(4, -1)
+        conds = rf.routh_hurwitz(p, ms)
+        assert [c.shape for c in conds] == [ms.shape] * 4
+        for idx, m in np.ndenumerate(ms):
+            assert tuple(c[idx] for c in conds) == rf.routh_hurwitz(p, m)
 
 
 def test_routh_reduces_to_real_part_signs_when_symmetric():
@@ -70,17 +84,17 @@ def test_verdict_stable_at_large_n():
     rng = np.random.default_rng(67)
     p = random_gate_true_params(rng, 500)
     report = rf.spectral_verdict(p)
-    assert report.closed_form_stable is True
+    assert rf.stable_for_all_n(p) is True
     assert report.spectral_stable is True
     assert report.witness is None
     assert report.max_real_part < 0.0
-    assert report.rh_failures == 0
+    assert routh_hurwitz_holds(p)
 
 
 def test_verdict_asymmetric_unstable_at_large_n_with_low_mode_witness():
     rng = np.random.default_rng(71)
     p = random_asymmetric_x_params(rng, 8)
-    report = rf.spectral_verdict(p, n=4096)
+    report = rf.spectral_verdict(p.with_n(4096))
     assert report.spectral_stable is False
     m, _, nu = report.witness
     assert nu.real > 0.0
@@ -97,8 +111,9 @@ def test_verdict_with_overflowing_routh_products_warns_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = rf.spectral_verdict(p)
+        holds = routh_hurwitz_holds(p)
     assert not report.spectral_stable and report.max_real_part > 0.0
-    assert report.rh_failures > 0
+    assert not holds
 
 
 def test_verdict_matches_dense_oracle():
@@ -147,7 +162,9 @@ def test_verdict_stable_for_stiff_pencil():
         assert slow == pytest.approx(-lx / fast, rel=1e-15)
         assert slow.real < 0.0
     report = rf.spectral_verdict(p)
-    assert (report.spectral_stable, report.marginal, report.rh_failures) == (True, False, 0)
+    assert (report.spectral_stable, report.marginal) == (True, False)
+    assert rf.stable_for_all_n(p) is True
+    assert routh_hurwitz_holds(p)
     assert report.max_real_part == pytest.approx(-1e-9, rel=1e-12)
 
 
