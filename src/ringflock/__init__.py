@@ -27,11 +27,10 @@ from .spectral import (
     Spectrum,
     dense_spectrum,
     eigencurve,
+    eigenvalue_arrays,
     fft_modes,
     hausdorff,
-    laplacian_eigenvalues,
     max_matching_distance,
-    mode_eigenvalues,
     mode_eigenvalues_series,
     mode_range,
     pencil_roots,

@@ -65,12 +65,6 @@ def lambda_curves(params: FlockParams, phi):
     return symbol(params.g_x, params.rho_x), symbol(params.g_v, params.rho_v)
 
 
-def laplacian_eigenvalues(params: FlockParams, m: int):
-    """(lambda_x, lambda_v) at mode m; both exactly zero for m = 0 mod n."""
-    lx, lv, _, _ = eigenvalue_arrays(params, np.array([m]))
-    return complex(lx[0]), complex(lv[0])
-
-
 def root_pair(lam_x, lam_v):
     """(d, r1, r2): the roots r1,2 = lam_v/2 +- d of the mode pencils, with d
     the principal sqrt(lam_v**2/4 + lam_x).
@@ -106,9 +100,10 @@ def _labeled_roots(lam_x, lam_v):
 
 
 def eigenvalue_arrays(params: FlockParams, ms):
-    """Vectorized (lambda_x, lambda_v, nu_plus, nu_minus) over integer modes.
+    """(lambda_x, lambda_v, nu_plus, nu_minus) at an int or integer array of modes.
 
-    Entries with m = 0 mod n are forced to the exact coherent zeros.
+    Each array is shaped like ms, so an int mode gives 0-d arrays.  Entries
+    with m = 0 mod n are forced to the exact coherent zeros.
     """
     ms = np.asarray(ms, dtype=int)
     lx, lv = lambda_curves(params, ms * params.theta)
@@ -116,16 +111,6 @@ def eigenvalue_arrays(params: FlockParams, ms):
     lx = np.where(zero, 0j, lx)
     lv = np.where(zero, 0j, lv)
     return (lx, lv) + _labeled_roots(lx, lv)
-
-
-def mode_eigenvalues(params: FlockParams, m: int):
-    """The branch pair (nu_plus, nu_minus) of mode m.
-
-    For m = 0 mod n returns (0, 0), the coherent double zero.  A nonzero
-    mode whose roots are both real comes in the fallback order.
-    """
-    _, _, plus, minus = eigenvalue_arrays(params, np.array([m]))
-    return complex(plus[0]), complex(minus[0])
 
 
 @dataclass(frozen=True)
@@ -170,10 +155,13 @@ def series_coefficients(params: FlockParams, branch: int, order: int = 4) -> np.
     exists.
 
     Raises:
-        RingflockError: branch not +-1, I_x1 != 0, or a <= 0.
+        RingflockError: branch not +-1, order not an int >= 1, I_x1 != 0,
+            or a <= 0.
     """
     if branch not in (-1, 1):
         raise RingflockError("branch must be +1 or -1")
+    if not (isinstance(order, (int, np.integer)) and order >= 1):
+        raise RingflockError(f"order must be an int >= 1, got {order!r}")
     mom = moments(params, order + 1)
     ix, iv = mom.x, mom.v
     if abs(ix[1]) > 1e-9 * (1.0 + abs(ix[2])):
@@ -204,11 +192,11 @@ def mode_eigenvalues_series(params: FlockParams, m: int, order: int = 4):
 
     Valid for nearest-neighbor couplings with I_x1 = 0 and positive
     expansion constant.  The returned pair follows the same positive/negative
-    imaginary-part labels as mode_eigenvalues at small m*theta (for m < 0 the
+    imaginary-part labels as eigenvalue_arrays at small m*theta (for m < 0 the
     two analytic branches swap labels).
     """
-    if not (1 <= order <= 4):
-        raise RingflockError("order must be between 1 and 4")
+    if not (isinstance(order, (int, np.integer)) and 1 <= order <= 4):
+        raise RingflockError(f"order must be an int between 1 and 4, got {order!r}")
     if m % params.n == 0:
         return 0j, 0j
     u = m * params.theta
@@ -222,7 +210,7 @@ def pencil_roots(params: FlockParams, phi):
     """Labeled root pairs of the mode pencil at arbitrary angles phi.
 
     Returns (plus, minus) arrays; the labeling matches
-    mode_eigenvalues when phi = m * theta.
+    eigenvalue_arrays when phi = m * theta.
     """
     lx, lv = lambda_curves(params, phi)
     return _labeled_roots(lx, lv)

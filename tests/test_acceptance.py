@@ -100,7 +100,7 @@ def test_criterion_04_series_error_shrinks_fifth_order():
         errs = []
         for n in (256, 512, 1024):
             pn = p.with_n(n)
-            ep, em = rf.mode_eigenvalues(pn, 1)
+            _, _, ep, em = rf.eigenvalue_arrays(pn, 1)
             sp, sm = rf.mode_eigenvalues_series(pn, 1, order=4)
             errs.append(abs(ep - sp) + abs(em - sm))
         assert lo <= errs[0] / errs[1] <= hi

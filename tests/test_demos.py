@@ -1,6 +1,7 @@
-"""Smoke test: every script under demos/ runs to completion.
+"""Smoke test: every script under demos/ and the README's library quick
+start run to completion.
 
-Each demo runs in a fresh interpreter from a temporary directory with the
+Each runs in a fresh interpreter from a temporary directory with the
 package on the path.
 """
 
@@ -15,12 +16,23 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(tmp_path, script):
+def run_python(tmp_path, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(tmp_path, script):
+    run_python(tmp_path, [str(script)])
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library quick start\n\n```python\n", 1)[1].split("```", 1)[0]
+    assert "import ringflock as rf" in block
+    run_python(tmp_path, ["-c", block])

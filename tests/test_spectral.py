@@ -13,15 +13,16 @@ from helpers import random_gate_true_params, random_underdamped_params, random_v
 
 def test_lambdas_vanish_at_zero_mode():
     p = rf.FlockParams.nearest_neighbor(10, -2.0, -2.0)
-    assert rf.laplacian_eigenvalues(p, 0) == (0j, 0j)
+    lx, lv, _, _ = rf.eigenvalue_arrays(p, 0)
+    assert (lx, lv) == (0j, 0j)
 
 
 def test_lambda_x_symmetric_is_exactly_real():
     p = rf.FlockParams.nearest_neighbor(10, -2.0, -2.0)
-    lx, _ = rf.laplacian_eigenvalues(p, 3)
+    lx, _, _, _ = rf.eigenvalue_arrays(p, 3)
     assert lx.imag == 0.0
     # at phi = pi the row gives 2 * g_x * rho_x0
-    lx_pi, _ = rf.laplacian_eigenvalues(p, 5)
+    lx_pi, _, _, _ = rf.eigenvalue_arrays(p, 5)
     assert lx_pi == pytest.approx(-4.0, abs=1e-14)
 
 
@@ -29,19 +30,20 @@ def test_lambda_v_one_sided_example():
     p = rf.FlockParams(n=8, g_x=-2.0, g_v=-1.0,
                        rho_x={-1: -0.5, 0: 1.0, 1: -0.5},
                        rho_v={-1: -1.0, 0: 1.0, 1: 0.0})
-    _, lv = rf.laplacian_eigenvalues(p, 2)
+    _, lv, _, _ = rf.eigenvalue_arrays(p, 2)
     assert lv == pytest.approx(-1.0 - 1.0j, abs=1e-14)
 
 
 def test_nu_zero_mode_is_double_zero():
     p = rf.FlockParams.nearest_neighbor(12, -2.0, -2.0)
-    assert rf.mode_eigenvalues(p, 0) == (0j, 0j)
+    _, _, plus, minus = rf.eigenvalue_arrays(p, 0)
+    assert (plus, minus) == (0j, 0j)
 
 
 def test_nu_double_root_at_half_ring():
     # g_x = g_v = -2 puts a real double root nu = -2 at phi = pi
     p = rf.FlockParams.nearest_neighbor(8, -2.0, -2.0)
-    plus, minus = rf.mode_eigenvalues(p, 4)
+    _, _, plus, minus = rf.eigenvalue_arrays(p, 4)
     assert plus == pytest.approx(-2.0, abs=1e-12)
     assert minus == pytest.approx(-2.0, abs=1e-12)
 
@@ -53,8 +55,8 @@ def test_root_residual_small():
         for m in rf.mode_range(p.n):
             if m == 0:
                 continue
-            lx, lv = rf.laplacian_eigenvalues(p, m)
-            for nu in rf.mode_eigenvalues(p, m):
+            lx, lv, plus, minus = rf.eigenvalue_arrays(p, m)
+            for nu in (plus, minus):
                 resid = abs(nu * nu - lv * nu - lx)
                 assert resid <= 1e-10 * (1.0 + abs(lv) ** 2 + abs(lx))
 
@@ -64,12 +66,23 @@ def test_conjugate_pairing_and_ring_identification():
     for _ in range(10):
         p = random_valid_params(rng, 12)
         for m in (1, 2, 5):
-            plus, minus = rf.mode_eigenvalues(p, m)
-            plus_neg, minus_neg = rf.mode_eigenvalues(p, -m)
+            _, _, plus, minus = rf.eigenvalue_arrays(p, m)
+            _, _, plus_neg, minus_neg = rf.eigenvalue_arrays(p, -m)
             assert abs(plus_neg - minus.conjugate()) <= 1e-12
             assert abs(minus_neg - plus.conjugate()) <= 1e-12
-            wrap = rf.mode_eigenvalues(p, m - p.n)
-            assert abs(wrap[0] - plus_neg) <= 1e-12 or abs(wrap[0] - plus) <= 1e-12
+            _, _, wrap, _ = rf.eigenvalue_arrays(p, m - p.n)
+            assert abs(wrap - plus_neg) <= 1e-12 or abs(wrap - plus) <= 1e-12
+        # An int mode is a 0-d row of the spectrum, bit for bit, and every
+        # multiple of n is the coherent zero.
+        for q in (p, p.with_n(13)):
+            sp = rf.spectrum(q)
+            rows = np.column_stack([sp.lambda_x, sp.lambda_v, sp.nu_plus, sp.nu_minus])
+            for m, row in zip(sp.ms, rows):
+                one = rf.eigenvalue_arrays(q, int(m))
+                assert [a.shape for a in one] == [()] * 4
+                assert np.array(one).tobytes() == row.tobytes()
+            for m in (q.n, -q.n, 2 * q.n):
+                assert np.array(rf.eigenvalue_arrays(q, m)).tobytes() == bytes(4 * 16)
 
 
 def test_series_leading_order_symmetric_velocity_row():
@@ -109,7 +122,7 @@ def test_series_fifth_order_convergence():
 
     def err(n):
         p = p0.with_n(n)
-        ep, em = rf.mode_eigenvalues(p, 1)
+        _, _, ep, em = rf.eigenvalue_arrays(p, 1)
         sp, sm = rf.mode_eigenvalues_series(p, 1, order=4)
         return abs(ep - sp) + abs(em - sm)
 
@@ -123,6 +136,17 @@ def test_series_rejects_nonpositive_expansion_constant():
     p = rf.FlockParams.nearest_neighbor(64, 2.0, -1.0)  # g_x > 0 makes a < 0
     with pytest.raises(rf.RingflockError, match=r"I_v1\^2/4 \+ I_x2/2 = .* <= 0"):
         rf.mode_eigenvalues_series(p, 1)
+
+
+@pytest.mark.parametrize("order", [0, -1, 2.5])
+def test_series_rejects_order_that_is_not_a_positive_int(order):
+    p = rf.FlockParams.nearest_neighbor(64, -2.0, -1.0)
+    for branch in (1, -1):
+        with pytest.raises(rf.RingflockError, match="order must be an int"):
+            series_coefficients(p, branch, order=order)
+    for m in (0, 1):
+        with pytest.raises(rf.RingflockError, match="order must be an int"):
+            rf.mode_eigenvalues_series(p, m, order=order)
 
 
 def test_series_rejects_asymmetric_position_row():

@@ -142,7 +142,7 @@ def test_modal_decompose_coherent_only():
 def test_modal_decompose_single_leftward_mode():
     p = rf.FlockParams.nearest_neighbor(64, -2.0, -1.0)
     ks = np.arange(64)
-    nu_plus, _ = rf.mode_eigenvalues(p, 1)
+    _, _, nu_plus, _ = rf.eigenvalue_arrays(p, 1)
     z0 = 2.0 * np.cos(p.theta * ks)
     zdot0 = np.real(nu_plus * 2.0 * np.exp(1j * p.theta * ks))
     co = rf.modal_decompose(p, z0, zdot0)
@@ -154,7 +154,7 @@ def test_modal_decompose_single_leftward_mode():
 def test_wave_approximation_rightward_profile_empty_for_leftward_wave():
     p = rf.FlockParams.nearest_neighbor(64, -2.0, -1.0)
     ks = np.arange(64)
-    nu_plus, _ = rf.mode_eigenvalues(p, 1)
+    _, _, nu_plus, _ = rf.eigenvalue_arrays(p, 1)
     co = rf.modal_decompose(p, 2.0 * np.cos(p.theta * ks),
                             np.real(nu_plus * 2.0 * np.exp(1j * p.theta * ks)))
     rep = rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
