@@ -30,6 +30,8 @@ from .model import DenseSystem, FlockParams, moments
 #: Dense eigensolves are refused above this ring size.
 DENSE_N_CAP = 2048
 
+_INT64 = np.iinfo(np.int64)
+
 
 def mode_range(n: int) -> np.ndarray:
     """Symmetric mode indices ceil(-(n-1)/2) .. ceil((n-1)/2), ascending."""
@@ -99,13 +101,34 @@ def _labeled_roots(lam_x, lam_v):
     return plus, minus
 
 
+def as_modes(ms) -> np.ndarray:
+    """An int or integer array of modes as an int64 array of its shape.
+
+    Raises:
+        RingflockError: a mode is not an integer, or lies outside int64.
+    """
+    a = np.asarray(ms)
+    if a.dtype.kind not in "iu":  # floats, bools, or Python ints numpy could not hold
+        a = np.array(ms, dtype=object)
+        for m in a.ravel().tolist():
+            if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+                raise RingflockError(f"modes must be integers, got {m!r}")
+    if a.dtype.kind != "i" and a.size and (a.min() < _INT64.min or a.max() > _INT64.max):
+        m = next(m for m in a.ravel().tolist() if not _INT64.min <= m <= _INT64.max)
+        raise RingflockError(f"modes must lie within int64, got {m}")
+    return a.astype(np.int64, copy=False)
+
+
 def eigenvalue_arrays(params: FlockParams, ms):
     """(lambda_x, lambda_v, nu_plus, nu_minus) at an int or integer array of modes.
 
     Each array is shaped like ms, so an int mode gives 0-d arrays.  Entries
     with m = 0 mod n are forced to the exact coherent zeros.
+
+    Raises:
+        RingflockError: a mode is not an integer or lies outside int64 (as_modes).
     """
-    ms = np.asarray(ms, dtype=int)
+    ms = as_modes(ms)
     lx, lv = lambda_curves(params, ms * params.theta)
     zero = (ms % params.n) == 0
     lx = np.where(zero, 0j, lx)

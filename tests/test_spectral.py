@@ -17,6 +17,32 @@ def test_lambdas_vanish_at_zero_mode():
     assert (lx, lv) == (0j, 0j)
 
 
+@pytest.mark.parametrize("query", [rf.eigenvalue_arrays, rf.routh_hurwitz])
+@pytest.mark.parametrize("ms, message", [
+    (2.5, "modes must be integers, got 2.5"),
+    (np.array([1.0, 2.0]), "modes must be integers, got 1.0"),
+    (True, "modes must be integers, got True"),
+    (10**20, "modes must lie within int64, got 100000000000000000000"),
+    ([1, -2**63 - 1], "modes must lie within int64, got -9223372036854775809"),
+    (np.array([1, 2**63], dtype=np.uint64), "modes must lie within int64, got 9223372036854775808"),
+])
+def test_mode_queries_reject_non_integer_and_int64_overflow(query, ms, message):
+    p = rf.FlockParams.nearest_neighbor(10, -2.0, -2.0)
+    with pytest.raises(rf.RingflockError, match=f"^{message}$"):
+        query(p, ms)
+
+
+def test_mode_queries_accept_every_integer_type():
+    p = rf.FlockParams.nearest_neighbor(10, -2.0, -2.0)
+    edge = np.array([1, 6, 2**63 - 1])
+    want = rf.eigenvalue_arrays(p, edge)
+    for ms in (edge.tolist(), edge.astype(np.uint64), [np.int8(1), np.int32(6), 2**63 - 1]):
+        for a, b in zip(rf.eigenvalue_arrays(p, ms), want):
+            assert np.array_equal(a, b)
+    assert rf.routh_hurwitz(p, np.array([1, 6, 2**63 - 1], dtype=np.uint64))[0].tolist() == [True] * 3
+    assert all(a.shape == (0,) for a in rf.eigenvalue_arrays(p, []))
+
+
 def test_lambda_x_symmetric_is_exactly_real():
     p = rf.FlockParams.nearest_neighbor(10, -2.0, -2.0)
     lx, _, _, _ = rf.eigenvalue_arrays(p, 3)

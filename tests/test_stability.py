@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import ringflock as rf
+from ringflock import stability
 from helpers import (
     random_asymmetric_x_params,
     random_gate_true_params,
@@ -166,6 +168,90 @@ def test_verdict_stable_for_stiff_pencil():
     assert rf.stable_for_all_n(p) is True
     assert routh_hurwitz_holds(p)
     assert report.max_real_part == pytest.approx(-1e-9, rel=1e-12)
+
+
+def _whole_spectrum_verdict(ms, plus, minus):
+    """(stable, marginal, max_real_part, witness) by the rule on whole arrays:
+    the witness is the first maximal root over all "+" roots by ascending m,
+    then all "-" roots, among the roots above their band if any are."""
+    keep = ms != 0
+    ms, nus = ms[keep], np.concatenate([plus[keep], minus[keep]])
+    res = nus.real
+    band = stability.MARGINAL_BAND * np.abs(nus)
+    stable = bool((res < -band).all())
+    above = res > band
+    witness = None
+    if not stable:
+        i = int(np.argmax(np.where(above, res, -np.inf) if above.any() else res))
+        witness = (int(ms[i % ms.size]), "+" if i < ms.size else "-", complex(nus[i]))
+    return stable, not stable and not above.any(), float(res.max()) + 0.0, witness
+
+
+def _verdict_fields(report):
+    return report.spectral_stable, report.marginal, report.max_real_part, report.witness
+
+
+@pytest.mark.parametrize("block", [16, stability._BLOCK_MODES])
+def test_verdict_blocks_match_whole_spectrum(monkeypatch, block):
+    monkeypatch.setattr(stability, "_BLOCK_MODES", block)
+    # one partial block, one block less one mode, exactly one block, one
+    # block and one mode, several blocks and a partial one
+    for n in (block // 2 + 3, block - 1, block, block + 1, 3 * block + 5):
+        cases = [  # (name, params, (stable, marginal))
+            ("stable", rf.FlockParams.nearest_neighbor(n, -2.0, -2.0), (True, False)),
+            ("unstable", rf.FlockParams.nearest_neighbor(n, -2.0, -2.0, -0.3, -0.5, -0.7),
+             (False, False)),
+            ("marginal", rf.FlockParams.nearest_neighbor(n, -2.0, 0.0), (False, True)),
+            # conjugate pairs with Re = lambda_v / 2 > 0, largest at |m| = n // 2:
+            # on odd rings -m and +m and both branches tie
+            ("tie", rf.FlockParams.nearest_neighbor(n, -2.0, 0.1), (False, False)),
+        ]
+        for name, p, kind in cases:
+            spec = rf.spectrum(p)
+            want = _whole_spectrum_verdict(spec.ms, spec.nu_plus, spec.nu_minus)
+            got = _verdict_fields(rf.spectral_verdict(p))
+            assert repr(got) == repr(want), (n, name)
+            assert got[:2] == kind, (n, name)
+            if name == "tie" and n % 2:
+                assert got[3][:2] == (-(n // 2), "+"), n
+
+
+def test_verdict_prefers_a_root_above_its_band(monkeypatch):
+    # Modes -5 and 10 have the largest real parts, but inside their bands
+    # (1e-7); among the roots above their bands (1e-13) mode -6 beats mode 3.
+    # Blocks of 4 modes put -6 beside -5, and 3 and 10 in later blocks.
+    special = {-6: 5e-12 + 1e-3j, -5: 1e-11 + 1e3j, 3: 1e-12 + 1e-3j, 10: 2e-11 + 1e3j}
+
+    def roots(params, ms):
+        plus = np.array([special.get(int(m), -1.0 + 1j) for m in ms])
+        return None, None, plus, plus.conjugate()
+
+    monkeypatch.setattr(stability, "_BLOCK_MODES", 4)
+    monkeypatch.setattr(stability, "eigenvalue_arrays", roots)
+    p = rf.FlockParams.nearest_neighbor(40, -2.0, -2.0)
+    ms = rf.mode_range(40)
+    got = _verdict_fields(rf.spectral_verdict(p))
+    assert repr(got) == repr(_whole_spectrum_verdict(ms, *roots(p, ms)[2:]))
+    assert got == (False, False, 2e-11, (-6, "+", 5e-12 + 1e-3j))
+
+
+def test_verdict_memory_does_not_grow_with_n():
+    # building the whole spectrum of this ring peaks at about 130 MB
+    p = rf.FlockParams.nearest_neighbor(10**6, -2.0, -2.0)
+    tracemalloc.start()
+    try:
+        report = rf.spectral_verdict(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.spectral_stable is True
+    assert peak < 16 * 2**20
+
+
+def test_verdict_refuses_rings_above_the_cap():
+    p = rf.FlockParams.nearest_neighbor(stability.VERDICT_N_MAX + 1, -2.0, -2.0)
+    with pytest.raises(rf.RingflockError, match="^n=1073741825 exceeds the spectral verdict cap 1073741824$"):
+        rf.spectral_verdict(p)
 
 
 def test_witness_found_for_asymmetric_row():
