@@ -217,9 +217,17 @@ def mode_eigenvalues_series(params: FlockParams, m: int, order: int = 4):
     expansion constant.  The returned pair follows the same positive/negative
     imaginary-part labels as eigenvalue_arrays at small m*theta (for m < 0 the
     two analytic branches swap labels).
+
+    Raises:
+        RingflockError: order is not an int between 1 and 4, or m is not one
+            integer within int64 (as_modes).
     """
     if not (isinstance(order, (int, np.integer)) and 1 <= order <= 4):
         raise RingflockError(f"order must be an int between 1 and 4, got {order!r}")
+    m = as_modes(m)
+    if m.ndim:
+        raise RingflockError(f"m must be one mode, got an array of shape {m.shape}")
+    m = int(m)
     if m % params.n == 0:
         return 0j, 0j
     u = m * params.theta

@@ -192,10 +192,11 @@ def group_velocity(params: FlockParams):
 
 
 def _mode_nus(params):
-    """FFT modes of the ring, their "+" roots and their (leftward, rightward) roots."""
+    """FFT modes of the ring and, from one eigenvalue evaluation, their symbols
+    (lambda_x, lambda_v), "+" roots and (leftward, rightward) roots."""
     ms = fft_modes(params.n)
-    _, _, plus, minus = eigenvalue_arrays(params, ms)
-    return (ms, plus) + _by_direction(ms, plus, minus)
+    lx, lv, plus, minus = eigenvalue_arrays(params, ms)
+    return (ms, lx, lv, plus) + _by_direction(ms, plus, minus)
 
 
 def modal_decompose(params: FlockParams, z0, zdot0) -> ModalCoefficients:
@@ -213,7 +214,7 @@ def modal_decompose(params: FlockParams, z0, zdot0) -> ModalCoefficients:
     _require_gate(params)
     n = params.n
     zh, vh = _dft(n, z0, zdot0)
-    ms, plus, left, right = _mode_nus(params)
+    ms, _, _, plus, left, right = _mode_nus(params)
     den = left - right
     bad = (np.abs(den) < DEGENERATE_MODE_TOL * np.maximum(1.0, np.abs(plus))) & (ms != 0)
     if bad.any():
@@ -237,48 +238,80 @@ def _dft(n, z0, zdot0):
     return np.fft.fft(z0) / n, np.fft.fft(zdot0) / n
 
 
-def _propagate(params, zh, vh, t):
-    """Exact (z, zdot) at the times t from the DFT data (zh, vh) of the state.
+def _propagate(roots, zh, vh, ts):
+    """Exact frames of the state with DFT data (zh, vh) at the times ts.ravel(),
+    one block of _BLOCK_CELLS // n frames (at least one) at a time: yields
+    (lo, z, zdot), the (rows, n) states at the times lo, lo + 1, ... of the
+    block, each frame computed on its own by _frames, so the blocking
+    changes no bit.  No name here holds a block between yields, so a
+    consumer that drops each block keeps one alive at a time.
+    """
+    n = zh.size
+    w = vh - roots[1] * zh
+    col = ts.reshape(-1, 1)
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, len(col), step):
+        yield (lo, *_frames(roots, zh, vh, w, col[lo:lo + step]).real)
+
+
+def _frames(roots, zh, vh, w, tb):
+    """The states (z, zdot) at the times of the column tb, as one complex
+    (2, rows, n) array whose imaginary part is the checked residue.
 
     Per mode z_hat(t) = e^(r1 t) (zh + P w), zdot_hat(t) = e^(r1 t) (vh + r2 P w)
-    with r1,2 = lambda_v/2 +- d from spectral.root_pair (d the principal root),
-    w = vh - r1 zh and P = t expm1(y)/y, y = -2 d t, which Re y <= 0 bounds by t.
-    No labels, 2x2 solve or special case: the coherent mode gives zh + t vh, a
-    critical one (d = 0) its Jordan solution.  A cell whose e^(r1 t) underflows
-    to 0 is 0 even where P w or the phase has overflowed (t near 1e308).  Rows
-    with an imaginary residue above 1e-10 and a non-finite state raise
-    RingflockError.
+    with roots = (d, r1, r2) from spectral.root_pair, r1,2 = lambda_v/2 +- d (d
+    the principal root), w = vh - r1 zh and P = t expm1(y)/y, y = -2 d t, which
+    Re y <= 0 bounds by t.  No labels, 2x2 solve or special case: the coherent
+    mode gives zh + t vh, a critical one (d = 0) its Jordan solution.  A cell
+    whose e^(r1 t) underflows to 0 is 0 even where P w or the phase has
+    overflowed (t near 1e308).  Rows with an imaginary residue above 1e-10
+    and a non-finite state raise RingflockError.
     """
-    n = params.n
-    d, r1, r2 = root_pair(*eigenvalue_arrays(params, fft_modes(n))[:2])
-    w = vh - r1 * zh
+    d, r1, r2 = roots
+    n = zh.size
+    with np.errstate(all="ignore"):
+        y = -2.0 * d * tb
+        pw = tb * np.where(y == 0.0, 1.0, np.expm1(y) / y) * w
+        # zv is e^(r1 t), then its product with the state, then the frames:
+        # one name, so each step frees the array of the step before.
+        zv = np.exp(r1 * tb)
+        pw[zv == 0.0] = 0.0
+        zv = zv * np.stack([zh + pw, vh + r2 * pw])
+        zv = n * np.fft.ifft(zv)
+    if not np.isfinite(zv).all():
+        raise RingflockError(f"the evolved state is not finite by t={tb[-1, 0]:.4g}")
+    resid = np.abs(zv.imag).max(axis=(0, 2))
+    if (resid > 1e-10 * np.maximum(1.0, np.abs(zv.real).max(axis=(0, 2)))).any():
+        raise RingflockError(f"modal sum has imaginary residue {resid.max():.3e}")
+    return zv
+
+
+def _collect(roots, zh, vh, t):
+    """(z, zdot) at the times t from the frame blocks of _propagate: (n,)
+    arrays for a scalar t, t.shape + (n,) arrays for an array of times."""
     ts = np.asarray(t, dtype=float)
-    out = np.empty((2, ts.size, n))
-    step = max(1, _BLOCK_CELLS // n)
-    for lo in range(0, ts.size, step):
-        tb = ts.reshape(-1, 1)[lo:lo + step]
-        with np.errstate(all="ignore"):
-            y = -2.0 * d * tb
-            pw = tb * np.where(y == 0.0, 1.0, np.expm1(y) / y) * w
-            # zv is e^(r1 t), then its product with the state: one name, so
-            # no block-sized array is kept alive through the inverse FFT.
-            zv = np.exp(r1 * tb)
-            pw[zv == 0.0] = 0.0
-            zv = zv * np.stack([zh + pw, vh + r2 * pw])
-            zv = n * np.fft.ifft(zv)
-        if not np.isfinite(zv).all():
-            raise RingflockError(f"the evolved state is not finite by t={tb[-1, 0]:.4g}")
-        resid = np.abs(zv.imag).max(axis=(0, 2))
-        if (resid > 1e-10 * np.maximum(1.0, np.abs(zv.real).max(axis=(0, 2)))).any():
-            raise RingflockError(f"modal sum has imaginary residue {resid.max():.3e}")
-        out[:, lo:lo + step] = zv.real
-    return tuple(out.reshape((2,) + ts.shape + (n,)))
+    out = np.empty((2, ts.size, zh.size))
+    for lo, z, zdot in _propagate(roots, zh, vh, ts):
+        out[0, lo:lo + len(z)], out[1, lo:lo + len(z)] = z, zdot
+        del z, zdot  # so the next block is computed with this one freed
+    return tuple(out.reshape((2,) + ts.shape + (zh.size,)))
+
+
+def _modal_dft(coeffs, left, right):
+    """The DFT data (l + r, nu_l l + nu_r r) of the state the amplitudes
+    describe at t = 0, with the coherent pair in bin 0."""
+    zh = coeffs.leftward + coeffs.rightward
+    vh = left * coeffs.leftward + right * coeffs.rightward
+    zh[0], vh[0] = coeffs.coherent
+    return zh, vh
 
 
 def evolve(params: FlockParams, z0, zdot0, t):
     """Exact state (z, zdot) at time t from initial positions and velocities:
     (n,) arrays for a scalar t, (len(t), n) arrays for a 1-D array of times."""
-    return _propagate(params, *_dft(params.n, z0, zdot0), t)
+    zh, vh = _dft(params.n, z0, zdot0)
+    lx, lv = eigenvalue_arrays(params, fft_modes(params.n))[:2]
+    return _collect(root_pair(lx, lv), zh, vh, t)
 
 
 def modal_evolve(params: FlockParams, coeffs: ModalCoefficients, t):
@@ -286,11 +319,8 @@ def modal_evolve(params: FlockParams, coeffs: ModalCoefficients, t):
     params.n agents (RingflockError otherwise), shaped as in evolve: the
     propagator runs on (l + r, nu_l l + nu_r r), coherent in bin 0."""
     _require_same_ring(params, coeffs)
-    _, _, left, right = _mode_nus(params)
-    zh = coeffs.leftward + coeffs.rightward
-    vh = left * coeffs.leftward + right * coeffs.rightward
-    zh[0], vh[0] = coeffs.coherent
-    return _propagate(params, zh, vh, t)
+    _, lx, lv, _, left, right = _mode_nus(params)
+    return _collect(root_pair(lx, lv), *_modal_dft(coeffs, left, right), t)
 
 
 def power_law_coefficients(n: int, p: float, seed: int = 0) -> ModalCoefficients:
@@ -360,6 +390,26 @@ class WaveBoundReport:
         return bool((self.measured <= self.bound() + 1e-9).all())
 
 
+def _envelope_bound(ms, coeffs, p):
+    """The tightest power-law envelope M = max |coeff_m| |m|**p over the
+    nonzero modes ms of the FFT bins, from the larger of the two amplitudes.
+
+    Raises:
+        RingflockError: every modal coefficient is zero.
+    """
+    mags = np.maximum(np.abs(coeffs.leftward), np.abs(coeffs.rightward))
+    live = (ms != 0) & (mags > 0)
+    if not live.any():
+        raise RingflockError("all modal coefficients vanish")
+    mags, abs_ms = mags[live], np.abs(ms[live])
+    with np.errstate(over="ignore"):
+        envelope = mags * abs_ms ** p
+        # |m|**p overflows where the coefficient underflows (large p): use logs there
+        big = ~np.isfinite(envelope)
+        envelope[big] = np.exp(np.log(mags[big]) + p * np.log(abs_ms[big]))
+    return float(envelope.max())
+
+
 def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
                         alpha: float, beta: float, k_window: float, p: float,
                         d_const: Optional[float] = None) -> WaveBoundReport:
@@ -372,9 +422,12 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
     the slower signal speed, sampled at 7 times.  The first bound term,
     D M K n**(3 alpha - 1) * 2/c_slow, bounds the phase error of both kept
     branches up to t = K n/c_slow.  Exact modal evolution provides the
-    ground truth.  The profiles are summed in modal space: the coefficient
-    of mode m, times exp(-i theta m c t), goes to FFT bin m mod n, and one
-    inverse FFT evaluates both at every agent.  When d_const is None the
+    ground truth, from one evaluation of the mode roots, one block of
+    frames at a time (the blocks of evolve, one frame each at n = 65536).
+    Per block the profiles are summed in modal space: the coefficient of
+    mode m, times exp(-i theta m c t), goes to FFT bin m mod n, and one
+    inverse FFT evaluates both at every agent of those frames; only that
+    block's states and profiles are held.  When d_const is None the
     free constant of the first bound term is fitted as the smallest value
     that makes the bound hold on this run (fit once at the smallest ring of
     a sweep, then freeze it for the larger rings).
@@ -393,18 +446,10 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
     if n ** alpha <= 1.0:
         raise RingflockError(f"n**alpha = {n ** alpha:.3g} must exceed 1")
 
-    ms, _, left, right = _mode_nus(params)
-    mags = np.maximum(np.abs(coeffs.leftward), np.abs(coeffs.rightward))
-    live = (ms != 0) & (mags > 0)
-    if not live.any():
-        raise RingflockError("all modal coefficients vanish")
-    mags, abs_ms = mags[live], np.abs(ms[live])
-    with np.errstate(over="ignore"):
-        envelope = mags * abs_ms ** p
-        # |m|**p overflows where the coefficient underflows (large p): use logs there
-        big = ~np.isfinite(envelope)
-        envelope[big] = np.exp(np.log(mags[big]) + p * np.log(abs_ms[big]))
-    m_bound = float(envelope.max())
+    ms, lx, lv, plus, left, right = _mode_nus(params)
+    roots = root_pair(lx, lv)
+    del lx, lv, plus  # each per-mode array is dropped after its last use
+    m_bound = _envelope_bound(ms, coeffs, p)
 
     cutoff = math.floor(n ** alpha)
     if cutoff >= n ** alpha:  # strict inequality |m| < n**alpha
@@ -414,13 +459,16 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
     sigs = signal_velocities(params)
     c_plus, c_minus = sigs.c_plus, sigs.c_minus
 
+    rate = np.minimum(np.abs(left.real), np.abs(right.real))  # the slower decay of each mode
+    zh, vh = _modal_dft(coeffs, left, right)
+    del left, right
+
     def damping(lo_exp, hi_exp):
         lo = math.ceil(n ** lo_exp)
         hi = math.floor(min(n / 2.0, n ** hi_exp))
         if lo > hi:
             return math.inf
-        band = (np.abs(ms) >= lo) & (np.abs(ms) <= hi)
-        return float(np.minimum(np.abs(left.real[band]), np.abs(right.real[band])).min())
+        return float(rate[(np.abs(ms) >= lo) & (np.abs(ms) <= hi)].min())
 
     damping_mid, damping_high = damping(alpha, beta), damping(beta, 1.0)
 
@@ -430,12 +478,21 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
         raise RingflockError(f"the window end K n/|c| overflows float64 at K={k_window:g}")
     ts = np.linspace(lo, hi, 7)
 
-    z, _ = modal_evolve(params, coeffs, ts)
     f_minus, f_plus = coeffs.leftward[sel], coeffs.rightward[sel]
-    phase = -1j * params.theta * modes * ts[:, None]
-    w = np.zeros((len(ts), n), dtype=complex)
-    w[:, modes % n] = f_minus * np.exp(phase * c_minus) + f_plus * np.exp(phase * c_plus)
-    measured = np.abs(z - n * np.fft.ifft(w)).max(axis=1)
+    phase = -1j * params.theta * modes
+
+    def sups(block):  # (rows, error sup, signal sup) of one block of frames
+        lo, z, _ = block
+        rows = slice(lo, lo + len(z))
+        ph = phase * ts[rows, None]
+        w = np.zeros(z.shape, dtype=complex)
+        w[:, modes % n] = f_minus * np.exp(ph * c_minus) + f_plus * np.exp(ph * c_plus)
+        return rows, np.abs(z - n * np.fft.ifft(w)).max(axis=1), np.abs(z).max(axis=1)
+
+    measured, signal_sup = np.empty(ts.size), np.empty(ts.size)
+    # map keeps no block alive while the generator computes the next one
+    for rows, err, sup in map(sups, _propagate(roots, zh, vh, ts)):
+        measured[rows], signal_sup[rows] = err, sup
 
     # The three right-hand-side terms of the bound; the first with D = 1.
     unit1 = np.full(ts.shape, m_bound * k_window * (2.0 / c_slow) * n ** (3.0 * alpha - 1.0))
@@ -454,7 +511,7 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
         n=n, cutoff=cutoff, modes=modes, f_minus_coeffs=f_minus, f_plus_coeffs=f_plus,
         c_plus=c_plus, c_minus=c_minus, m_bound=m_bound, damping_mid=damping_mid,
         damping_high=damping_high, d_const=d_const, ts=ts, measured=measured,
-        signal_sup=np.abs(z).max(axis=1), term1=unit1 * d_const, term2=term2, term3=term3)
+        signal_sup=signal_sup, term1=unit1 * d_const, term2=term2, term3=term3)
 
 
 def exp_diff_bound_holds(a, b) -> bool:

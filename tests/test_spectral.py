@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,6 +174,26 @@ def test_series_rejects_order_that_is_not_a_positive_int(order):
     for m in (0, 1):
         with pytest.raises(rf.RingflockError, match="order must be an int"):
             rf.mode_eigenvalues_series(p, m, order=order)
+
+
+@pytest.mark.parametrize("m, message", [
+    (2.5, "modes must be integers, got 2.5"),
+    (True, "modes must be integers, got True"),
+    (10**20, "modes must lie within int64, got 100000000000000000000"),  # a multiple of n
+])
+def test_series_rejects_mode_that_is_not_an_int64(m, message):
+    p = rf.FlockParams.nearest_neighbor(64, -2.0, -1.0)
+    for call in (rf.mode_eigenvalues_series, rf.eigenvalue_arrays):
+        with pytest.raises(rf.RingflockError, match=f"^{re.escape(message)}$"):
+            call(p, m)
+
+
+def test_series_rejects_an_array_of_modes():
+    p = rf.FlockParams.nearest_neighbor(64, -2.0, -1.0)
+    for ms, shape in (([1, 2], "(2,)"), ([3], "(1,)")):
+        message = f"m must be one mode, got an array of shape {shape}"
+        with pytest.raises(rf.RingflockError, match=f"^{re.escape(message)}$"):
+            rf.mode_eigenvalues_series(p, ms)
 
 
 def test_series_rejects_asymmetric_position_row():

@@ -1,11 +1,13 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ringflock as rf
+from ringflock import wavefield
 from ringflock.spectral import eigenvalue_arrays
 from helpers import random_moderate_damping_params, random_underdamped_params
 
@@ -204,6 +206,25 @@ def test_modal_evolve_batched_rows_match_scalar_calls():
         assert z.shape == (64,)
         assert np.abs(zs[i] - z).max() <= 1e-12
         assert np.abs(vs[i] - v).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 200, 4097])
+def test_evolve_blocks_of_frames_match_scalar_calls_bit_for_bit(n):
+    # The batch spans three blocks of frames and a part.  Every frame is
+    # checked up to 512 of them; beyond, every k-th one and both sides of
+    # each block edge.
+    rng = np.random.default_rng(n)
+    p = random_underdamped_params(rng, n)
+    z0, v0 = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+    step = wavefield._BLOCK_CELLS // n
+    rows = 3 * step + 5
+    ts = np.sort(rng.uniform(0.0, 3.0 * n, rows))
+    edges = np.arange(step, rows, step)
+    checked = np.unique(np.r_[np.arange(0, rows, -(-rows // 512)), edges - 1, edges, rows - 1])
+    batch = np.stack(rf.evolve(p, z0, v0, ts), axis=1)[checked]
+    one_by_one = np.array([rf.evolve(p, z0, v0, t) for t in ts[checked]])
+    assert batch.shape == one_by_one.shape == (len(checked), 2, n)
+    assert batch.tobytes() == one_by_one.tobytes()
 
 
 def _two_exponential_sum(p, co, t):
@@ -439,6 +460,38 @@ def test_verify_wave_bound_matches_direct_profile_sum():
             profile(rep.f_plus_coeffs, ks - rep.c_plus * t)
         assert abs(rep.measured[i] - np.abs(z - approx).max()) <= 1e-12
         assert abs(rep.signal_sup[i] - np.abs(z).max()) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [4096, 16384, 65536])  # 1, 2 and 7 blocks of frames
+def test_verify_wave_bound_streams_the_whole_batch_rule(n):
+    # the rule before streaming: every frame at once, then one inverse FFT
+    # of the profiles at all 7 times
+    p = rf.FlockParams.nearest_neighbor(n, -2.0, -2.0)
+    co = rf.power_law_coefficients(n, 2.0, seed=1)
+    rep = rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
+    z, _ = rf.modal_evolve(p, co, rep.ts)
+    phase = -1j * p.theta * rep.modes * rep.ts[:, None]
+    w = np.zeros((len(rep.ts), n), dtype=complex)
+    w[:, rep.modes % n] = (rep.f_minus_coeffs * np.exp(phase * rep.c_minus)
+                           + rep.f_plus_coeffs * np.exp(phase * rep.c_plus))
+    measured = np.abs(z - n * np.fft.ifft(w)).max(axis=1)
+    assert repr(rep.measured.tolist()) == repr(measured.tolist())
+    assert repr(rep.signal_sup.tolist()) == repr(np.abs(z).max(axis=1).tolist())
+
+
+def test_wave_bound_memory_at_n_65536():
+    # holding every frame, its profile and three root evaluations at once
+    # peaked at about 32 MB here
+    p = rf.FlockParams.nearest_neighbor(65536, -2.0, -2.0)
+    co = rf.power_law_coefficients(65536, 2.0, seed=1)
+    tracemalloc.start()
+    try:
+        rep = rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.bound_holds()
+    assert peak < 20 * 2**20
 
 
 def test_exp_diff_bound_examples():
