@@ -1,16 +1,16 @@
 """Kick one agent and watch the disturbance circle the ring both ways.
 
-At t = 0 agent 0 alone gets a velocity impulse.  Two wavefronts emerge and
-run around the ring, one per direction, at the signal velocities.  The run
-fits both front speeds from the per-agent arrival times and compares them
-with the closed-form prediction, agent by agent as well.  The orbits are
-x_k(t) = z_k(t) + k, read straight off traj.z.
+At t = 0 agent 0 alone gets a unit velocity impulse.  Two wavefronts emerge
+and run around the ring, one per direction, at the signal velocities.  The
+run fits both front speeds from the per-agent arrival times and compares
+them with the closed-form prediction, agent by agent as well.  The orbits
+are x_k(t) = z_k(t) + k, read straight off traj.z.
 """
 
 import ringflock as rf
 
 params = rf.FlockParams.nearest_neighbor(200, g_x=-2.0, g_v=-2.0)
-traj, front = rf.impulse_experiment(params, v_impulse=1.0)
+traj, front = rf.impulse_experiment(params)
 
 print(f"predicted front speeds: c+ = {front.predicted_c_plus:+.4f}, "
       f"c- = {front.predicted_c_minus:+.4f}")

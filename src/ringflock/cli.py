@@ -39,7 +39,6 @@ DEFAULTS = {
     "K": 2.0,
     "p": 2.0,
     "t_end": None,   # simulate: 0.6 * n / min signal speed
-    "v_impulse": 1.0,
     "seed": 0,
     "n_sweep": (256, 512, 1024),
 }
@@ -197,8 +196,7 @@ def cmd_simulate(cfg, params, out_dir):
     if not stable_for_all_n(params):
         print("closed_form=false")
         return 2
-    traj, front = impulse_experiment(params, v_impulse=cfg["v_impulse"],
-                                     t_end=cfg["t_end"])
+    traj, front = impulse_experiment(params, t_end=cfg["t_end"])
     n = params.n
     _write_csv(out_dir / "trajectory.csv",
                ["t", *(f"z_{k}" for k in range(n)), *(f"zdot_{k}" for k in range(n))],

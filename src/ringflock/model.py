@@ -41,16 +41,16 @@ class FlockParams:
     which keeps the coherent zero eigenvalue structurally exact downstream.
 
     Attributes:
-        n: number of agents (at least 3).
+        n: number of agents, an int or numpy integer (at least 3).
         g_x: position coupling gain (1/time^2).
         g_v: velocity coupling gain (1/time).
         rho_x: map offset (-1, 0 or +1) -> dimensionless position weight.
         rho_v: map offset (-1, 0 or +1) -> dimensionless velocity weight.
 
     Raises:
-        RingflockError: n < 3, a gain or weight is not finite, a weight sits
-            off the offsets -1, 0, +1, or a row sums to more than
-            ROW_SUM_TOL; one error lists every problem, joined by '; '.
+        RingflockError: n is not an integer >= 3, a gain or weight is not
+            finite, a weight sits off the offsets -1, 0, +1, or a row sums to
+            more than ROW_SUM_TOL; one error lists every problem, joined by '; '.
     """
 
     n: int
@@ -131,8 +131,11 @@ class DenseSystem:
 def _violations(params):
     """Each violated invariant as a message, in check order."""
     probs = []
-    if params.n < 3:
-        probs.append(f"agent count n={params.n} is below 3")
+    n = params.n
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        probs.append(f"agent count n={n!r} is not an integer")
+    elif n < 3:
+        probs.append(f"agent count n={n} is below 3")
     for name in ("g_x", "g_v"):
         gain = getattr(params, name)
         if not math.isfinite(gain):

@@ -208,8 +208,9 @@ def modal_decompose(params: FlockParams, z0, zdot0) -> ModalCoefficients:
     position and mean velocity.
 
     Raises:
-        RingflockError: closed-form gate fails, or branch eigenvalues of
-            some mode coincide, so the 2x2 system is singular (Jordan case).
+        RingflockError: closed-form gate fails, the initial arrays are not
+            finite (n,) arrays, or branch eigenvalues of some mode coincide,
+            so the 2x2 system is singular (Jordan case).
     """
     _require_gate(params)
     n = params.n
@@ -230,11 +231,19 @@ def modal_decompose(params: FlockParams, z0, zdot0) -> ModalCoefficients:
 _BLOCK_CELLS = 1 << 16  # complex cells per block of frames; bounds the scratch memory
 
 
-def _dft(n, z0, zdot0):
-    """The DFT data (z_hat, zdot_hat) = fft / n of a state on n agents."""
+def _initial_arrays(n, z0, zdot0):
+    """(z0, zdot0) as float arrays, checked to be finite and of shape (n,)."""
     z0, zdot0 = np.asarray(z0, dtype=float), np.asarray(zdot0, dtype=float)
     if z0.shape != (n,) or zdot0.shape != (n,):
         raise RingflockError(f"initial arrays must have shape ({n},)")
+    if not (np.isfinite(z0).all() and np.isfinite(zdot0).all()):
+        raise RingflockError("initial arrays must be finite")
+    return z0, zdot0
+
+
+def _dft(n, z0, zdot0):
+    """The DFT data (z_hat, zdot_hat) = fft / n of a state on n agents."""
+    z0, zdot0 = _initial_arrays(n, z0, zdot0)
     return np.fft.fft(z0) / n, np.fft.fft(zdot0) / n
 
 

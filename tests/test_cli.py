@@ -40,10 +40,12 @@ g_v = 2
 """
 
 
-def _scipy_modules_after(code):
-    """The scipy modules loaded once a fresh interpreter has run code."""
+def _modules_after(code, prefix="scipy"):
+    """The modules named prefix or prefix.* loaded once a fresh interpreter
+    has run code."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code += "; import sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    code += ("; import sys; print([m for m in sys.modules"
+             f" if m == {prefix!r} or m.startswith({prefix + '.'!r})])")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -53,21 +55,32 @@ def _scipy_modules_after(code):
 def test_cli_import_loads_no_scipy():
     # No module of the package imports scipy, whose optimize package alone
     # takes about 0.6 s to import.
-    assert _scipy_modules_after("import ringflock.cli") == "[]"
+    assert _modules_after("import ringflock.cli") == "[]"
 
 
 def test_spectrum_loads_no_scipy(tmp_path):
     # spectrum's Hausdorff search needs no scipy either.
     cfg = write(tmp_path, "")
     args = ["spectrum", "--config", cfg, "--out", str(tmp_path / "out"), "--n", "200"]
-    assert _scipy_modules_after(f"from ringflock.cli import main; main({args!r})") == "[]"
+    assert _modules_after(f"from ringflock.cli import main; main({args!r})") == "[]"
+
+
+@pytest.mark.parametrize("command,loaded", [
+    ("stability", "[]"), ("spectrum", "['ringflock.csvtext']"),
+], ids=["stability", "spectrum"])
+def test_csv_module_loads_only_for_csv_output(tmp_path, command, loaded):
+    # stability writes no CSV, so it never imports the CSV renderer.
+    cfg = write(tmp_path, "n = 16\nn_phi = 64\n")
+    args = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+    code = f"from ringflock.cli import main; main({args!r})"
+    assert _modules_after(code, "ringflock.csvtext") == loaded
 
 
 def test_dense_oracle_loads_no_scipy():
     # The dense check's bottleneck matching is numpy only as well.
     code = ("import ringflock as rf; p = rf.FlockParams.nearest_neighbor(16, -2.0, -1.0); "
             "rf.max_matching_distance(rf.spectrum(p).all_nus(), rf.dense_spectrum(rf.build_dense(p)))")
-    assert _scipy_modules_after(code) == "[]"
+    assert _modules_after(code) == "[]"
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -105,10 +118,11 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert ":1:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["rho_x.0", "rho_v.0", "output_dir"])
+@pytest.mark.parametrize("key", ["rho_x.0", "rho_v.0", "output_dir", "v_impulse"])
 def test_config_derived_keys_rejected(tmp_path, capsys, key):
-    # The center weights close their rows and --out names the directory, so
-    # the config asks for neither.
+    # The center weights close their rows, --out names the directory, and
+    # simulate always kicks with a unit velocity (the dynamics are linear), so
+    # the config asks for none of them.
     cfg = write(tmp_path, f"n = 16\n{key} = 1\n")
     assert main(["stability", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     captured = capsys.readouterr()
@@ -121,7 +135,7 @@ def test_readme_config_block_lists_every_key():
     block = readme.split("Every key is\noptional; defaults in parentheses:\n\n```\n", 1)[1]
     keys = [line.split("=")[0].strip() for line in block.split("```", 1)[0].splitlines()]
     assert keys == list(DEFAULTS)
-    assert len(DEFAULTS) == 16
+    assert len(DEFAULTS) == 15
 
 
 def test_config_bad_value_rejected(tmp_path, capsys):
@@ -274,7 +288,7 @@ def test_simulate_csv_floats_round_trip_exactly(tmp_path, capsys):
     code, out, out_dir = run(capsys, tmp_path, "simulate", "n = 16\nt_end = 2\n")
     assert code == 0
     params = build_params({**DEFAULTS, "n": 16})
-    traj, front = impulse_experiment(params, v_impulse=1.0, t_end=2.0)
+    traj, front = impulse_experiment(params, t_end=2.0)
     n = params.n
 
     rows = (out_dir / "trajectory.csv").read_text().splitlines()
@@ -416,6 +430,36 @@ def test_wave_verify_bound_and_decay(tmp_path, capsys):
     assert (data[:, 2] <= data[:, 3] + data[:, 4] + data[:, 5] + 1e-9).all()
 
 
+def test_seed_flag_sets_and_overrides_the_config_seed(tmp_path, capsys):
+    text = "g_x = -2\ng_v = -1\nn_sweep = 64\n"
+    runs = {"config": (text + "seed = 12\n", []),
+            "flag": (text, ["--seed", "12"]),
+            "override": (text + "seed = 3\n", ["--seed", "12"]),
+            "other": (text + "seed = 3\n", [])}
+    results = {}
+    for name, (cfg_text, extra) in runs.items():
+        out_dir = tmp_path / name
+        code = main(["wave-verify", "--config", write(tmp_path, cfg_text, f"{name}.cfg"),
+                     "--out", str(out_dir), *extra])
+        assert code == 0
+        results[name] = (capsys.readouterr().out, (out_dir / "wave_verify.csv").read_bytes())
+    assert results["flag"] == results["config"] == results["override"]
+    assert results["other"][1] != results["config"][1]  # the seed reaches the output
+
+
+def test_io_failure_exits_1_with_one_line(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = write(tmp_path, "n = 16\n")
+    for args in (["--config", cfg, "--out", str(taken)],
+                 ["--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "o")]):
+        assert main(["stability", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("i/o error: ")
+
+
 # Gains this large overflow the pencil roots to inf/nan.
 OVERFLOW = "g_x = -1e308\ng_v = -1e308\n"
 # Finite side weights whose sum, and so the center -(m1 + p1), overflows.
@@ -433,8 +477,6 @@ UNDERFLOW = "g_x = -1e-300\ng_v = -1e100\nrho_v.m1 = -0.95\nrho_v.p1 = -0.40\n"
     ("wave-verify", "p = nan\nn_sweep = 64\n"),
     ("simulate", "n = 16\nt_end = -1\n"),
     ("simulate", "n = 16\nt_end = 0\n"),
-    ("simulate", "n = 16\nv_impulse = nan\n"),
-    ("simulate", "n = 16\nv_impulse = 0\n"),
     ("wave-verify", "alpha = 0.9\nn_sweep = 64\n"),
     ("wave-verify", "g_v = 1\nn_sweep = 64\n"),
     ("wave-verify", "K = inf\nn_sweep = 64\n"),
@@ -444,7 +486,6 @@ UNDERFLOW = "g_x = -1e-300\ng_v = -1e100\nrho_v.m1 = -0.95\nrho_v.p1 = -0.40\n"
     ("wave-verify", f"{OVERFLOW}n_sweep = 64\n"),
     ("wave-verify", "n_sweep = 128,64\n"),
     ("simulate", f"n = 16\n{OVERFLOW}"),
-    ("simulate", "n = 16\nt_end = 1e300\nv_impulse = 1e300\n"),
     ("stability", f"n = 16\n{SIDE_OVERFLOW}"),
     ("stability", "n = 16\nrho_x.m1 = -4.5e307\nrho_x.p1 = -4.5e307\n"),
     ("simulate", "n = 16\nrho_v.m1 = 0\nrho_v.p1 = -1e308\n"),
@@ -461,14 +502,17 @@ UNDERFLOW = "g_x = -1e-300\ng_v = -1e100\nrho_v.m1 = -0.95\nrho_v.p1 = -0.40\n"
     # c_- = -I_x2 / (2 c_+) underflows to 0, and both commands divide by it
     ("wave-verify", f"{UNDERFLOW}n_sweep = 64\n"),
     ("simulate", f"n = 16\n{UNDERFLOW}"),
+    # 64**5e-324 rounds to exactly 1, which leaves no mode below the cutoff n**alpha
+    ("wave-verify", "alpha = 5e-324\nn_sweep = 64\n"),
 ], ids=["g_x-nan", "n_sweep-2", "n_phi-3", "t_end-nan", "K-nan", "p-nan",
-        "t_end-negative", "t_end-0", "v_impulse-nan", "v_impulse-0",
+        "t_end-negative", "t_end-0",
         "alpha-0.9", "wave-verify-unstable", "K-inf", "p-inf",
         "stability-overflow", "spectrum-overflow", "wave-verify-overflow",
-        "n_sweep-decreasing", "simulate-overflow", "state-overflow",
+        "n_sweep-decreasing", "simulate-overflow",
         "row-sum-overflow", "symbol-overflow", "expansion-overflow",
         "n_phi-unallocatable", "n-unallocatable", "p--400", "K-1e308",
-        "tail-overflow", "wave-verify-underflow", "simulate-underflow"])
+        "tail-overflow", "wave-verify-underflow", "simulate-underflow",
+        "alpha-5e-324"])
 def test_bad_value_exits_1_with_one_line(tmp_path, capsys, command, text):
     code = main([command, "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()
@@ -482,6 +526,8 @@ def test_bad_value_exits_1_with_one_line(tmp_path, capsys, command, text):
         assert "gains" in captured.err
     if text.endswith(SIDE_OVERFLOW):  # not an offset the config never set
         assert captured.err == "error: rho_v side weights m1 + p1 overflow float64\n"
+    if text.startswith("alpha = 5e-324"):
+        assert captured.err == "error: n**alpha = 1 must exceed 1\n"
 
 
 @pytest.mark.parametrize("text", [
@@ -547,8 +593,7 @@ def _config(draw):
     gain = st.one_of(st.none(), _NUMBER, st.floats(-5.0, -0.01))
     weight = st.one_of(st.floats(-2.0, 2.0), _NUMBER)
     values = {"g_x": draw(gain), "g_v": draw(gain),
-              "t_end": draw(st.one_of(st.none(), _NUMBER)),
-              "v_impulse": draw(st.one_of(st.none(), _NUMBER))}
+              "t_end": draw(st.one_of(st.none(), _NUMBER))}
     for row in ("rho_x", "rho_v"):
         shape = draw(st.sampled_from(["default", "symmetric", "independent"]))
         if shape != "default":
@@ -574,7 +619,7 @@ def _gate_true_config(draw):
     for row in ("rho_x", "rho_v"):
         w = getattr(p, row)
         values.update({f"{row}.m1": w[-1], f"{row}.p1": w[1]})
-    key = draw(st.sampled_from(["t_end", "v_impulse", "alpha", "beta", "K", "p", *values]))
+    key = draw(st.sampled_from(["t_end", "alpha", "beta", "K", "p", *values]))
     values[key] = draw(st.sampled_from(_SPECIAL))
     return _text(values)
 
@@ -622,13 +667,12 @@ def _check_success(command, out_dir):
     elif command == "simulate":
         cells = (out_dir / "trajectory.csv").read_text().lower()
         assert "nan" not in cells and "inf" not in cells
-        # momentum is conserved: the mean velocity stays v_impulse / n
+        # momentum is conserved: the mean velocity of the unit kick stays 1 / n
         data = np.loadtxt(out_dir / "trajectory.csv", delimiter=",", skiprows=1)
         header = cells.split("\n", 1)[0].split(",")
         zdot = data[:, [i for i, name in enumerate(header) if name.startswith("zdot_")]]
         assert zdot.shape == (2001, 16)
-        mean = float(kv((out_dir / "resolved_config").read_text(), "v_impulse")) / 16
-        assert np.abs(zdot.mean(axis=1) - mean).max() <= 1e-12 * abs(mean)
+        assert np.abs(zdot.mean(axis=1) - 1 / 16).max() <= 1e-12 / 16
     elif command == "wave-verify":
         cells = np.loadtxt(out_dir / "wave_verify.csv", delimiter=",", skiprows=1)
         assert cells.size and np.isfinite(cells).all()

@@ -32,6 +32,23 @@ def test_validate_bad_agent_count():
         rf.FlockParams.nearest_neighbor(10, -2.0, -2.0).with_n(2)
 
 
+@pytest.mark.parametrize("n", [4.0, 16.5, np.float64(16.0), "16", None, True],
+                         ids=["4.0", "16.5", "float64-16", "str-16", "None", "True"])
+def test_validate_rejects_non_integer_agent_count(n):
+    # A float ring size would reach the integer mode arithmetic downstream.
+    with pytest.raises(rf.RingflockError) as exc:
+        rf.FlockParams.nearest_neighbor(n, -2.0, -1.0)
+    assert str(exc.value) == f"agent count n={n!r} is not an integer"
+    with pytest.raises(rf.RingflockError, match="is not an integer"):
+        rf.FlockParams.nearest_neighbor(16, -2.0, -1.0).with_n(n)
+
+
+def test_validate_accepts_numpy_integer_agent_count():
+    p = rf.FlockParams.nearest_neighbor(np.int64(16), -2.0, -1.0)
+    assert p.n == 16
+    assert rf.spectral_verdict(p).spectral_stable
+
+
 def test_violations_are_joined_in_check_order():
     rows = dict(rho_x={-1: -0.5, 0: 1.0, 1: -0.4}, rho_v={-1: -0.5, 0: 1.0, 1: -0.5, 2: 0.0})
     cases = [

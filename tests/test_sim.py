@@ -73,6 +73,22 @@ def test_integrate_rejects_large_step():
         rf.integrate(p, np.zeros(16), np.zeros(16), t_end=1.0, dt=-0.01)
 
 
+@pytest.mark.parametrize("t_end", [0.0, -1.0, math.inf, math.nan])
+def test_integrate_rejects_bad_t_end(t_end):
+    p = rf.FlockParams.nearest_neighbor(16, -2.0, -2.0)
+    with pytest.raises(rf.RingflockError, match=f"^t_end={t_end} must be positive and finite$"):
+        rf.integrate(p, np.zeros(16), np.zeros(16), t_end=t_end, dt=0.01)
+
+
+@pytest.mark.parametrize("z0,zdot0", [(np.zeros(15), np.zeros(16)),
+                                      (np.zeros(16), np.zeros((1, 16)))],
+                         ids=["short", "2-d"])
+def test_integrate_rejects_bad_shape(z0, zdot0):
+    p = rf.FlockParams.nearest_neighbor(16, -2.0, -2.0)
+    with pytest.raises(rf.RingflockError, match=r"^initial arrays must have shape \(16,\)$"):
+        rf.integrate(p, z0, zdot0, t_end=1.0, dt=0.01)
+
+
 def test_integrate_detects_divergence():
     # positive position gain blows up; either the finiteness guard fires or
     # the state grows by orders of magnitude over the run
@@ -163,7 +179,8 @@ def test_impulse_asymmetric_speeds():
 
 
 def test_impulse_requires_stability():
-    with pytest.raises(rf.RingflockError, match="impulse experiment needs gate-stable parameters"):
+    with pytest.raises(rf.RingflockError,
+                       match="^operation requires closed-form stable parameters$"):
         rf.impulse_experiment(rf.FlockParams.nearest_neighbor(50, 2.0, -1.0))
 
 
@@ -195,9 +212,3 @@ def test_impulse_fits_on_long_runs_match_default_window(n, g_v, t_end):
         assert abs(long_run.fitted_c_plus / long_run.predicted_c_plus - 1.0) < 0.05
         assert abs(long_run.fitted_c_minus / long_run.predicted_c_minus - 1.0) < 0.05
 
-
-def test_impulse_experiment_rejects_bad_impulse():
-    p = rf.FlockParams.nearest_neighbor(16, -2.0, -1.0)
-    for v in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="v_impulse"):
-            rf.impulse_experiment(p, v_impulse=v, t_end=1.0)

@@ -286,6 +286,18 @@ def test_evolve_rejects_overflowing_state():
         rf.evolve(p, np.zeros(16), v0, np.array([0.0, 1e300]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_initial_state_must_be_finite(bad):
+    # A non-finite kick would become nan amplitudes, not an error.
+    p = rf.FlockParams.nearest_neighbor(16, -2.0, -1.0)
+    ok, broken = np.ones(16), np.full(16, bad)
+    for z, zdot in ((broken, ok), (ok, broken)):
+        with pytest.raises(rf.RingflockError, match="^initial arrays must be finite$"):
+            rf.modal_decompose(p, z, zdot)
+        with pytest.raises(rf.RingflockError, match="^initial arrays must be finite$"):
+            rf.evolve(p, z, zdot, 1.0)
+
+
 def test_signal_velocities_keep_the_small_root():
     # A strong one-sided velocity row makes -I_v1/2 + sqrt(a) cancel to 0;
     # the product c_+ c_- = -I_x2/2 still fixes the small speed.
