@@ -6,7 +6,6 @@ inconclusive.
 """
 
 import argparse
-import itertools
 import os
 import sys
 from pathlib import Path
@@ -15,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, RingflockError
 from .model import FlockParams
-from .sim import impulse_experiment
+from .sim import ImpulseRun
 from .spectral import eigencurve, hausdorff, spectrum
 from .stability import WITNESS_N_MAX, instability_witness, spectral_verdict, stable_for_all_n
 from .wavefield import (
@@ -45,8 +44,11 @@ DEFAULTS = {
 
 
 def _convert(key, text):
-    """Parse a value with the type of the key's default; None means float."""
+    """Parse a value with the type of the key's default.  A default of None
+    means a float, or 'auto' (None) as _fmt writes it."""
     default = DEFAULTS[key]
+    if default is None and text == "auto":
+        return None
     if isinstance(default, tuple):
         return tuple(int(part) for part in text.split(","))
     if isinstance(default, int):
@@ -109,19 +111,27 @@ def _write_atomic(path: Path, chunks):
         tmp.unlink(missing_ok=True)  # gone already once os.replace succeeds
 
 
-def _write_csv(path: Path, header, *columns):
+def _write_csv(path: Path, header, *columns, blocks=None):
     """Atomic CSV write of equal-length columns: 1-D arrays, or 2-D arrays
-    that each give several adjacent columns. Each cell's text is exactly
-    '%.17g' % float(v), which keeps every float64 bit and writes integers
-    below 2**53 as plain integers; numpy renders it _CSV_BLOCK_CELLS cells at
-    a time."""
+    that each give several adjacent columns.  Or, in their place, blocks: an
+    iterable of such column tuples, each a run of the next rows, rendered as
+    it arrives and dropped before the next is asked for, so a streamed table
+    costs the memory of one block; an error raised by the iterable leaves no
+    file.  Each cell's text is exactly '%.17g' % float(v), which keeps every
+    float64 bit and writes integers below 2**53 as plain integers; numpy
+    renders it _CSV_BLOCK_CELLS cells at a time."""
     from .csvtext import render  # loaded only by runs that write a CSV
 
     rows = max(1, _CSV_BLOCK_CELLS // len(header))
-    blocks = (np.column_stack([c[i:i + rows] for c in columns])
-              for i in range(0, len(columns[0]), rows))
-    _write_atomic(path, itertools.chain([(",".join(header) + "\n").encode()],
-                                        map(render, blocks)))
+
+    def chunks():
+        yield (",".join(header) + "\n").encode()
+        for cols in (columns,) if blocks is None else blocks:
+            for i in range(0, len(cols[0]), rows):
+                yield render(np.column_stack([c[i:i + rows] for c in cols]))
+            del cols  # so the next block is computed with this one freed
+
+    _write_atomic(path, chunks())
 
 
 def _echo_config(cfg, out_dir: Path):
@@ -196,11 +206,17 @@ def cmd_simulate(cfg, params, out_dir):
     if not stable_for_all_n(params):
         print("closed_form=false")
         return 2
-    traj, front = impulse_experiment(params, t_end=cfg["t_end"])
+    run = ImpulseRun(params, t_end=cfg["t_end"])
+
+    def rows(block):  # the trajectory columns t, z_k, zdot_k of one frame block
+        lo, z, zdot = block
+        return run.times[lo:lo + len(z)], z, zdot
+
     n = params.n
     _write_csv(out_dir / "trajectory.csv",
                ["t", *(f"z_{k}" for k in range(n)), *(f"zdot_{k}" for k in range(n))],
-               traj.times, traj.z, traj.zdot)
+               blocks=map(rows, run))  # map holds no block while the next is computed
+    front = run.report
     _write_csv(out_dir / "wavefront.csv", ["k", "arrival_time"], np.arange(n),
                front.arrival_time)
 

@@ -1,6 +1,6 @@
 """Time domain: the impulse-propagation experiment and the RK4 oracle.
 
-The experiment samples the exact evolution (wavefield.evolve).  The RK4
+The experiment streams the exact evolution (wavefield._propagate).  The RK4
 integrator, its independent check, never builds the dense matrix: on a
 translation-invariant ring one RK4 step adds a fixed circulant stencil of
 the state, read off the stage formulas once per run, so a step costs O(n)
@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import RingflockError
 from .model import FlockParams
-from .wavefield import _initial_arrays, evolve, signal_velocities
+from .wavefield import (_collect, _initial_arrays, _propagate, _propagator,
+                        signal_velocities)
 
 
 @dataclass(frozen=True)
@@ -131,6 +132,85 @@ def _fit_speed(ks, arrivals):
     return float(1.0 / slope) if slope != 0.0 else math.nan
 
 
+def _wavefront_report(arrival, sigs):
+    """The front speeds fitted to the arrival times (NaN: never reached)."""
+    n = arrival.size
+    # The two fronts meet where the arrival curve peaks (the antipode only
+    # for speed-symmetric couplings); beyond that point each branch sees the
+    # wrapped opposite front first, so the fits stop short of it.
+    half = n // 2
+    skip = 5
+    if np.isfinite(arrival[1:]).any():
+        meet = 1 + int(np.nanargmax(arrival[1:]))
+    else:
+        meet = half
+    fwd = np.arange(1 + skip, min(half, meet - skip) + 1)
+    bwd = np.arange(max(math.ceil(n / 2), meet + skip), n - skip)
+    return WavefrontReport(
+        arrival_time=arrival,
+        fitted_c_plus=_fit_speed(fwd, arrival[fwd]),
+        fitted_c_minus=_fit_speed(bwd - n, arrival[bwd]),  # signed index on the back branch
+        predicted_c_plus=sigs.c_plus,
+        predicted_c_minus=sigs.c_minus,
+        no_arrival=[int(k) for k in np.flatnonzero(np.isnan(arrival))],
+    )
+
+
+class ImpulseRun:
+    """impulse_experiment as a stream, one block of frames at a time.
+
+    Construction checks the inputs.  Iterating yields the propagator's
+    blocks (lo, z, zdot), the (rows, n) states at times[lo], times[lo + 1],
+    ..., each scanned for drift and arrivals and then dropped.  After the
+    last block the drift is checked over all frames and, when t_end >
+    t_front, the arrival window is streamed the same way; then `report`
+    holds the WavefrontReport.  A failed check raises before the iteration
+    ends, so a consumer writing the blocks to a file can still discard it.
+    """
+
+    def __init__(self, params: FlockParams, t_end: Optional[float] = None):
+        n = self._n = params.n
+        self._sigs = signal_velocities(params)
+        t_front = 0.6 * n / min(self._sigs.c_plus, abs(self._sigs.c_minus))
+        if t_end is None:
+            t_end = t_front
+        if not 0.0 < t_end < math.inf:
+            raise RingflockError(f"t_end={t_end} must be positive and finite")
+        self.times = np.linspace(0.0, t_end, 2001)
+        # Arrivals are timed on 2001 frames of [0, min(t_end, t_front)]: the
+        # trajectory's own (window None) or those of a second stream.
+        self._window = None if t_end <= t_front else np.linspace(0.0, t_front, 2001)
+        v0 = np.zeros(n)
+        v0[0] = 1.0
+        self._propagator = _propagator(params, np.zeros(n), v0)
+        self.report = None
+
+    def __iter__(self):
+        n = self._n
+        arrival = np.full(n, np.nan)
+
+        def scan(ts, zdot):  # first frames of the ts with |zdot_k| above 0.02
+            hit = np.abs(zdot) > 0.02
+            new = hit.any(axis=0) & np.isnan(arrival)
+            arrival[new] = ts[hit.argmax(axis=0)[new]]
+
+        drift = 0.0
+        for lo, z, zdot in _propagate(*self._propagator, self.times):
+            # np.maximum, like a max over all frames, keeps a NaN
+            drift = np.maximum(drift, np.abs(zdot.mean(axis=1) - 1.0 / n).max())
+            if self._window is None:
+                scan(self.times[lo:], zdot)
+            yield lo, z, zdot
+            del z, zdot  # so the next block is computed with this one freed
+        if drift > 1e-12 / n:
+            raise RingflockError(f"mean velocity drifts by {drift:.3e} from 1 / n")
+        if self._window is not None:
+            for lo, z, zdot in _propagate(*self._propagator, self._window):
+                scan(self._window[lo:], zdot)
+                del z, zdot
+        self.report = _wavefront_report(arrival, self._sigs)
+
+
 def impulse_experiment(params: FlockParams, t_end: Optional[float] = None):
     """Kick agent 0 and watch the disturbance run around the ring both ways.
 
@@ -149,56 +229,15 @@ def impulse_experiment(params: FlockParams, t_end: Optional[float] = None):
     nearest the antipode are left out of the straight-line fits: onset
     effects distort one end and the two fronts collide at the other.
 
+    This collects ImpulseRun's stream into 2 x 2001 x n floats; the stream
+    itself holds one block of frames, whatever n.
+
     Raises:
         RingflockError: the closed-form gate fails, t_end is not positive
             and finite, the evolved state is not finite in float64, or the
             mean velocity, which the couplings conserve, strays from 1 / n
             by 1e-12 relative.
     """
-    n = params.n
-    sigs = signal_velocities(params)
-    t_front = 0.6 * n / min(sigs.c_plus, abs(sigs.c_minus))
-    if t_end is None:
-        t_end = t_front
-    if not 0.0 < t_end < math.inf:
-        raise RingflockError(f"t_end={t_end} must be positive and finite")
-
-    v0 = np.zeros(n)
-    v0[0] = 1.0
-    times = np.linspace(0.0, t_end, 2001)
-    traj = Trajectory(times, *evolve(params, np.zeros(n), v0, times))
-    drift = float(np.abs(traj.zdot.mean(axis=1) - 1.0 / n).max())
-    if drift > 1e-12 / n:
-        raise RingflockError(f"mean velocity drifts by {drift:.3e} from 1 / n")
-    window = np.linspace(0.0, min(t_end, t_front), 2001)  # traj.times if t_end <= t_front
-    zdot = traj.zdot if t_end <= t_front else evolve(params, np.zeros(n), v0, window)[1]
-
-    hit = np.abs(zdot) > 0.02
-    first = hit.argmax(axis=0)  # 0 both for "hit at frame 0" and "never hit"
-    arrival = np.where(hit.any(axis=0), window[first], np.nan)
-    no_arrival = [int(k) for k in np.flatnonzero(~hit.any(axis=0))]
-
-    # The two fronts meet where the arrival curve peaks (the antipode only
-    # for speed-symmetric couplings); beyond that point each branch sees the
-    # wrapped opposite front first, so the fits stop short of it.
-    half = n // 2
-    skip = 5
-    if np.isfinite(arrival[1:]).any():
-        meet = 1 + int(np.nanargmax(arrival[1:]))
-    else:
-        meet = half
-    fwd = np.arange(1 + skip, min(half, meet - skip) + 1)
-    bwd = np.arange(max(math.ceil(n / 2), meet + skip), n - skip)
-    fitted_plus = _fit_speed(fwd, arrival[fwd])
-    fitted_minus = _fit_speed(bwd - n, arrival[bwd])  # signed index on the back branch
-
-    report = WavefrontReport(
-        arrival_time=arrival,
-        fitted_c_plus=fitted_plus,
-        fitted_c_minus=fitted_minus,
-        predicted_c_plus=sigs.c_plus,
-        predicted_c_minus=sigs.c_minus,
-        no_arrival=no_arrival,
-    )
-    return traj, report
-
+    run = ImpulseRun(params, t_end)
+    z, zdot = _collect(run, run.times, params.n)
+    return Trajectory(run.times, z, zdot), run.report

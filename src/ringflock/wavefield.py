@@ -228,7 +228,10 @@ def modal_decompose(params: FlockParams, z0, zdot0) -> ModalCoefficients:
                              coherent=(float(zh[0].real), float(vh[0].real)))
 
 
-_BLOCK_CELLS = 1 << 16  # complex cells per block of frames; bounds the scratch memory
+#: Complex cells per block of frames: one block's states and each scratch
+#: array of _frames (0.5 MB apiece) bound the memory of every frame stream,
+#: whatever the ring size.
+_BLOCK_CELLS = 1 << 15
 
 
 def _initial_arrays(n, z0, zdot0):
@@ -295,15 +298,23 @@ def _frames(roots, zh, vh, w, tb):
     return zv
 
 
-def _collect(roots, zh, vh, t):
-    """(z, zdot) at the times t from the frame blocks of _propagate: (n,)
-    arrays for a scalar t, t.shape + (n,) arrays for an array of times."""
-    ts = np.asarray(t, dtype=float)
-    out = np.empty((2, ts.size, zh.size))
-    for lo, z, zdot in _propagate(roots, zh, vh, ts):
+def _collect(blocks, ts, n):
+    """(z, zdot) at the float times ts from their frame blocks (lo, z, zdot),
+    such as _propagate's: (n,) arrays for a scalar ts, ts.shape + (n,) arrays
+    for an array of times."""
+    out = np.empty((2, ts.size, n))
+    for lo, z, zdot in blocks:
         out[0, lo:lo + len(z)], out[1, lo:lo + len(z)] = z, zdot
         del z, zdot  # so the next block is computed with this one freed
-    return tuple(out.reshape((2,) + ts.shape + (zh.size,)))
+    return tuple(out.reshape((2,) + ts.shape + (n,)))
+
+
+def _propagator(params, z0, zdot0):
+    """The inputs (roots, zh, vh) of _propagate for the state (z0, zdot0) on
+    the ring of params: the mode roots and the state's DFT data."""
+    zh, vh = _dft(params.n, z0, zdot0)
+    lx, lv = eigenvalue_arrays(params, fft_modes(params.n))[:2]
+    return root_pair(lx, lv), zh, vh
 
 
 def _modal_dft(coeffs, left, right):
@@ -318,9 +329,8 @@ def _modal_dft(coeffs, left, right):
 def evolve(params: FlockParams, z0, zdot0, t):
     """Exact state (z, zdot) at time t from initial positions and velocities:
     (n,) arrays for a scalar t, (len(t), n) arrays for a 1-D array of times."""
-    zh, vh = _dft(params.n, z0, zdot0)
-    lx, lv = eigenvalue_arrays(params, fft_modes(params.n))[:2]
-    return _collect(root_pair(lx, lv), zh, vh, t)
+    ts = np.asarray(t, dtype=float)
+    return _collect(_propagate(*_propagator(params, z0, zdot0), ts), ts, params.n)
 
 
 def modal_evolve(params: FlockParams, coeffs: ModalCoefficients, t):
@@ -329,7 +339,9 @@ def modal_evolve(params: FlockParams, coeffs: ModalCoefficients, t):
     propagator runs on (l + r, nu_l l + nu_r r), coherent in bin 0."""
     _require_same_ring(params, coeffs)
     _, lx, lv, _, left, right = _mode_nus(params)
-    return _collect(root_pair(lx, lv), *_modal_dft(coeffs, left, right), t)
+    ts = np.asarray(t, dtype=float)
+    blocks = _propagate(root_pair(lx, lv), *_modal_dft(coeffs, left, right), ts)
+    return _collect(blocks, ts, params.n)
 
 
 def power_law_coefficients(n: int, p: float, seed: int = 0) -> ModalCoefficients:
@@ -341,10 +353,13 @@ def power_law_coefficients(n: int, p: float, seed: int = 0) -> ModalCoefficients
     makes the physical field real.
 
     Raises:
-        RingflockError: p is not a finite number above 1.
+        RingflockError: p is not a finite number above 1, or seed is
+            negative.
     """
     if not 1.0 < p < math.inf:
         raise RingflockError(f"need finite p > 1, got p={p:g}")
+    if seed < 0:
+        raise RingflockError(f"need a non-negative seed, got seed={seed}")
     rng = np.random.default_rng(seed)
     half = n // 2
     phases = rng.uniform(0.0, 2.0 * math.pi, size=(half, 2))

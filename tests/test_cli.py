@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,9 +17,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_gate_true_params
-from ringflock import cli, errors
+from ringflock import cli, errors, wavefield
 from ringflock.cli import DEFAULTS, build_params, main
 from ringflock.sim import impulse_experiment
+from test_golden import CONFIGS as GOLDEN_CONFIGS, SMALL_RUN
 
 STABLE = """
 n = 500
@@ -130,12 +132,36 @@ def test_config_derived_keys_rejected(tmp_path, capsys, key):
     assert captured.err == f"config error: {cfg}:2: unknown key '{key}'\n"
 
 
-def test_readme_config_block_lists_every_key():
+def _readme_config_block():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("Every key is\noptional; defaults in parentheses:\n\n```\n", 1)[1]
-    keys = [line.split("=")[0].strip() for line in block.split("```", 1)[0].splitlines()]
+    return block.split("```", 1)[0]
+
+
+def test_readme_config_block_lists_every_key():
+    keys = [line.split("=")[0].strip() for line in _readme_config_block().splitlines()]
     assert keys == list(DEFAULTS)
     assert len(DEFAULTS) == 15
+
+
+def test_readme_config_block_parses_to_the_defaults(tmp_path):
+    # its t_end = auto is the default that resolved_config writes as well
+    assert cli.parse_config(write(tmp_path, _readme_config_block())) == DEFAULTS
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN_CONFIGS))
+@pytest.mark.parametrize("extra", ["", SMALL_RUN], ids=["defaults", "small-run"])
+def test_resolved_config_reruns_to_itself(tmp_path, capsys, config, extra):
+    # the echo of a run is a config that reproduces the run, t_end = auto included
+    echoes = []
+    cfg = write(tmp_path, GOLDEN_CONFIGS[config] + extra)
+    for out in ("first", "rerun"):
+        main(["stability", "--config", cfg, "--out", str(tmp_path / out)])
+        cfg = str(tmp_path / out / "resolved_config")
+        echoes.append(Path(cfg).read_bytes())
+    capsys.readouterr()
+    assert (b"t_end=auto\n" in echoes[0]) == (extra == "")
+    assert echoes[1] == echoes[0]
 
 
 def test_config_bad_value_rejected(tmp_path, capsys):
@@ -403,6 +429,80 @@ def test_failed_write_leaves_no_file(tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("late", [1, 4], ids=["last-block", "fourth-from-last"])
+@pytest.mark.parametrize("bad,message", [
+    (math.inf, "mean velocity drifts by inf from 1 / n"),
+    (1e-3, "mean velocity drifts by 1.000e-03 from 1 / n"),
+], ids=["not-finite", "drift"])
+def test_simulate_failed_stream_leaves_no_files(tmp_path, capsys, monkeypatch, late, bad,
+                                                message):
+    # A late frame block is broken after the blocks before it went to the
+    # temp file.  The drift check names the largest drift over all frames,
+    # so it fails after the last block, before the file is moved into place.
+    frames, rows = wavefield._frames, []
+    blocks = -(-2001 // (wavefield._BLOCK_CELLS // 200))
+
+    def broken(roots, zh, vh, w, tb):
+        zv = frames(roots, zh, vh, w, tb)
+        rows.append(len(tb))
+        if len(rows) == blocks + 1 - late:
+            zv[1, -1] += bad  # zdot of the block's last frame
+        return zv
+
+    monkeypatch.setattr(wavefield, "_frames", broken)
+    out_dir = tmp_path / "out"
+    code = main(["simulate", "--config", write(tmp_path, ""), "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert len(rows) == blocks > 4 and sum(rows) == 2001
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert sorted(p.name for p in out_dir.iterdir()) == ["resolved_config"]
+
+
+@pytest.mark.parametrize("n,block_cells", [
+    (16, None), (201, None), (16, 16 * 300), (16, 16 * 87),
+], ids=["n16-one-block", "n201", "n16-ends-partway", "n16-ends-on-an-edge"])
+def test_simulate_streams_the_library_run_byte_for_byte(tmp_path, capsys, monkeypatch, n,
+                                                        block_cells):
+    # The CLI streams its frame blocks to trajectory.csv; the library
+    # collects the same stream into one Trajectory.  Blocks of 300 frames end
+    # the 2001 partway through the seventh; blocks of 87 end on an edge.
+    if block_cells is not None:
+        monkeypatch.setattr(wavefield, "_BLOCK_CELLS", block_cells)
+    params = build_params({**DEFAULTS, "n": n})
+    t_front = 0.6 * n  # c_+ = -c_- = 1 on the default flock
+    header = ["t", *(f"z_{k}" for k in range(n)), *(f"zdot_{k}" for k in range(n))]
+    for t_end in (2.0, t_front, None, 3.0 * t_front):
+        out_dir = tmp_path / f"cli-{t_end}"
+        text = "" if t_end is None else f"t_end = {t_end!r}\n"
+        assert main(["simulate", "--config", write(tmp_path, text), "--out", str(out_dir),
+                     "--n", str(n)]) == 0
+        traj, front = impulse_experiment(params, t_end=t_end)
+        assert front.predicted_c_plus == -front.predicted_c_minus == 1.0  # t_front is exact
+        cli._write_csv(tmp_path / "trajectory.csv", header, traj.times, traj.z, traj.zdot)
+        cli._write_csv(tmp_path / "wavefront.csv", ["k", "arrival_time"], np.arange(n),
+                       front.arrival_time)
+        for name in ("trajectory.csv", "wavefront.csv"):
+            assert (out_dir / name).read_bytes() == (tmp_path / name).read_bytes(), (t_end, name)
+    capsys.readouterr()
+
+
+def test_simulate_memory_does_not_grow_with_n(tmp_path, capsys):
+    # holding the whole 2001-frame trajectory, z and zdot, is 64 MB at this n
+    cfg = {**DEFAULTS, "n": 2000}
+    tracemalloc.start()
+    try:
+        code = cli.cmd_simulate(cfg, build_params(cfg), tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "fitted_c_plus=" in capsys.readouterr().out
+    assert (tmp_path / "trajectory.csv").stat().st_size > 2001 * 4000 * 10
+    assert peak < 8 * 2**20
+
+
 def test_simulate_lists_no_arrival_agents(tmp_path, capsys):
     code, out, _ = run(capsys, tmp_path, "simulate",
                        "n = 200\ng_x = -2\ng_v = -1\nt_end = 10\n")
@@ -504,6 +604,8 @@ UNDERFLOW = "g_x = -1e-300\ng_v = -1e100\nrho_v.m1 = -0.95\nrho_v.p1 = -0.40\n"
     ("simulate", f"n = 16\n{UNDERFLOW}"),
     # 64**5e-324 rounds to exactly 1, which leaves no mode below the cutoff n**alpha
     ("wave-verify", "alpha = 5e-324\nn_sweep = 64\n"),
+    # numpy's seeding refuses it with a message that names no seed
+    ("wave-verify", "seed = -1\nn_sweep = 64\n"),
 ], ids=["g_x-nan", "n_sweep-2", "n_phi-3", "t_end-nan", "K-nan", "p-nan",
         "t_end-negative", "t_end-0",
         "alpha-0.9", "wave-verify-unstable", "K-inf", "p-inf",
@@ -512,7 +614,7 @@ UNDERFLOW = "g_x = -1e-300\ng_v = -1e100\nrho_v.m1 = -0.95\nrho_v.p1 = -0.40\n"
         "row-sum-overflow", "symbol-overflow", "expansion-overflow",
         "n_phi-unallocatable", "n-unallocatable", "p--400", "K-1e308",
         "tail-overflow", "wave-verify-underflow", "simulate-underflow",
-        "alpha-5e-324"])
+        "alpha-5e-324", "seed-negative"])
 def test_bad_value_exits_1_with_one_line(tmp_path, capsys, command, text):
     code = main([command, "--config", write(tmp_path, text), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()
@@ -528,6 +630,17 @@ def test_bad_value_exits_1_with_one_line(tmp_path, capsys, command, text):
         assert captured.err == "error: rho_v side weights m1 + p1 overflow float64\n"
     if text.startswith("alpha = 5e-324"):
         assert captured.err == "error: n**alpha = 1 must exceed 1\n"
+    if text.startswith("seed = -1"):
+        assert captured.err == "error: need a non-negative seed, got seed=-1\n"
+
+
+def test_negative_seed_flag_exits_1_with_one_line(tmp_path, capsys):
+    code = main(["wave-verify", "--config", write(tmp_path, "n_sweep = 64\n"),
+                 "--out", str(tmp_path / "o"), "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: need a non-negative seed, got seed=-1\n"
 
 
 @pytest.mark.parametrize("text", [

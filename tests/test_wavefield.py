@@ -358,6 +358,15 @@ def test_power_law_coefficients_reject_bad_p():
             rf.power_law_coefficients(16, p)
 
 
+def test_power_law_coefficients_rejects_negative_seed():
+    # numpy's own error for it, "expected non-negative integer", names no seed
+    for seed in (-1, -2**70):
+        with pytest.raises(rf.RingflockError,
+                           match=f"^need a non-negative seed, got seed={seed}$"):
+            rf.power_law_coefficients(16, 2.0, seed=seed)
+    assert rf.power_law_coefficients(16, 2.0, seed=2**70).n == 16
+
+
 def test_verify_wave_bound_damping_band_ordering():
     p = rf.FlockParams.nearest_neighbor(512, -2.0, -1.0)
     co = rf.power_law_coefficients(512, 2.0, seed=2)
