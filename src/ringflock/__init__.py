@@ -28,7 +28,6 @@ from .spectral import (
     dense_spectrum,
     eigencurve,
     eigenvalue_arrays,
-    fft_modes,
     hausdorff,
     max_matching_distance,
     mode_eigenvalues_series,

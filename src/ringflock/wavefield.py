@@ -30,6 +30,10 @@ from .stability import stable_for_all_n
 #: Two branch eigenvalues closer than this (relative) make the mode Jordan-like.
 DEGENERATE_MODE_TOL = 1e-10
 
+#: Largest conjugate-link residue of modal data, relative to their largest
+#: DFT bin: roots near a double root are good to only about 1.5e-8.
+CONJUGATE_LINK_TOL = 1e-6
+
 
 def _require_gate(params):
     if not stable_for_all_n(params):
@@ -80,23 +84,15 @@ class ModalCoefficients:
     whose phase moves toward smaller agent numbers (speed near c_minus), and
     rightward[f] the other root: they are the Fourier coefficients of the
     profiles f_- and f_+.  Bin 0 is unused (zero) and the coherent motion is
-    carried by coherent = (mean position, mean velocity).  A real field has
-    c[-m] = conj(c[m]) in each array, and rightward = conj(leftward) at the
-    half-ring bin of an even ring.
+    carried by coherent = (mean position, mean velocity).  A real field's DFT
+    data l + r and nu_l l + nu_r r are conjugate-linked (bin -m the conjugate
+    of bin m, an even ring's half-ring bin real), to CONJUGATE_LINK_TOL.
     """
 
     n: int
     leftward: np.ndarray
     rightward: np.ndarray
     coherent: tuple
-
-
-def _by_direction(at, plus, minus):
-    """Root pairs labelled by the sign of Im nu, as (leftward, rightward):
-    the "+" root travels toward smaller agent numbers at a positive mode or
-    angle `at`, the "-" root at a negative one."""
-    neg = np.asarray(at) < 0
-    return np.where(neg, minus, plus), np.where(neg, plus, minus)
 
 
 def phase_velocities(params: FlockParams) -> PhaseVelocities:
@@ -183,20 +179,19 @@ def group_velocity(params: FlockParams):
     """
     _require_gate(params)
     h = 1e-5
-    phi = np.array([h, -h])
-    plus, minus = pencil_roots(params, phi)
+    plus, minus = pencil_roots(params, np.array([h, -h]))
     if ((np.abs(plus.imag) < 1e-12) & (np.abs(minus.imag) < 1e-12)).any():
         raise RingflockError("branches degenerate near phi = 0")
-    left, right = _by_direction(phi, plus, minus)
-    return tuple(float(-(nu.imag[0] - nu.imag[1]) / (2.0 * h)) for nu in (right, left))
+    # toward increasing k: the "-" root at phi = h, the "+" root at -h
+    return (float(-(minus.imag[0] - plus.imag[1]) / (2.0 * h)),
+            float(-(plus.imag[0] - minus.imag[1]) / (2.0 * h)))
 
 
-def _mode_nus(params):
-    """FFT modes of the ring and, from one eigenvalue evaluation, their symbols
-    (lambda_x, lambda_v), "+" roots and (leftward, rightward) roots."""
-    ms = fft_modes(params.n)
-    lx, lv, plus, minus = eigenvalue_arrays(params, ms)
-    return (ms, lx, lv, plus) + _by_direction(ms, plus, minus)
+def _half_roots(params):
+    """The root pair (d, r1, r2) and the (leftward, rightward) = ("+", "-")
+    roots of modes 0..n//2, from one eigenvalue evaluation."""
+    lx, lv, plus, minus = eigenvalue_arrays(params, np.arange(params.n // 2 + 1))
+    return root_pair(lx, lv), plus, minus
 
 
 def modal_decompose(params: FlockParams, z0, zdot0) -> ModalCoefficients:
@@ -214,8 +209,12 @@ def modal_decompose(params: FlockParams, z0, zdot0) -> ModalCoefficients:
     """
     _require_gate(params)
     n = params.n
-    zh, vh = _dft(n, z0, zdot0)
-    ms, _, _, plus, left, right = _mode_nus(params)
+    z0, zdot0 = _initial_arrays(n, z0, zdot0)
+    zh, vh = np.fft.fft(z0) / n, np.fft.fft(zdot0) / n
+    ms = fft_modes(n)
+    _, _, plus, minus = eigenvalue_arrays(params, ms)
+    neg = ms < 0  # leftward is the "+" root at m > 0, the "-" one at m < 0
+    left, right = np.where(neg, minus, plus), np.where(neg, plus, minus)
     den = left - right
     bad = (np.abs(den) < DEGENERATE_MODE_TOL * np.maximum(1.0, np.abs(plus))) & (ms != 0)
     if bad.any():
@@ -228,9 +227,9 @@ def modal_decompose(params: FlockParams, z0, zdot0) -> ModalCoefficients:
                              coherent=(float(zh[0].real), float(vh[0].real)))
 
 
-#: Complex cells per block of frames: one block's states and each scratch
-#: array of _frames (0.5 MB apiece) bound the memory of every frame stream,
-#: whatever the ring size.
+#: Cells per block of frames: one block's states and each scratch array of
+#: _frames, over bins 0..n//2 (0.25 MB apiece), bound the memory of every
+#: frame stream, whatever the ring size.
 _BLOCK_CELLS = 1 << 15
 
 
@@ -244,31 +243,23 @@ def _initial_arrays(n, z0, zdot0):
     return z0, zdot0
 
 
-def _dft(n, z0, zdot0):
-    """The DFT data (z_hat, zdot_hat) = fft / n of a state on n agents."""
-    z0, zdot0 = _initial_arrays(n, z0, zdot0)
-    return np.fft.fft(z0) / n, np.fft.fft(zdot0) / n
-
-
-def _propagate(roots, zh, vh, ts):
-    """Exact frames of the state with DFT data (zh, vh) at the times ts.ravel(),
-    one block of _BLOCK_CELLS // n frames (at least one) at a time: yields
-    (lo, z, zdot), the (rows, n) states at the times lo, lo + 1, ... of the
-    block, each frame computed on its own by _frames, so the blocking
-    changes no bit.  No name here holds a block between yields, so a
-    consumer that drops each block keeps one alive at a time.
-    """
-    n = zh.size
+def _propagate(n, roots, zh, vh, ts):
+    """Exact frames on n agents of the state with DFT data (zh, vh) on bins
+    0..n//2 at the times ts.ravel(), one block of _BLOCK_CELLS // n frames
+    (at least one) at a time: yields (lo, z, zdot), the (rows, n) states at
+    the times lo, lo + 1, ... of the block, each frame computed on its own,
+    so the blocking changes no bit.  No name here holds a block between
+    yields, so a consumer that drops each block keeps one alive."""
     w = vh - roots[1] * zh
     col = ts.reshape(-1, 1)
     step = max(1, _BLOCK_CELLS // n)
     for lo in range(0, len(col), step):
-        yield (lo, *_frames(roots, zh, vh, w, col[lo:lo + step]).real)
+        yield (lo, *_frames(n, roots, zh, vh, w, col[lo:lo + step]))
 
 
-def _frames(roots, zh, vh, w, tb):
-    """The states (z, zdot) at the times of the column tb, as one complex
-    (2, rows, n) array whose imaginary part is the checked residue.
+def _frames(n, roots, zh, vh, w, tb):
+    """The states (z, zdot) at the times of the column tb, as one real
+    (2, rows, n) array.
 
     Per mode z_hat(t) = e^(r1 t) (zh + P w), zdot_hat(t) = e^(r1 t) (vh + r2 P w)
     with roots = (d, r1, r2) from spectral.root_pair, r1,2 = lambda_v/2 +- d (d
@@ -276,11 +267,10 @@ def _frames(roots, zh, vh, w, tb):
     Re y <= 0 bounds by t.  No labels, 2x2 solve or special case: the coherent
     mode gives zh + t vh, a critical one (d = 0) its Jordan solution.  A cell
     whose e^(r1 t) underflows to 0 is 0 even where P w or the phase has
-    overflowed (t near 1e308).  Rows with an imaginary residue above 1e-10
-    and a non-finite state raise RingflockError.
+    overflowed (t near 1e308).  irfft makes bin -m the conjugate of bin m:
+    the state is real by construction.  A non-finite one raises RingflockError.
     """
     d, r1, r2 = roots
-    n = zh.size
     with np.errstate(all="ignore"):
         y = -2.0 * d * tb
         pw = tb * np.where(y == 0.0, 1.0, np.expm1(y) / y) * w
@@ -289,12 +279,9 @@ def _frames(roots, zh, vh, w, tb):
         zv = np.exp(r1 * tb)
         pw[zv == 0.0] = 0.0
         zv = zv * np.stack([zh + pw, vh + r2 * pw])
-        zv = n * np.fft.ifft(zv)
+        zv = n * np.fft.irfft(zv, n)
     if not np.isfinite(zv).all():
         raise RingflockError(f"the evolved state is not finite by t={tb[-1, 0]:.4g}")
-    resid = np.abs(zv.imag).max(axis=(0, 2))
-    if (resid > 1e-10 * np.maximum(1.0, np.abs(zv.real).max(axis=(0, 2)))).any():
-        raise RingflockError(f"modal sum has imaginary residue {resid.max():.3e}")
     return zv
 
 
@@ -310,20 +297,32 @@ def _collect(blocks, ts, n):
 
 
 def _propagator(params, z0, zdot0):
-    """The inputs (roots, zh, vh) of _propagate for the state (z0, zdot0) on
-    the ring of params: the mode roots and the state's DFT data."""
-    zh, vh = _dft(params.n, z0, zdot0)
-    lx, lv = eigenvalue_arrays(params, fft_modes(params.n))[:2]
-    return root_pair(lx, lv), zh, vh
+    """The inputs (n, roots, zh, vh) of _propagate for the state (z0, zdot0)
+    on the ring of params: the roots of modes 0..n//2 and the rfft data / n."""
+    n = params.n
+    z0, zdot0 = _initial_arrays(n, z0, zdot0)
+    return n, _half_roots(params)[0], np.fft.rfft(z0) / n, np.fft.rfft(zdot0) / n
 
 
 def _modal_dft(coeffs, left, right):
-    """The DFT data (l + r, nu_l l + nu_r r) of the state the amplitudes
-    describe at t = 0, with the coherent pair in bin 0."""
-    zh = coeffs.leftward + coeffs.rightward
-    vh = left * coeffs.leftward + right * coeffs.rightward
-    zh[0], vh[0] = coeffs.coherent
-    return zh, vh
+    """Bins 0..n//2 of the DFT data (l + r, nu_l l + nu_r r) of the state the
+    amplitudes describe at t = 0, coherent pair in bin 0, once its conjugate
+    links hold (ModalCoefficients); bin -m has the conjugate roots of mode m,
+    swapped where their imaginary parts tie."""
+    h, k = left.size, (coeffs.n - 1) // 2  # bins -1..-k pair with 1..k
+    l, r = coeffs.leftward, coeffs.rightward
+    dft = np.stack([l[:h] + r[:h], left * l[:h] + right * r[:h]])
+    dft[:, 0] = coeffs.coherent
+    a, b = left[1:k + 1], right[1:k + 1]
+    ln, rn = l[:-k - 1:-1].conj(), r[:-k - 1:-1].conj()  # conj of bins -1..-k
+    ln, rn = np.where(a.imag == b.imag, [rn, ln], [ln, rn])
+    res = np.c_[dft[:, 1:k + 1] - [ln + rn, a * ln + b * rn], dft[:, k + 1:].imag]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(res).max() / np.abs(dft).max()
+    if rel > CONJUGATE_LINK_TOL:
+        raise RingflockError(f"modal data are not conjugate-linked: residue {rel:.3e}"
+                             f" > {CONJUGATE_LINK_TOL:g}")
+    return dft
 
 
 def evolve(params: FlockParams, z0, zdot0, t):
@@ -335,12 +334,13 @@ def evolve(params: FlockParams, z0, zdot0, t):
 
 def modal_evolve(params: FlockParams, coeffs: ModalCoefficients, t):
     """Exact state (z, zdot) at time t from the modal amplitudes of a ring of
-    params.n agents (RingflockError otherwise), shaped as in evolve: the
-    propagator runs on (l + r, nu_l l + nu_r r), coherent in bin 0."""
+    params.n agents, conjugate-linked to CONJUGATE_LINK_TOL (RingflockError
+    otherwise), shaped as in evolve: the propagator runs on (l + r,
+    nu_l l + nu_r r) over bins 0..n//2."""
     _require_same_ring(params, coeffs)
-    _, lx, lv, _, left, right = _mode_nus(params)
+    roots, left, right = _half_roots(params)
     ts = np.asarray(t, dtype=float)
-    blocks = _propagate(root_pair(lx, lv), *_modal_dft(coeffs, left, right), ts)
+    blocks = _propagate(params.n, roots, *_modal_dft(coeffs, left, right), ts)
     return _collect(blocks, ts, params.n)
 
 
@@ -383,7 +383,8 @@ class WaveBoundReport:
     The profiles keep the modes |m| <= cutoff < n**alpha: f_minus_coeffs
     holds the leftward amplitudes over `modes` (the profile f_-(x) =
     sum_m coeff_m exp(i theta m x), advected at c_minus) and f_plus_coeffs
-    the rightward ones; for real fields both profiles are real-valued.
+    the rightward ones; their sum is a real field, an even ring's half-ring
+    term taken by its real part.
     m_bound is the tightest envelope M = max |coeff_m| |m|**p of the data.
     damping_mid = C(alpha, beta) and damping_high = C(beta, 1) are the
     minimal |Re(nu)| over the two frequency bands, taken over both roots.
@@ -414,18 +415,20 @@ class WaveBoundReport:
         return bool((self.measured <= self.bound() + 1e-9).all())
 
 
-def _envelope_bound(ms, coeffs, p):
+def _envelope_bound(coeffs, p):
     """The tightest power-law envelope M = max |coeff_m| |m|**p over the
-    nonzero modes ms of the FFT bins, from the larger of the two amplitudes.
+    modes m = 1..n//2 (bin -m of a real field repeats them), from the larger
+    of the two amplitudes.
 
     Raises:
         RingflockError: every modal coefficient is zero.
     """
-    mags = np.maximum(np.abs(coeffs.leftward), np.abs(coeffs.rightward))
-    live = (ms != 0) & (mags > 0)
+    h = coeffs.n // 2 + 1
+    mags = np.maximum(np.abs(coeffs.leftward[1:h]), np.abs(coeffs.rightward[1:h]))
+    live = mags > 0
     if not live.any():
         raise RingflockError("all modal coefficients vanish")
-    mags, abs_ms = mags[live], np.abs(ms[live])
+    mags, abs_ms = mags[live], np.arange(1, h)[live]
     with np.errstate(over="ignore"):
         envelope = mags * abs_ms ** p
         # |m|**p overflows where the coefficient underflows (large p): use logs there
@@ -449,8 +452,8 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
     ground truth, from one evaluation of the mode roots, one block of
     frames at a time (the blocks of evolve, one frame each at n = 65536).
     Per block the profiles are summed in modal space: the coefficient of
-    mode m, times exp(-i theta m c t), goes to FFT bin m mod n, and one
-    inverse FFT evaluates both at every agent of those frames; only that
+    mode m >= 0, times exp(-i theta m c t), goes to rfft bin m, and one
+    irfft evaluates both at every agent of those frames; only that
     block's states and profiles are held.  When d_const is None the
     free constant of the first bound term is fitted as the smallest value
     that makes the bound hold on this run (fit once at the smallest ring of
@@ -459,7 +462,8 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
     Raises:
         RingflockError: exponent ordering violated, K or p not a finite
             number above 1, or n**alpha <= 1; every modal coefficient is
-            zero; coeffs belong to a ring of another size; K n/c_slow or a
+            zero; coeffs belong to a ring of another size or miss the
+            conjugate links; K n/c_slow or a
             bound term overflows; or, via the signal velocities, the
             closed-form gate fails.
     """
@@ -470,29 +474,26 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
     if n ** alpha <= 1.0:
         raise RingflockError(f"n**alpha = {n ** alpha:.3g} must exceed 1")
 
-    ms, lx, lv, plus, left, right = _mode_nus(params)
-    roots = root_pair(lx, lv)
-    del lx, lv, plus  # each per-mode array is dropped after its last use
-    m_bound = _envelope_bound(ms, coeffs, p)
+    roots, left, right = _half_roots(params)
+    zh, vh = _modal_dft(coeffs, left, right)
+    rate = np.minimum(np.abs(left.real), np.abs(right.real))  # the slower decay of each mode
+    del left, right  # each per-mode array is dropped after its last use
+    m_bound = _envelope_bound(coeffs, p)
 
     cutoff = math.floor(n ** alpha)
     if cutoff >= n ** alpha:  # strict inequality |m| < n**alpha
         cutoff -= 1
-    sel = np.abs(ms) <= cutoff
-    modes = ms[sel]
+    kept = min(cutoff, n // 2) + 1  # the profiles' rfft bins 0..kept - 1
+    modes = np.r_[0:kept, -min(cutoff, (n - 1) // 2):0]  # in FFT bin order
     sigs = signal_velocities(params)
     c_plus, c_minus = sigs.c_plus, sigs.c_minus
-
-    rate = np.minimum(np.abs(left.real), np.abs(right.real))  # the slower decay of each mode
-    zh, vh = _modal_dft(coeffs, left, right)
-    del left, right
 
     def damping(lo_exp, hi_exp):
         lo = math.ceil(n ** lo_exp)
         hi = math.floor(min(n / 2.0, n ** hi_exp))
         if lo > hi:
             return math.inf
-        return float(rate[(np.abs(ms) >= lo) & (np.abs(ms) <= hi)].min())
+        return float(rate[lo:hi + 1].min())
 
     damping_mid, damping_high = damping(alpha, beta), damping(beta, 1.0)
 
@@ -502,20 +503,19 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
         raise RingflockError(f"the window end K n/|c| overflows float64 at K={k_window:g}")
     ts = np.linspace(lo, hi, 7)
 
-    f_minus, f_plus = coeffs.leftward[sel], coeffs.rightward[sel]
-    phase = -1j * params.theta * modes
+    f_minus, f_plus = coeffs.leftward[modes], coeffs.rightward[modes]
+    phase = -1j * params.theta * modes[:kept]
 
     def sups(block):  # (rows, error sup, signal sup) of one block of frames
         lo, z, _ = block
         rows = slice(lo, lo + len(z))
         ph = phase * ts[rows, None]
-        w = np.zeros(z.shape, dtype=complex)
-        w[:, modes % n] = f_minus * np.exp(ph * c_minus) + f_plus * np.exp(ph * c_plus)
-        return rows, np.abs(z - n * np.fft.ifft(w)).max(axis=1), np.abs(z).max(axis=1)
+        w = f_minus[:kept] * np.exp(ph * c_minus) + f_plus[:kept] * np.exp(ph * c_plus)
+        return rows, np.abs(z - n * np.fft.irfft(w, n)).max(axis=1), np.abs(z).max(axis=1)
 
     measured, signal_sup = np.empty(ts.size), np.empty(ts.size)
     # map keeps no block alive while the generator computes the next one
-    for rows, err, sup in map(sups, _propagate(roots, zh, vh, ts)):
+    for rows, err, sup in map(sups, _propagate(n, roots, zh, vh, ts)):
         measured[rows], signal_sup[rows] = err, sup
 
     # The three right-hand-side terms of the bound; the first with D = 1.

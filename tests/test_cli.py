@@ -442,8 +442,8 @@ def test_simulate_failed_stream_leaves_no_files(tmp_path, capsys, monkeypatch, l
     frames, rows = wavefield._frames, []
     blocks = -(-2001 // (wavefield._BLOCK_CELLS // 200))
 
-    def broken(roots, zh, vh, w, tb):
-        zv = frames(roots, zh, vh, w, tb)
+    def broken(n, roots, zh, vh, w, tb):
+        zv = frames(n, roots, zh, vh, w, tb)
         rows.append(len(tb))
         if len(rows) == blocks + 1 - late:
             zv[1, -1] += bad  # zdot of the block's last frame

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import ringflock as rf
 from ringflock import wavefield
-from ringflock.spectral import eigenvalue_arrays
+from ringflock.spectral import eigenvalue_arrays, fft_modes, root_pair
 from helpers import random_moderate_damping_params, random_underdamped_params
 
 ASYM = dict(g_x=-1.0, g_v=-1.0, rho_x_plus=-0.5, rho_v_plus=0.0,
@@ -227,12 +228,17 @@ def test_evolve_blocks_of_frames_match_scalar_calls_bit_for_bit(n):
     assert batch.tobytes() == one_by_one.tobytes()
 
 
-def _two_exponential_sum(p, co, t):
-    """Reference modal evolution: each mode as l exp(nu_l t) + r exp(nu_r t),
-    where the "+" root (Im > 0) travels leftward at m > 0, rightward at m < 0."""
-    ms = rf.fft_modes(p.n)
+def _labelled_roots(p):
+    """(leftward, rightward) roots of every FFT bin: the "+" root (Im > 0)
+    travels leftward at m > 0, rightward at m < 0."""
+    ms = fft_modes(p.n)
     _, _, plus, minus = eigenvalue_arrays(p, ms)
-    left, right = np.where(ms < 0, minus, plus), np.where(ms < 0, plus, minus)
+    return np.where(ms < 0, minus, plus), np.where(ms < 0, plus, minus)
+
+
+def _two_exponential_sum(p, co, t):
+    """Reference modal evolution: each mode as l exp(nu_l t) + r exp(nu_r t)."""
+    left, right = _labelled_roots(p)
     t = np.asarray(t, dtype=float)[..., None]
     el, er = co.leftward * np.exp(left * t), co.rightward * np.exp(right * t)
     w, wd = el + er, left * el + right * er
@@ -252,6 +258,44 @@ def test_modal_evolve_matches_two_exponential_sum():
             assert z.shape == v.shape == z_ref.shape
             assert np.abs(z - z_ref).max() <= 1e-12
             assert np.abs(v - v_ref).max() <= 1e-12
+
+
+def _full_ifft_rule(p, zh, vh, ts):
+    """Reference: the closed-form propagator on all n FFT bins of the DFT data
+    (zh, vh), one complex inverse FFT per frame, real part kept."""
+    lx, lv = eigenvalue_arrays(p, fft_modes(p.n))[:2]
+    d, r1, r2 = root_pair(lx, lv)
+    t = ts[:, None]
+    y = -2.0 * d * t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pw = t * np.where(y == 0.0, 1.0, np.expm1(y) / y) * (vh - r1 * zh)
+    e = np.exp(r1 * t)
+    return tuple((p.n * np.fft.ifft(e * x)).real for x in (zh + pw, vh + r2 * pw))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 16, 17, 200])
+@pytest.mark.parametrize("g_v", [-2.0, -1.0, -50.0], ids=["default", "g_v=-1", "overdamped"])
+def test_half_spectrum_matches_the_full_ifft_rule(n, g_v):
+    # Bins 0..n//2 and irfft against all n bins and a complex ifft.  On the
+    # overdamped flock every mode has two real roots, so modal_decompose
+    # pairs leftward[-m] with conj(rightward[m]), the other link.
+    p = rf.FlockParams.nearest_neighbor(n, -2.0, g_v)
+    rng = np.random.default_rng(n)
+    z0, v0 = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+    ts = np.array([0.0, 0.7, n / 2.0, 3.0 * n])
+    if g_v == -50.0:
+        co = rf.modal_decompose(p, z0, v0)
+    else:
+        co = rf.power_law_coefficients(n, 2.0, seed=n)
+    left, right = _labelled_roots(p)
+    zh, vh = co.leftward + co.rightward, left * co.leftward + right * co.rightward
+    zh[0], vh[0] = co.coherent
+    for got, ref in ((rf.evolve(p, z0, v0, ts), _full_ifft_rule(p, np.fft.fft(z0) / n,
+                                                                  np.fft.fft(v0) / n, ts)),
+                     (rf.modal_evolve(p, co, ts), _full_ifft_rule(p, zh, vh, ts))):
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape == (len(ts), n)
+            assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
 
 
 def test_evolve_overdamped_long_run_is_the_coherent_drift():
@@ -417,6 +461,46 @@ def test_verify_wave_bound_rejects_zero_coefficients():
         rf.verify_wave_bound(p, empty, 0.3, 0.7, 2.0, 2.0)
 
 
+@pytest.mark.parametrize("n,f,value,residue", [
+    (16, 1, 1.0, "1.000e+00"), (17, 1, 1.0, "1.000e+00"), (16, 8, 1j, "5.000e-01"),
+], ids=["no-conjugate-even", "no-conjugate-odd", "half-ring-not-real"])
+def test_modal_calls_reject_data_that_are_not_conjugate_linked(n, f, value, residue):
+    # Mode 1 without its conjugate in bin -1 leaves the whole bin as residue.
+    # An even ring's half-ring bin is its own conjugate; its roots are
+    # -1 +- i sqrt(3) here, so leftward 1j gives z_hat = 1j and zdot_hat =
+    # -sqrt(3) - 1j: an imaginary part of 1 against a largest bin of 2.
+    p = rf.FlockParams.nearest_neighbor(n, -2.0, -1.0)
+    left = np.zeros(n, complex)
+    left[f] = value
+    co = rf.ModalCoefficients(n=n, leftward=left, rightward=np.zeros(n, complex),
+                              coherent=(0.0, 0.0))
+    message = re.escape(f"modal data are not conjugate-linked: residue {residue} > 1e-06")
+    for call in (lambda: rf.modal_evolve(p, co, 1.0),
+                 lambda: rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)):
+        with pytest.raises(rf.RingflockError, match=f"^{message}$"):
+            call()
+
+
+def test_modal_data_linked_up_to_rounding_noise_pass():
+    # 1e-13 relative noise on every amplitude, independently in bins m and -m
+    n = 64
+    p = rf.FlockParams.nearest_neighbor(n, -2.0, -1.0)
+    co = rf.power_law_coefficients(n, 2.0, seed=3)
+    rng = np.random.default_rng(5)
+
+    def noisy(c):
+        return c * (1.0 + 1e-13 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+
+    rough = dataclasses.replace(co, leftward=noisy(co.leftward), rightward=noisy(co.rightward))
+    assert (rough.leftward[1:] != rough.leftward[:0:-1].conj()).any()
+    ts = np.array([0.0, 5.0])
+    for a, b in zip(rf.modal_evolve(p, rough, ts), rf.modal_evolve(p, co, ts)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    rep_rough = rf.verify_wave_bound(p, rough, 0.3, 0.7, 2.0, 2.0)
+    rep = rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
+    np.testing.assert_allclose(rep_rough.measured, rep.measured, rtol=1e-9)
+
+
 def test_modal_calls_reject_data_of_another_ring():
     p = rf.FlockParams.nearest_neighbor(128, -2.0, -1.0)
     co = rf.power_law_coefficients(256, 2.0, seed=2)
@@ -483,26 +567,26 @@ def test_verify_wave_bound_matches_direct_profile_sum():
         assert abs(rep.signal_sup[i] - np.abs(z).max()) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [4096, 16384, 65536])  # 1, 2 and 7 blocks of frames
+@pytest.mark.parametrize("n", [4096, 16384, 65536])  # 1, 4 and 7 blocks of frames
 def test_verify_wave_bound_streams_the_whole_batch_rule(n):
-    # the rule before streaming: every frame at once, then one inverse FFT
-    # of the profiles at all 7 times
+    # the rule before streaming: every frame at once, then one irfft of the
+    # profiles' bins 0..cutoff at all 7 times
     p = rf.FlockParams.nearest_neighbor(n, -2.0, -2.0)
     co = rf.power_law_coefficients(n, 2.0, seed=1)
     rep = rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
     z, _ = rf.modal_evolve(p, co, rep.ts)
-    phase = -1j * p.theta * rep.modes * rep.ts[:, None]
-    w = np.zeros((len(rep.ts), n), dtype=complex)
-    w[:, rep.modes % n] = (rep.f_minus_coeffs * np.exp(phase * rep.c_minus)
-                           + rep.f_plus_coeffs * np.exp(phase * rep.c_plus))
-    measured = np.abs(z - n * np.fft.ifft(w)).max(axis=1)
+    kept = rep.modes >= 0
+    phase = -1j * p.theta * rep.modes[kept] * rep.ts[:, None]
+    w = (rep.f_minus_coeffs[kept] * np.exp(phase * rep.c_minus)
+         + rep.f_plus_coeffs[kept] * np.exp(phase * rep.c_plus))
+    measured = np.abs(z - n * np.fft.irfft(w, n)).max(axis=1)
     assert repr(rep.measured.tolist()) == repr(measured.tolist())
     assert repr(rep.signal_sup.tolist()) == repr(np.abs(z).max(axis=1).tolist())
 
 
 def test_wave_bound_memory_at_n_65536():
     # holding every frame, its profile and three root evaluations at once
-    # peaked at about 32 MB here
+    # peaked at about 32 MB here; all n bins per frame, 14.2 MB
     p = rf.FlockParams.nearest_neighbor(65536, -2.0, -2.0)
     co = rf.power_law_coefficients(65536, 2.0, seed=1)
     tracemalloc.start()
@@ -512,7 +596,38 @@ def test_wave_bound_memory_at_n_65536():
     finally:
         tracemalloc.stop()
     assert rep.bound_holds()
-    assert peak < 20 * 2**20
+    assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("rho_v", [(-0.5, -0.5), (-0.2, -0.8)],
+                         ids=["equal-speeds", "unequal-speeds"])
+def test_verify_wave_bound_takes_the_half_ring_term_by_its_real_part(n, rho_v):
+    # n**0.9 keeps every mode, the half-ring one too.  The full-bin rule put
+    # that term in bin n/2 alone and measured |z - profile| of a complex
+    # profile; irfft keeps its real part.  With equal speeds the term is real
+    # and the rules agree; with unequal ones its imaginary part only added
+    # error.  With rho_v = (-0.2, 1, -0.8) the half-ring roots are a double
+    # root split by about 1e-8 in float64, which the link check lets pass.
+    m1, p1 = rho_v
+    p = rf.FlockParams.nearest_neighbor(n, -2.0, -2.0, -0.5, p1, -0.5, m1)
+    co = rf.power_law_coefficients(n, 2.0, seed=1)
+    rep = rf.verify_wave_bound(p, co, 0.9, 0.95, 2.0, 2.0)
+    assert rep.cutoff >= n // 2 and n // 2 in rep.modes and rep.bound_holds()
+    z, _ = rf.modal_evolve(p, co, rep.ts)
+    phase = -1j * p.theta * rep.modes * rep.ts[:, None]
+    w = np.zeros((len(rep.ts), n), dtype=complex)
+    w[:, rep.modes % n] = (rep.f_minus_coeffs * np.exp(phase * rep.c_minus)
+                           + rep.f_plus_coeffs * np.exp(phase * rep.c_plus))
+    profile = n * np.fft.ifft(w)
+    full_rule = np.abs(z - profile).max(axis=1)
+    np.testing.assert_allclose(rep.measured, np.abs(z - profile.real).max(axis=1), rtol=1e-12)
+    if m1 == p1:
+        assert rep.c_plus == -rep.c_minus and np.abs(w[:, n // 2].imag).max() < 1e-15
+        np.testing.assert_allclose(rep.measured, full_rule, rtol=1e-12)
+    else:
+        assert np.abs(w[:, n // 2].imag).max() > 0.05
+        assert (rep.measured <= full_rule).all() and (rep.measured < full_rule).any()
 
 
 def test_exp_diff_bound_examples():
