@@ -39,12 +39,6 @@ def mode_range(n: int) -> np.ndarray:
     return np.arange(lo, lo + n)
 
 
-def fft_modes(n: int) -> np.ndarray:
-    """Mode index carried by each FFT bin: f for f <= n//2, else f - n."""
-    f = np.arange(n)
-    return np.where(f <= n // 2, f, f - n)
-
-
 def lambda_curves(params: FlockParams, phi):
     """The coupling symbols lambda_x(phi), lambda_v(phi) on arbitrary angles.
 

@@ -24,15 +24,11 @@ import numpy as np
 
 from .errors import RingflockError
 from .model import FlockParams, moments
-from .spectral import eigenvalue_arrays, fft_modes, pencil_roots, root_pair
+from .spectral import eigenvalue_arrays, pencil_roots, root_pair
 from .stability import stable_for_all_n
 
 #: Two branch eigenvalues closer than this (relative) make the mode Jordan-like.
 DEGENERATE_MODE_TOL = 1e-10
-
-#: Largest conjugate-link residue of modal data, relative to their largest
-#: DFT bin: roots near a double root are good to only about 1.5e-8.
-CONJUGATE_LINK_TOL = 1e-6
 
 
 def _require_gate(params):
@@ -78,15 +74,17 @@ class SignalVelocities:
 
 @dataclass(frozen=True)
 class ModalCoefficients:
-    """Complex modal amplitudes by direction of travel, in FFT bin order.
+    """Complex modal amplitudes by direction of travel on the rfft bins
+    0..n//2, arrays of shape (n//2 + 1,).
 
-    leftward[f] multiplies exp(nu t) for the root of the mode in FFT bin f
-    whose phase moves toward smaller agent numbers (speed near c_minus), and
-    rightward[f] the other root: they are the Fourier coefficients of the
-    profiles f_- and f_+.  Bin 0 is unused (zero) and the coherent motion is
-    carried by coherent = (mean position, mean velocity).  A real field's DFT
-    data l + r and nu_l l + nu_r r are conjugate-linked (bin -m the conjugate
-    of bin m, an even ring's half-ring bin real), to CONJUGATE_LINK_TOL.
+    leftward[m] multiplies exp(nu_+ t) of mode m, the "+" root, whose phase
+    moves toward smaller agent numbers (speed near c_minus) unless the mode
+    is overdamped, and rightward[m] exp(nu_- t): they are the Fourier
+    coefficients of the profiles f_- and f_+.  Bin 0 is unused and the coherent motion is carried by coherent =
+    (mean position, mean velocity).  The state they describe has the DFT data
+    l + r and nu_+ l + nu_- r on these bins; bin -m is the conjugate of bin m
+    (irfft), so the field is real by construction, and an even ring's
+    half-ring bin counts by its real part.
     """
 
     n: int
@@ -197,10 +195,10 @@ def _half_roots(params):
 def modal_decompose(params: FlockParams, z0, zdot0) -> ModalCoefficients:
     """Solve for the modal amplitudes reproducing the initial condition.
 
-    The DFT turns the initial data into per-mode pairs; each nonzero mode
-    gives a 2x2 linear system l + r = z_hat, nu_l l + nu_r r = zdot_hat in
-    its leftward and rightward roots.  The coherent pair holds the mean
-    position and mean velocity.
+    The rfft turns the initial data into per-mode pairs on bins 0..n//2;
+    each mode m >= 1 gives a 2x2 linear system l + r = z_hat,
+    nu_+ l + nu_- r = zdot_hat in its "+" (leftward) and "-" (rightward)
+    roots.  The coherent pair holds the mean position and mean velocity.
 
     Raises:
         RingflockError: closed-form gate fails, the initial arrays are not
@@ -210,18 +208,15 @@ def modal_decompose(params: FlockParams, z0, zdot0) -> ModalCoefficients:
     _require_gate(params)
     n = params.n
     z0, zdot0 = _initial_arrays(n, z0, zdot0)
-    zh, vh = np.fft.fft(z0) / n, np.fft.fft(zdot0) / n
-    ms = fft_modes(n)
-    _, _, plus, minus = eigenvalue_arrays(params, ms)
-    neg = ms < 0  # leftward is the "+" root at m > 0, the "-" one at m < 0
-    left, right = np.where(neg, minus, plus), np.where(neg, plus, minus)
-    den = left - right
-    bad = (np.abs(den) < DEGENERATE_MODE_TOL * np.maximum(1.0, np.abs(plus))) & (ms != 0)
+    zh, vh = np.fft.rfft(z0) / n, np.fft.rfft(zdot0) / n
+    _, plus, minus = _half_roots(params)
+    den = plus - minus
+    bad = np.abs(den[1:]) < DEGENERATE_MODE_TOL * np.maximum(1.0, np.abs(plus[1:]))
     if bad.any():
-        raise RingflockError(f"mode m={int(ms[bad][0])} has coincident branches")
+        raise RingflockError(f"mode m={int(np.argmax(bad)) + 1} has coincident branches")
     with np.errstate(divide="ignore", invalid="ignore"):
-        leftward = (vh - right * zh) / den
-        rightward = (left * zh - vh) / den
+        leftward = (vh - minus * zh) / den
+        rightward = (plus * zh - vh) / den
     leftward[0] = rightward[0] = 0.0
     return ModalCoefficients(n=n, leftward=leftward, rightward=rightward,
                              coherent=(float(zh[0].real), float(vh[0].real)))
@@ -305,23 +300,17 @@ def _propagator(params, z0, zdot0):
 
 
 def _modal_dft(coeffs, left, right):
-    """Bins 0..n//2 of the DFT data (l + r, nu_l l + nu_r r) of the state the
-    amplitudes describe at t = 0, coherent pair in bin 0, once its conjugate
-    links hold (ModalCoefficients); bin -m has the conjugate roots of mode m,
-    swapped where their imaginary parts tie."""
-    h, k = left.size, (coeffs.n - 1) // 2  # bins -1..-k pair with 1..k
-    l, r = coeffs.leftward, coeffs.rightward
-    dft = np.stack([l[:h] + r[:h], left * l[:h] + right * r[:h]])
+    """The DFT data (l + r, nu_l l + nu_r r) on bins 0..n//2 of the state the
+    amplitudes describe at t = 0, coherent pair in bin 0.
+
+    Raises:
+        RingflockError: the amplitudes do not have the shape of left.
+    """
+    l, r = np.asarray(coeffs.leftward), np.asarray(coeffs.rightward)
+    if l.shape != left.shape or r.shape != left.shape:
+        raise RingflockError(f"modal amplitudes must have shape {left.shape}")
+    dft = np.stack([l + r, left * l + right * r])
     dft[:, 0] = coeffs.coherent
-    a, b = left[1:k + 1], right[1:k + 1]
-    ln, rn = l[:-k - 1:-1].conj(), r[:-k - 1:-1].conj()  # conj of bins -1..-k
-    ln, rn = np.where(a.imag == b.imag, [rn, ln], [ln, rn])
-    res = np.c_[dft[:, 1:k + 1] - [ln + rn, a * ln + b * rn], dft[:, k + 1:].imag]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs(res).max() / np.abs(dft).max()
-    if rel > CONJUGATE_LINK_TOL:
-        raise RingflockError(f"modal data are not conjugate-linked: residue {rel:.3e}"
-                             f" > {CONJUGATE_LINK_TOL:g}")
     return dft
 
 
@@ -334,9 +323,14 @@ def evolve(params: FlockParams, z0, zdot0, t):
 
 def modal_evolve(params: FlockParams, coeffs: ModalCoefficients, t):
     """Exact state (z, zdot) at time t from the modal amplitudes of a ring of
-    params.n agents, conjugate-linked to CONJUGATE_LINK_TOL (RingflockError
-    otherwise), shaped as in evolve: the propagator runs on (l + r,
-    nu_l l + nu_r r) over bins 0..n//2."""
+    params.n agents, shaped as in evolve: the propagator runs on (l + r,
+    nu_+ l + nu_- r) over bins 0..n//2.
+
+    Raises:
+        RingflockError: coeffs belong to a ring of another size or their
+            amplitudes do not have shape (n//2 + 1,), or the evolved state
+            is not finite.
+    """
     _require_same_ring(params, coeffs)
     roots, left, right = _half_roots(params)
     ts = np.asarray(t, dtype=float)
@@ -345,12 +339,14 @@ def modal_evolve(params: FlockParams, coeffs: ModalCoefficients, t):
 
 
 def power_law_coefficients(n: int, p: float, seed: int = 0) -> ModalCoefficients:
-    """Synthetic real-field modal data with |coeff_m| = m**-p.
+    """Synthetic modal data on bins 0..n//2 with |coeff_m| = m**-p.
 
-    Phases are drawn from a seeded generator, one pair per |m| in stream
-    order, so rings of different sizes share the low-mode coefficients.
-    The negative modes are the conjugates of the positive ones, which
-    makes the physical field real.
+    Phases are drawn from a seeded generator, one pair per mode m >= 1 in
+    stream order, so rings of different sizes share the low-mode
+    coefficients.  Like any modal data they describe a real field
+    (ModalCoefficients).  On an even ring the half-ring rightward amplitude
+    is the conjugate of the leftward one, so that bin's position data are
+    real.
 
     Raises:
         RingflockError: p is not a finite number above 1, or seed is
@@ -365,12 +361,8 @@ def power_law_coefficients(n: int, p: float, seed: int = 0) -> ModalCoefficients
     phases = rng.uniform(0.0, 2.0 * math.pi, size=(half, 2))
     # float ** float, not np.power, which can differ in the last bit
     mag = np.array([float(m) ** (-p) for m in range(1, half + 1)])
-    lm, rm = (mag[:, None] * np.exp(1j * phases)).T
-    ms = np.arange(1, half + 1)
-    left = np.zeros(n, dtype=complex)
-    right = np.zeros(n, dtype=complex)
-    left[n - ms], right[n - ms] = lm.conj(), rm.conj()
-    left[ms], right[ms] = lm, rm
+    left, right = np.zeros((2, half + 1), dtype=complex)
+    left[1:], right[1:] = (mag[:, None] * np.exp(1j * phases)).T
     if half and n % 2 == 0:  # an even ring's half-ring bin is its own conjugate
         right[half] = left[half].conjugate()
     return ModalCoefficients(n=n, leftward=left, rightward=right, coherent=(0.0, 0.0))
@@ -381,10 +373,11 @@ class WaveBoundReport:
     """Measured traveling-wave error against the three-term bound.
 
     The profiles keep the modes |m| <= cutoff < n**alpha: f_minus_coeffs
-    holds the leftward amplitudes over `modes` (the profile f_-(x) =
-    sum_m coeff_m exp(i theta m x), advected at c_minus) and f_plus_coeffs
-    the rightward ones; their sum is a real field, an even ring's half-ring
-    term taken by its real part.
+    holds the leftward amplitudes on bins 0..min(cutoff, n//2) (the profile
+    f_-(x) = sum_m coeff_m exp(i theta m x) over |m| <= cutoff, coeff_-m the
+    conjugate of coeff_m, advected at c_minus) and f_plus_coeffs the
+    rightward ones.  The profile sum is n irfft of the kept bins, with an
+    even ring's half-ring term taken by its real part.
     m_bound is the tightest envelope M = max |coeff_m| |m|**p of the data.
     damping_mid = C(alpha, beta) and damping_high = C(beta, 1) are the
     minimal |Re(nu)| over the two frequency bands, taken over both roots.
@@ -392,7 +385,6 @@ class WaveBoundReport:
 
     n: int
     cutoff: int
-    modes: np.ndarray
     f_minus_coeffs: np.ndarray
     f_plus_coeffs: np.ndarray
     c_plus: float
@@ -417,18 +409,16 @@ class WaveBoundReport:
 
 def _envelope_bound(coeffs, p):
     """The tightest power-law envelope M = max |coeff_m| |m|**p over the
-    modes m = 1..n//2 (bin -m of a real field repeats them), from the larger
-    of the two amplitudes.
+    modes m = 1..n//2, from the larger of the two amplitudes.
 
     Raises:
         RingflockError: every modal coefficient is zero.
     """
-    h = coeffs.n // 2 + 1
-    mags = np.maximum(np.abs(coeffs.leftward[1:h]), np.abs(coeffs.rightward[1:h]))
+    mags = np.maximum(np.abs(coeffs.leftward[1:]), np.abs(coeffs.rightward[1:]))
     live = mags > 0
     if not live.any():
         raise RingflockError("all modal coefficients vanish")
-    mags, abs_ms = mags[live], np.arange(1, h)[live]
+    mags, abs_ms = mags[live], np.arange(1, len(mags) + 1)[live]
     with np.errstate(over="ignore"):
         envelope = mags * abs_ms ** p
         # |m|**p overflows where the coefficient underflows (large p): use logs there
@@ -462,8 +452,8 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
     Raises:
         RingflockError: exponent ordering violated, K or p not a finite
             number above 1, or n**alpha <= 1; every modal coefficient is
-            zero; coeffs belong to a ring of another size or miss the
-            conjugate links; K n/c_slow or a
+            zero; coeffs belong to a ring of another size or their
+            amplitudes do not have shape (n//2 + 1,); K n/c_slow or a
             bound term overflows; or, via the signal velocities, the
             closed-form gate fails.
     """
@@ -484,7 +474,6 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
     if cutoff >= n ** alpha:  # strict inequality |m| < n**alpha
         cutoff -= 1
     kept = min(cutoff, n // 2) + 1  # the profiles' rfft bins 0..kept - 1
-    modes = np.r_[0:kept, -min(cutoff, (n - 1) // 2):0]  # in FFT bin order
     sigs = signal_velocities(params)
     c_plus, c_minus = sigs.c_plus, sigs.c_minus
 
@@ -503,14 +492,14 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
         raise RingflockError(f"the window end K n/|c| overflows float64 at K={k_window:g}")
     ts = np.linspace(lo, hi, 7)
 
-    f_minus, f_plus = coeffs.leftward[modes], coeffs.rightward[modes]
-    phase = -1j * params.theta * modes[:kept]
+    f_minus, f_plus = coeffs.leftward[:kept], coeffs.rightward[:kept]
+    phase = -1j * params.theta * np.arange(kept)
 
     def sups(block):  # (rows, error sup, signal sup) of one block of frames
         lo, z, _ = block
         rows = slice(lo, lo + len(z))
         ph = phase * ts[rows, None]
-        w = f_minus[:kept] * np.exp(ph * c_minus) + f_plus[:kept] * np.exp(ph * c_plus)
+        w = f_minus * np.exp(ph * c_minus) + f_plus * np.exp(ph * c_plus)
         return rows, np.abs(z - n * np.fft.irfft(w, n)).max(axis=1), np.abs(z).max(axis=1)
 
     measured, signal_sup = np.empty(ts.size), np.empty(ts.size)
@@ -532,7 +521,7 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
         d_const = float(max(0.0, ((measured - term2 - term3) / unit1).max()))
 
     return WaveBoundReport(
-        n=n, cutoff=cutoff, modes=modes, f_minus_coeffs=f_minus, f_plus_coeffs=f_plus,
+        n=n, cutoff=cutoff, f_minus_coeffs=f_minus, f_plus_coeffs=f_plus,
         c_plus=c_plus, c_minus=c_minus, m_bound=m_bound, damping_mid=damping_mid,
         damping_high=damping_high, d_const=d_const, ts=ts, measured=measured,
         signal_sup=signal_sup, term1=unit1 * d_const, term2=term2, term3=term3)

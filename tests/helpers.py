@@ -7,6 +7,12 @@ import numpy as np
 from ringflock import FlockParams, mode_range, routh_hurwitz
 
 
+def fft_modes(n):
+    """Mode index carried by each FFT bin: f for f <= n//2, else f - n."""
+    f = np.arange(n)
+    return np.where(f <= n // 2, f, f - n)
+
+
 def dyadic(rng, lo, hi, bits=20):
     """Uniform draw snapped to a 2**-bits grid.
 

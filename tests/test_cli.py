@@ -530,6 +530,23 @@ def test_wave_verify_bound_and_decay(tmp_path, capsys):
     assert (data[:, 2] <= data[:, 3] + data[:, 4] + data[:, 5] + 1e-9).all()
 
 
+@pytest.mark.parametrize("sweep", [(256, 512, 1024), (64, 128)], ids=["default", "64,128"])
+def test_wave_verify_on_an_overdamped_flock_reaches_a_verdict(tmp_path, capsys, sweep):
+    # g_v = -50 gives most modes two real roots; its power-law data once
+    # failed as modal data that were not conjugate-linked
+    text = "g_v = -50\nn_sweep = " + ",".join(map(str, sweep)) + "\n"
+    code, out, out_dir = run(capsys, tmp_path, "wave-verify", text)
+    lines = out.splitlines()
+    assert [line.split("=")[0] for line in lines] == \
+        ["alpha_guarantee", "d_const", *["n"] * len(sweep), "rel_error_monotone"]
+    holds = [kv(line.split()[-1], "bound_holds") for line in lines[2:-1]]
+    assert [line.split()[0] for line in lines[2:-1]] == [f"n={n}" for n in sweep]
+    assert code == (0 if holds == ["true"] * len(sweep) else 2)
+    data = np.loadtxt(out_dir / "wave_verify.csv", delimiter=",", skiprows=1)
+    assert data.shape == (7 * len(sweep), 6) and np.isfinite(data).all()
+    assert (data[:, 0] == np.repeat(sweep, 7)).all()
+
+
 def test_seed_flag_sets_and_overrides_the_config_seed(tmp_path, capsys):
     text = "g_x = -2\ng_v = -1\nn_sweep = 64\n"
     runs = {"config": (text + "seed = 12\n", []),

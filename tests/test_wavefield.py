@@ -1,7 +1,6 @@
 import cmath
 import dataclasses
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -9,8 +8,8 @@ import pytest
 
 import ringflock as rf
 from ringflock import wavefield
-from ringflock.spectral import eigenvalue_arrays, fft_modes, root_pair
-from helpers import random_moderate_damping_params, random_underdamped_params
+from ringflock.spectral import eigenvalue_arrays, root_pair
+from helpers import fft_modes, random_moderate_damping_params, random_underdamped_params
 
 ASYM = dict(g_x=-1.0, g_v=-1.0, rho_x_plus=-0.5, rho_v_plus=0.0,
             rho_x_minus=-0.5, rho_v_minus=-1.0)
@@ -149,8 +148,9 @@ def test_modal_decompose_single_leftward_mode():
     z0 = 2.0 * np.cos(p.theta * ks)
     zdot0 = np.real(nu_plus * 2.0 * np.exp(1j * p.theta * ks))
     co = rf.modal_decompose(p, z0, zdot0)
-    assert set(np.flatnonzero(np.abs(co.leftward) > 1e-12)) == {1, 63}
-    assert co.leftward[63] == pytest.approx(co.leftward[1].conjugate(), abs=1e-12)
+    assert co.leftward.shape == co.rightward.shape == (33,)  # bins 0..n//2
+    assert set(np.flatnonzero(np.abs(co.leftward) > 1e-12)) == {1}
+    assert co.leftward[1] == pytest.approx(1.0, abs=1e-12)  # z0 has z_hat = 1 in bin 1
     assert np.abs(co.rightward).max() < 1e-14
 
 
@@ -166,14 +166,19 @@ def test_wave_approximation_rightward_profile_empty_for_leftward_wave():
 
 
 def test_modal_roundtrip_and_conjugate_links():
+    # The 2x2 systems solved on all n FFT bins give bin -m the conjugates of
+    # mode m's amplitudes: the full bins _full_bins builds from the half data.
     rng = np.random.default_rng(97)
     p = random_underdamped_params(rng, 64)
     z0 = rng.uniform(-1, 1, 64)
     v0 = rng.uniform(-1, 1, 64)
     co = rf.modal_decompose(p, z0, v0)
-    for c in (co.leftward, co.rightward):  # bin -m holds mode -m
-        for m in range(1, 32):
-            assert c[-m] == pytest.approx(c[m].conjugate(), abs=1e-12)
+    assert co.leftward.shape == co.rightward.shape == (33,)
+    left, right, l, r = (a[1:] for a in _full_bins(p, co))  # bin 0 is the coherent pair
+    zh, vh = np.fft.fft(z0)[1:] / 64, np.fft.fft(v0)[1:] / 64
+    for got, ref in ((l, (vh - right * zh) / (left - right)),
+                     (r, (left * zh - vh) / (left - right))):
+        assert np.abs(got - ref).max() <= 1e-12
     assert co.rightward[32] == pytest.approx(co.leftward[32].conjugate(), abs=1e-12)
     z, v = rf.modal_evolve(p, co, 0.0)
     assert np.abs(z - z0).max() <= 1e-10 * max(1.0, np.abs(z0).max())
@@ -188,8 +193,8 @@ def test_modal_decompose_degenerate_mode():
 
 def test_modal_evolve_coherent_drift():
     p = rf.FlockParams.nearest_neighbor(16, -2.0, -1.0)
-    co = rf.ModalCoefficients(n=16, leftward=np.zeros(16, complex),
-                              rightward=np.zeros(16, complex), coherent=(1.25, -0.5))
+    co = rf.ModalCoefficients(n=16, leftward=np.zeros(9, complex),
+                              rightward=np.zeros(9, complex), coherent=(1.25, -0.5))
     z, v = rf.modal_evolve(p, co, 5.0)
     np.testing.assert_allclose(z, 1.25 - 2.5, atol=1e-12)
     np.testing.assert_allclose(v, -0.5, atol=1e-12)
@@ -228,19 +233,30 @@ def test_evolve_blocks_of_frames_match_scalar_calls_bit_for_bit(n):
     assert batch.tobytes() == one_by_one.tobytes()
 
 
-def _labelled_roots(p):
-    """(leftward, rightward) roots of every FFT bin: the "+" root (Im > 0)
-    travels leftward at m > 0, rightward at m < 0."""
-    ms = fft_modes(p.n)
+def _full_bins(p, co):
+    """Roots and amplitudes (left, right, l, r) on all n FFT bins of the real
+    field that the half-spectrum data co describe.  Each bin's roots come
+    from eigenvalue_arrays: the "+" root (Im > 0) travels leftward at m > 0,
+    rightward at m < 0.  Bin -m holds the conjugates of mode m's amplitudes,
+    swapped where mode m's two roots are real (equal imaginary parts), since
+    eigenvalue_arrays then labels mode -m as it labels mode m."""
+    n, k = p.n, (p.n - 1) // 2  # bins -1..-k pair with 1..k
+    ms = fft_modes(n)
     _, _, plus, minus = eigenvalue_arrays(p, ms)
-    return np.where(ms < 0, minus, plus), np.where(ms < 0, plus, minus)
+    left, right = np.where(ms < 0, minus, plus), np.where(ms < 0, plus, minus)
+    l, r = np.zeros((2, n), dtype=complex)
+    l[:n // 2 + 1], r[:n // 2 + 1] = co.leftward, co.rightward
+    ln, rn = co.leftward[1:k + 1].conj(), co.rightward[1:k + 1].conj()
+    tie = plus[1:k + 1].imag == minus[1:k + 1].imag
+    l[:-k - 1:-1], r[:-k - 1:-1] = np.where(tie, [rn, ln], [ln, rn])
+    return left, right, l, r
 
 
 def _two_exponential_sum(p, co, t):
     """Reference modal evolution: each mode as l exp(nu_l t) + r exp(nu_r t)."""
-    left, right = _labelled_roots(p)
+    left, right, l, r = _full_bins(p, co)
     t = np.asarray(t, dtype=float)[..., None]
-    el, er = co.leftward * np.exp(left * t), co.rightward * np.exp(right * t)
+    el, er = l * np.exp(left * t), r * np.exp(right * t)
     w, wd = el + er, left * el + right * er
     w[..., 0] = co.coherent[0] + co.coherent[1] * t[..., 0]
     wd[..., 0] = co.coherent[1]
@@ -275,24 +291,29 @@ def _full_ifft_rule(p, zh, vh, ts):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 16, 17, 200])
 @pytest.mark.parametrize("g_v", [-2.0, -1.0, -50.0], ids=["default", "g_v=-1", "overdamped"])
-def test_half_spectrum_matches_the_full_ifft_rule(n, g_v):
+@pytest.mark.parametrize("source", ["power_law", "modal_decompose"])
+def test_half_spectrum_matches_the_full_ifft_rule(n, g_v, source):
     # Bins 0..n//2 and irfft against all n bins and a complex ifft.  On the
-    # overdamped flock every mode has two real roots, so modal_decompose
-    # pairs leftward[-m] with conj(rightward[m]), the other link.
+    # overdamped flock all modes but the lowest few have two real roots,
+    # where the full bins pair leftward[-m] with conj(rightward[m]).
     p = rf.FlockParams.nearest_neighbor(n, -2.0, g_v)
     rng = np.random.default_rng(n)
     z0, v0 = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
     ts = np.array([0.0, 0.7, n / 2.0, 3.0 * n])
-    if g_v == -50.0:
-        co = rf.modal_decompose(p, z0, v0)
+    pairs = [(rf.evolve(p, z0, v0, ts),
+              _full_ifft_rule(p, np.fft.fft(z0) / n, np.fft.fft(v0) / n, ts))]
+    if source == "modal_decompose" and g_v == -2.0 and n % 2 == 0:
+        # the half-ring mode is a double root: modal_decompose has no solution
+        with pytest.raises(rf.RingflockError, match=f"mode m={n // 2} has coincident branches"):
+            rf.modal_decompose(p, z0, v0)
     else:
-        co = rf.power_law_coefficients(n, 2.0, seed=n)
-    left, right = _labelled_roots(p)
-    zh, vh = co.leftward + co.rightward, left * co.leftward + right * co.rightward
-    zh[0], vh[0] = co.coherent
-    for got, ref in ((rf.evolve(p, z0, v0, ts), _full_ifft_rule(p, np.fft.fft(z0) / n,
-                                                                  np.fft.fft(v0) / n, ts)),
-                     (rf.modal_evolve(p, co, ts), _full_ifft_rule(p, zh, vh, ts))):
+        co = (rf.power_law_coefficients(n, 2.0, seed=n) if source == "power_law"
+              else rf.modal_decompose(p, z0, v0))
+        left, right, l, r = _full_bins(p, co)
+        zh, vh = l + r, left * l + right * r
+        zh[0], vh[0] = co.coherent
+        pairs.append((rf.modal_evolve(p, co, ts), _full_ifft_rule(p, zh, vh, ts)))
+    for got, ref in pairs:
         for a, b in zip(got, ref):
             assert a.shape == b.shape == (len(ts), n)
             assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
@@ -357,13 +378,12 @@ def test_signal_velocities_keep_the_small_root():
 def test_power_law_coefficients_real_and_nested():
     for n in (128, 129, 256):
         co = rf.power_law_coefficients(n, 2.0, seed=5)
-        for c in (co.leftward, co.rightward):  # bin -m holds mode -m
-            for m in range(1, (n + 1) // 2):
-                assert c[-m] == c[m].conjugate()
+        assert co.leftward.shape == co.rightward.shape == (n // 2 + 1,)  # bins 0..n//2
+        assert co.leftward[0] == co.rightward[0] == 0.0
         if n % 2 == 0:  # the half-ring bin is its own conjugate
             assert co.rightward[n // 2] == co.leftward[n // 2].conjugate()
         p = rf.FlockParams.nearest_neighbor(n, -2.0, -1.0)
-        z, v = rf.modal_evolve(p, co, 0.0)  # raises if the field is not real
+        z, v = rf.modal_evolve(p, co, 0.0)
         assert np.isfinite(z).all() and np.isfinite(v).all()
     small = rf.power_law_coefficients(128, 2.0, seed=5)
     large = rf.power_law_coefficients(256, 2.0, seed=5)
@@ -375,13 +395,12 @@ def test_power_law_coefficients_real_and_nested():
 def _power_law_coefficients_loop(n, p, seed):
     """The per-mode loop power_law_coefficients once ran: the reference."""
     phases = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=(n // 2, 2))
-    left = np.zeros(n, dtype=complex)
-    right = np.zeros(n, dtype=complex)
+    left = np.zeros(n // 2 + 1, dtype=complex)
+    right = np.zeros(n // 2 + 1, dtype=complex)
     for m in range(1, n // 2 + 1):
         mag = float(m) ** (-p)
         lm = mag * cmath.exp(1j * phases[m - 1, 0])
         rm = mag * cmath.exp(1j * phases[m - 1, 1])
-        left[n - m], right[n - m] = lm.conjugate(), rm.conjugate()
         left[m], right[m] = lm, rm if m < n - m else lm.conjugate()
     return left, right
 
@@ -425,7 +444,7 @@ def test_verify_wave_bound_cutoff_is_strict_at_an_integer_power():
     co = rf.power_law_coefficients(64, 2.0, seed=2)
     rep = rf.verify_wave_bound(p, co, 0.5, 0.7, 2.0, 2.0)
     assert rep.cutoff == 7
-    assert np.abs(rep.modes).max() == 7
+    assert len(rep.f_minus_coeffs) == len(rep.f_plus_coeffs) == 8  # bins 0..7
 
 
 def test_verify_wave_bound_envelope_at_large_p():
@@ -455,50 +474,25 @@ def test_verify_wave_bound_rejects_overflowing_window():
 
 def test_verify_wave_bound_rejects_zero_coefficients():
     p = rf.FlockParams.nearest_neighbor(128, -2.0, -1.0)
-    empty = rf.ModalCoefficients(n=128, leftward=np.zeros(128, complex),
-                                 rightward=np.zeros(128, complex), coherent=(0.0, 0.0))
+    empty = rf.ModalCoefficients(n=128, leftward=np.zeros(65, complex),
+                                 rightward=np.zeros(65, complex), coherent=(0.0, 0.0))
     with pytest.raises(rf.RingflockError, match="all modal coefficients vanish"):
         rf.verify_wave_bound(p, empty, 0.3, 0.7, 2.0, 2.0)
 
 
-@pytest.mark.parametrize("n,f,value,residue", [
-    (16, 1, 1.0, "1.000e+00"), (17, 1, 1.0, "1.000e+00"), (16, 8, 1j, "5.000e-01"),
-], ids=["no-conjugate-even", "no-conjugate-odd", "half-ring-not-real"])
-def test_modal_calls_reject_data_that_are_not_conjugate_linked(n, f, value, residue):
-    # Mode 1 without its conjugate in bin -1 leaves the whole bin as residue.
-    # An even ring's half-ring bin is its own conjugate; its roots are
-    # -1 +- i sqrt(3) here, so leftward 1j gives z_hat = 1j and zdot_hat =
-    # -sqrt(3) - 1j: an imaginary part of 1 against a largest bin of 2.
-    p = rf.FlockParams.nearest_neighbor(n, -2.0, -1.0)
-    left = np.zeros(n, complex)
-    left[f] = value
-    co = rf.ModalCoefficients(n=n, leftward=left, rightward=np.zeros(n, complex),
-                              coherent=(0.0, 0.0))
-    message = re.escape(f"modal data are not conjugate-linked: residue {residue} > 1e-06")
-    for call in (lambda: rf.modal_evolve(p, co, 1.0),
-                 lambda: rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)):
-        with pytest.raises(rf.RingflockError, match=f"^{message}$"):
-            call()
-
-
-def test_modal_data_linked_up_to_rounding_noise_pass():
-    # 1e-13 relative noise on every amplitude, independently in bins m and -m
-    n = 64
-    p = rf.FlockParams.nearest_neighbor(n, -2.0, -1.0)
-    co = rf.power_law_coefficients(n, 2.0, seed=3)
-    rng = np.random.default_rng(5)
-
-    def noisy(c):
-        return c * (1.0 + 1e-13 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
-
-    rough = dataclasses.replace(co, leftward=noisy(co.leftward), rightward=noisy(co.rightward))
-    assert (rough.leftward[1:] != rough.leftward[:0:-1].conj()).any()
-    ts = np.array([0.0, 5.0])
-    for a, b in zip(rf.modal_evolve(p, rough, ts), rf.modal_evolve(p, co, ts)):
-        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
-    rep_rough = rf.verify_wave_bound(p, rough, 0.3, 0.7, 2.0, 2.0)
-    rep = rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
-    np.testing.assert_allclose(rep_rough.measured, rep.measured, rtol=1e-9)
+@pytest.mark.parametrize("size", [8, 16, 17])
+def test_modal_calls_reject_amplitudes_of_the_wrong_shape(size):
+    # n = 16 has the rfft bins 0..8; all n bins or one too few are refused
+    p = rf.FlockParams.nearest_neighbor(16, -2.0, -1.0)
+    good, bad = np.zeros(9, complex), np.zeros(size, complex)
+    good[1] = bad[1] = 1.0
+    for co in (rf.ModalCoefficients(n=16, leftward=bad, rightward=good, coherent=(0.0, 0.0)),
+               rf.ModalCoefficients(n=16, leftward=good, rightward=bad, coherent=(0.0, 0.0))):
+        for call in (lambda: rf.modal_evolve(p, co, 1.0),
+                     lambda: rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)):
+            with pytest.raises(rf.RingflockError,
+                               match=r"^modal amplitudes must have shape \(9,\)$"):
+                call()
 
 
 def test_modal_calls_reject_data_of_another_ring():
@@ -554,9 +548,10 @@ def test_verify_wave_bound_matches_direct_profile_sum():
     co = rf.power_law_coefficients(n, 2.0, seed=4)
     rep = rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
     ks = np.arange(n)
+    ms = np.arange(-rep.cutoff, rep.cutoff + 1)  # cutoff < n/2 here
 
-    def profile(coeffs, x):
-        return coeffs @ np.exp(1j * p.theta * np.outer(rep.modes, x))
+    def profile(coeffs, x):  # coeffs on bins 0..cutoff; mode -m has their conjugate
+        return np.r_[coeffs[:0:-1].conj(), coeffs] @ np.exp(1j * p.theta * np.outer(ms, x))
 
     assert len(rep.ts) == 7
     for i, t in enumerate(rep.ts):
@@ -567,21 +562,43 @@ def test_verify_wave_bound_matches_direct_profile_sum():
         assert abs(rep.signal_sup[i] - np.abs(z).max()) <= 1e-12
 
 
+def _whole_batch_rule(p, co, rep):
+    """(measured, signal_sup) by the rule before streaming: every frame at
+    once, then one irfft of the profiles' bins 0..cutoff at all 7 times."""
+    z, _ = rf.modal_evolve(p, co, rep.ts)
+    phase = -1j * p.theta * np.arange(len(rep.f_minus_coeffs)) * rep.ts[:, None]
+    w = (rep.f_minus_coeffs * np.exp(phase * rep.c_minus)
+         + rep.f_plus_coeffs * np.exp(phase * rep.c_plus))
+    return np.abs(z - p.n * np.fft.irfft(w, p.n)).max(axis=1), np.abs(z).max(axis=1)
+
+
 @pytest.mark.parametrize("n", [4096, 16384, 65536])  # 1, 4 and 7 blocks of frames
 def test_verify_wave_bound_streams_the_whole_batch_rule(n):
-    # the rule before streaming: every frame at once, then one irfft of the
-    # profiles' bins 0..cutoff at all 7 times
     p = rf.FlockParams.nearest_neighbor(n, -2.0, -2.0)
     co = rf.power_law_coefficients(n, 2.0, seed=1)
     rep = rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
-    z, _ = rf.modal_evolve(p, co, rep.ts)
-    kept = rep.modes >= 0
-    phase = -1j * p.theta * rep.modes[kept] * rep.ts[:, None]
-    w = (rep.f_minus_coeffs[kept] * np.exp(phase * rep.c_minus)
-         + rep.f_plus_coeffs[kept] * np.exp(phase * rep.c_plus))
-    measured = np.abs(z - n * np.fft.irfft(w, n)).max(axis=1)
+    measured, signal_sup = _whole_batch_rule(p, co, rep)
     assert repr(rep.measured.tolist()) == repr(measured.tolist())
-    assert repr(rep.signal_sup.tolist()) == repr(np.abs(z).max(axis=1).tolist())
+    assert repr(rep.signal_sup.tolist()) == repr(signal_sup.tolist())
+
+
+def test_power_law_data_on_an_overdamped_flock_pass_the_modal_calls():
+    # g_v = -50 gives most modes two real roots; the data on bins 0..n//2
+    # still describe a real field, which both calls evolve.
+    n = 256
+    p = rf.FlockParams.nearest_neighbor(n, -2.0, -50.0)
+    assert rf.phase_velocities(p).overdamped.mean() > 0.9
+    co = rf.power_law_coefficients(n, 2.0, seed=0)
+    _, _, plus, minus = eigenvalue_arrays(p, np.arange(n // 2 + 1))
+    z, v = rf.modal_evolve(p, co, 0.0)
+    l, r = co.leftward, co.rightward
+    np.testing.assert_allclose(z, n * np.fft.irfft(l + r, n), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(v, n * np.fft.irfft(plus * l + minus * r, n), rtol=0, atol=1e-12)
+    rep = rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
+    assert np.isfinite(rep.bound()).all() and rep.bound_holds()
+    measured, signal_sup = _whole_batch_rule(p, co, rep)
+    assert repr(rep.measured.tolist()) == repr(measured.tolist())
+    assert repr(rep.signal_sup.tolist()) == repr(signal_sup.tolist())
 
 
 def test_wave_bound_memory_at_n_65536():
@@ -613,12 +630,13 @@ def test_verify_wave_bound_takes_the_half_ring_term_by_its_real_part(n, rho_v):
     p = rf.FlockParams.nearest_neighbor(n, -2.0, -2.0, -0.5, p1, -0.5, m1)
     co = rf.power_law_coefficients(n, 2.0, seed=1)
     rep = rf.verify_wave_bound(p, co, 0.9, 0.95, 2.0, 2.0)
-    assert rep.cutoff >= n // 2 and n // 2 in rep.modes and rep.bound_holds()
+    assert rep.cutoff >= n // 2 and len(rep.f_minus_coeffs) == n // 2 + 1 and rep.bound_holds()
     z, _ = rf.modal_evolve(p, co, rep.ts)
-    phase = -1j * p.theta * rep.modes * rep.ts[:, None]
-    w = np.zeros((len(rep.ts), n), dtype=complex)
-    w[:, rep.modes % n] = (rep.f_minus_coeffs * np.exp(phase * rep.c_minus)
-                           + rep.f_plus_coeffs * np.exp(phase * rep.c_plus))
+    phase = -1j * p.theta * np.arange(n // 2 + 1) * rep.ts[:, None]
+    w = np.zeros((len(rep.ts), n), dtype=complex)  # all n bins, bin -m the conjugate of m
+    w[:, :n // 2 + 1] = (rep.f_minus_coeffs * np.exp(phase * rep.c_minus)
+                         + rep.f_plus_coeffs * np.exp(phase * rep.c_plus))
+    w[:, :-n // 2:-1] = w[:, 1:n // 2].conj()
     profile = n * np.fft.ifft(w)
     full_rule = np.abs(z - profile).max(axis=1)
     np.testing.assert_allclose(rep.measured, np.abs(z - profile.real).max(axis=1), rtol=1e-12)
