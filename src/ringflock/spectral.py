@@ -363,50 +363,43 @@ def hausdorff(set_a, set_b) -> float:
         return max(_farthest_nearest(a, b), _farthest_nearest(b, a))
 
 
-def _perfect(d, t, row_of, col_of) -> bool:
-    """Grow the matching (row_of, col_of) in the graph d <= t by Hopcroft-Karp
-    phases; True once it is perfect, False once it is maximum.
+def _perfect(d, t) -> bool:
+    """True if the graph of pairs d <= t has a perfect matching.
 
-    Each phase finds the length of the shortest augmenting paths, breadth
-    first from every free row at once, then flips a maximal set of
-    vertex-disjoint paths of that length, depth first.
+    The start matches each row to its nearest column, the first such row
+    winning a shared column; t is never below the Hausdorff bound, so every
+    one of those pairs is in the graph.  Each free row then runs one
+    breadth-first search over alternating paths, recording the row each
+    newly reached column came from, and flips the path back to its root at
+    the first free column.  A free row with no augmenting path stays free
+    in some maximum matching (Berge), so the answer is False there.
     """
     n = d.shape[0]
     rows = max(1, _PAIRS // n)
-    while (free := np.flatnonzero(row_of < 0)).size:
-        layer = np.full(n, -1)  # column -> its depth in the breadth-first search
-        front, depth = free, 0
-        while True:
-            reach = np.zeros(n, dtype=bool)
+    row_of, col_of = np.full(n, -1), np.full(n, -1)
+    cols, first = np.unique(d.argmin(axis=1), return_index=True)
+    row_of[first], col_of[cols] = cols, first
+    for root in np.flatnonzero(row_of < 0):
+        via = np.full(n, -1)  # column -> the row the search reached it from
+        front = root[None]
+        while front.size:
+            new = []
             for i in range(0, front.size, rows):
-                reach |= (d[front[i:i + rows]] <= t).any(axis=0)
-            new = np.flatnonzero(reach & (layer < 0))
-            if new.size == 0:
-                return False
+                hit = (d[front[i:i + rows]] <= t) & (via < 0)
+                reached = np.flatnonzero(hit.any(axis=0))
+                via[reached] = front[i + hit[:, reached].argmax(axis=0)]
+                new.append(reached)
+            new = np.concatenate(new)
             ends = new[col_of[new] < 0]
             if ends.size:
-                layer[ends] = depth  # the last layer keeps only free columns
+                c = ends[0]
+                while c >= 0:
+                    r = via[c]
+                    row_of[r], col_of[c], c = c, r, row_of[r]
                 break
-            layer[new] = depth
-            front, depth = col_of[new], depth + 1
-        seen = np.zeros(n, dtype=bool)
-        for r in free:
-            path_rows, path_cols = [int(r)], []
-            while path_rows:
-                k = len(path_cols)
-                hit = (d[path_rows[-1]] <= t) & (layer == k) & ~seen
-                c = int(hit.argmax())
-                if not hit[c]:
-                    path_rows.pop()
-                    if path_cols:
-                        path_cols.pop()
-                    continue
-                seen[c] = True
-                path_cols.append(c)
-                if k == depth:
-                    row_of[path_rows], col_of[path_cols] = path_cols, path_rows
-                    break
-                path_rows.append(int(col_of[c]))
+            front = col_of[new]
+        else:
+            return False
     return True
 
 
@@ -415,12 +408,11 @@ def max_matching_distance(set_a, set_b) -> float:
     which some one-to-one pairing keeps every pair within eps.
 
     The Hausdorff distance of the two sets is a lower bound and is tested
-    first: maximum bipartite matching (each row's nearest column, then
-    augmenting paths) on the pairs within it.  Only if that matching is not
-    perfect does a binary search run over the sorted pair distances up to
-    the largest pair of a completed pairing.  Every distance is np.abs of
-    the complex difference, so the value is one of them, bit for bit; pairs
-    too far apart for float64 give inf.
+    first; if the pairs within it hold no perfect matching, a binary search
+    runs over the sorted distinct pair distances above it.  Each probe is a
+    fresh _perfect, and every threshold it gets is at least the Hausdorff
+    bound.  Every distance is np.abs of the complex difference, so the value
+    is one of them, bit for bit; pairs too far apart for float64 give inf.
 
     Raises:
         RingflockError: sets of different sizes, empty, or not finite.
@@ -440,27 +432,13 @@ def max_matching_distance(set_a, set_b) -> float:
         for i in range(0, n, rows):
             d[i:i + rows] = np.abs(a[i:i + rows, None] - b[None, :])
     t = max(d.min(axis=1).max(), d.min(axis=0).max())
-
-    row_of, col_of = np.full(n, -1), np.full(n, -1)
-    cols, first = np.unique(d.argmin(axis=1), return_index=True)
-    row_of[first], col_of[cols] = cols, first
-    if _perfect(d, t, row_of, col_of):
+    if _perfect(d, t):
         return float(t)
-    # The bottleneck lies above t and at most the largest pair of any
-    # pairing, such as this matching completed by its free rows and columns.
-    # Each test starts from the last matching, less its pairs above the
-    # threshold under test.
-    done = row_of.copy()
-    done[done < 0] = np.flatnonzero(col_of < 0)
-    cand = d[(d > t) & (d <= d[np.arange(n), done].max())]
-    cand.sort()
+    cand = np.unique(d[d > t])
     lo, hi = 0, cand.size - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        matched = np.flatnonzero(row_of >= 0)
-        drop = matched[d[matched, row_of[matched]] > cand[mid]]
-        col_of[row_of[drop]], row_of[drop] = -1, -1
-        if _perfect(d, cand[mid], row_of, col_of):
+        if _perfect(d, cand[mid]):
             hi = mid
         else:
             lo = mid + 1

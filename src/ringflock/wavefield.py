@@ -80,11 +80,12 @@ class ModalCoefficients:
     leftward[m] multiplies exp(nu_+ t) of mode m, the "+" root, whose phase
     moves toward smaller agent numbers (speed near c_minus) unless the mode
     is overdamped, and rightward[m] exp(nu_- t): they are the Fourier
-    coefficients of the profiles f_- and f_+.  Bin 0 is unused and the coherent motion is carried by coherent =
-    (mean position, mean velocity).  The state they describe has the DFT data
-    l + r and nu_+ l + nu_- r on these bins; bin -m is the conjugate of bin m
-    (irfft), so the field is real by construction, and an even ring's
-    half-ring bin counts by its real part.
+    coefficients of the profiles f_- and f_+.  Bin 0 is unused and the
+    coherent motion is carried by coherent = (mean position, mean velocity).
+    The state they describe has the DFT data l + r and nu_+ l + nu_- r on
+    these bins; bin -m is the conjugate of bin m (irfft), so the field is
+    real by construction, and an even ring's half-ring bin counts by its
+    real part.
     """
 
     n: int

@@ -378,6 +378,66 @@ def test_max_matching_distance_at_most_the_min_sum_pairing():
             assert rf.max_matching_distance(a, b) <= d[rows, cols].max()
 
 
+def _bottleneck_by_threshold_search(a, b):
+    """Least pair distance whose pairs hold a perfect matching, by scipy's matcher."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    # Rows are b's points: with a's as rows, scipy's matcher takes seconds on
+    # some probes of the draws below.
+    d = np.abs(b[:, None] - a[None, :])
+    cand = np.unique(d)
+    lo, hi = 0, cand.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (maximum_bipartite_matching(csr_matrix(d <= cand[mid])) >= 0).all():
+            hi = mid
+        else:
+            lo = mid + 1
+    return cand[hi]
+
+
+def test_max_matching_distance_equals_a_threshold_search_over_scipy_matching():
+    # Ties on a 0.1 grid, a planted pair with Hausdorff distance 0 and
+    # bottleneck 10, and symmetric flocks whose doubled closed-form
+    # eigenvalues share a nearest dense eigenvalue, so half the rows are free
+    # after the nearest-column start.  The search runs on 9 of the 18 draws.
+    rng = np.random.default_rng(79)
+    searched = 0
+    for n in (64, 256, 512):
+        def grid():
+            return np.round(rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n), 1)
+
+        ties = grid()
+        pairs = [(grid(), grid()), (grid(), grid()), (ties, rng.permutation(ties)),
+                 (np.r_[np.zeros(n - 1), 10.0], np.r_[0.0, np.full(n - 1, 10.0)])]
+        for g_x, g_v in ((-1.0, -0.5), (-2.0, -3.0)):
+            p = rf.FlockParams.nearest_neighbor(n // 2, g_x, g_v)
+            pairs.append((rf.spectrum(p).all_nus(), rf.dense_spectrum(rf.build_dense(p))))
+        for a, b in pairs:
+            want = _bottleneck_by_threshold_search(a, b)
+            assert rf.max_matching_distance(a, b) == want
+            searched += bool(want > rf.hausdorff(a, b))
+    assert searched >= 9
+
+
+def test_max_matching_distance_memory_is_chunked():
+    # At t = 1 the last free zero row reaches every column but 3.0, all of
+    # them matched, so its next front holds 2047 rows.  d alone is 32 MB.
+    import tracemalloc
+
+    n = 2048
+    a = np.r_[np.zeros(n - 1), 2.0]
+    b = np.r_[1.0, np.zeros(n - 2), 3.0]
+    tracemalloc.start()
+    try:
+        assert rf.max_matching_distance(a, b) == 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
 def test_max_matching_distance_of_identical_points_is_zero():
     same = np.full(300, 0.5 - 2j)
     assert rf.max_matching_distance(same, same) == 0.0
