@@ -117,16 +117,17 @@ def eigenvalue_arrays(params: FlockParams, ms):
     """(lambda_x, lambda_v, nu_plus, nu_minus) at an int or integer array of modes.
 
     Each array is shaped like ms, so an int mode gives 0-d arrays.  Entries
-    with m = 0 mod n are forced to the exact coherent zeros.
+    with m = 0 mod n are forced to the exact coherent zeros, and the
+    half-ring modes 2m = 0 mod n keep only the real part of both symbols,
+    which is exact there (np.sin(pi) is 1.2e-16, not 0).
 
     Raises:
         RingflockError: a mode is not an integer or lies outside int64 (as_modes).
     """
     ms = as_modes(ms)
-    lx, lv = lambda_curves(params, ms * params.theta)
-    zero = (ms % params.n) == 0
-    lx = np.where(zero, 0j, lx)
-    lv = np.where(zero, 0j, lv)
+    r = ms % params.n
+    lx, lv = (np.where(r == 0, 0j, np.where(2 * r == params.n, lam.real, lam))
+              for lam in lambda_curves(params, ms * params.theta))
     return (lx, lv) + _labeled_roots(lx, lv)
 
 
@@ -268,7 +269,7 @@ def eigencurve(params: FlockParams, n_phi: int) -> Eigencurve:
 
 
 #: Point pairs the nearest-neighbour search measures at once; bounds its memory.
-_PAIRS = 1 << 17
+_PAIRS = 1 << 15
 
 
 def _farthest_by_rows(a, b) -> float:
@@ -315,29 +316,34 @@ def _farthest_nearest(a, b) -> float:
     # A point of b outside the 3x3 cells around a query is at least one side
     # away (less the 2**-32 rounding), so a nearest distance found inside them
     # below 1 - 1e-9 sides is exact; the rest are measured against all of b.
-    # Each row of three cells is one run of the sorted ids.  Queries go in
-    # blocks of at most 4096, cut short where their pairs pass _PAIRS.
+    # Each row of three cells is one run of the sorted ids.  The runs are
+    # looked up for 4096 queries at a time, which are measured in blocks cut
+    # short where their pairs pass _PAIRS.
     row = nx + 2
     lo_off = np.array([-row - 1, -1, row - 1])
     hi_off = lo_off + 2
     a_ids = _cell_ids(a, x0, y0, k, nx, ny)
-    farthest, rest, s = 0.0, [], 0
-    while s < a.size:
-        q = a_ids[s:s + 4096, None]
-        lo = np.searchsorted(ids, q + lo_off)
-        n = np.searchsorted(ids, q + hi_off, side="right") - lo
-        ends = np.cumsum(n.sum(axis=1))
-        m = max(1, int(np.searchsorted(ends, _PAIRS, side="right")))
-        lo, n, ends = lo[:m].ravel(), n[:m].ravel(), ends[:m]
-        count = np.diff(ends, prepend=0)
-        idx = np.arange(ends[-1]) + np.repeat(lo - (np.cumsum(n) - n), n)
-        d = np.abs(np.repeat(a[s:s + m], count) - b_sorted[idx])
-        near = np.full(m, np.inf)
-        near[count > 0] = np.minimum.reduceat(d, (ends - count)[count > 0])
-        hit = np.ldexp(near, -k) < 1.0 - 1e-9
-        farthest = max(farthest, float(near[hit].max(initial=0.0)))
-        rest.append(a[s:s + m][~hit])
-        s += m
+    farthest, rest = 0.0, []
+    for start in range(0, a.size, 4096):
+        q = a_ids[start:start + 4096, None]
+        lo_q = np.searchsorted(ids, q + lo_off)
+        n_q = np.searchsorted(ids, q + hi_off, side="right") - lo_q
+        ends_q = np.cumsum(n_q.sum(axis=1))
+        s = 0
+        while s < q.size:
+            done = ends_q[s - 1] if s else 0
+            m = max(1, int(np.searchsorted(ends_q[s:], done + _PAIRS, side="right")))
+            lo, n, ends = lo_q[s:s + m].ravel(), n_q[s:s + m].ravel(), ends_q[s:s + m] - done
+            count = np.diff(ends, prepend=0)
+            idx = np.arange(ends[-1]) + np.repeat(lo - (np.cumsum(n) - n), n)
+            qa = a[start + s:start + s + m]
+            d = np.abs(np.repeat(qa, count) - b_sorted[idx])
+            near = np.full(m, np.inf)
+            near[count > 0] = np.minimum.reduceat(d, (ends - count)[count > 0])
+            hit = np.ldexp(near, -k) < 1.0 - 1e-9
+            farthest = max(farthest, float(near[hit].max(initial=0.0)))
+            rest.append(qa[~hit])
+            s += m
     return max(farthest, _farthest_by_rows(np.concatenate(rest), b))
 
 
@@ -409,10 +415,12 @@ def max_matching_distance(set_a, set_b) -> float:
 
     The Hausdorff distance of the two sets is a lower bound and is tested
     first; if the pairs within it hold no perfect matching, a binary search
-    runs over the sorted distinct pair distances above it.  Each probe is a
-    fresh _perfect, and every threshold it gets is at least the Hausdorff
-    bound.  Every distance is np.abs of the complex difference, so the value
-    is one of them, bit for bit; pairs too far apart for float64 give inf.
+    runs over the pair distances above it.  They are sorted in place with
+    duplicates kept, so the distance matrix is copied only once, and a probe
+    settles every copy of its value.  Each probe is a fresh _perfect, and
+    every threshold it gets is at least the Hausdorff bound.  Every distance
+    is np.abs of the complex difference, so the value is one of them, bit
+    for bit; pairs too far apart for float64 give inf.
 
     Raises:
         RingflockError: sets of different sizes, empty, or not finite.
@@ -434,14 +442,15 @@ def max_matching_distance(set_a, set_b) -> float:
     t = max(d.min(axis=1).max(), d.min(axis=0).max())
     if _perfect(d, t):
         return float(t)
-    cand = np.unique(d[d > t])
+    cand = d[d > t]
+    cand.sort()
     lo, hi = 0, cand.size - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _perfect(d, cand[mid]):
-            hi = mid
+    while cand[lo] < cand[hi]:
+        v = cand[(lo + hi) // 2]
+        if _perfect(d, v):
+            hi = int(np.searchsorted(cand, v))
         else:
-            lo = mid + 1
+            lo = int(np.searchsorted(cand, v, side="right"))
     return float(cand[hi])
 
 

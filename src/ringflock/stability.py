@@ -28,7 +28,7 @@ MARGINAL_BAND = 1e-10
 SYMMETRY_TOL = 1e-12
 
 #: Modes per block of spectral_verdict's walk; bounds its scratch memory.
-_BLOCK_MODES = 1 << 16
+_BLOCK_MODES = 1 << 13
 
 #: spectral_verdict refuses larger rings: walking this many modes already
 #: takes minutes (about 0.13 us per mode on a 2-core x86_64 VM).

@@ -17,6 +17,7 @@ the approximation error against its closed-form three-term bound.
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -342,9 +343,10 @@ def modal_evolve(params: FlockParams, coeffs: ModalCoefficients, t):
 def power_law_coefficients(n: int, p: float, seed: int = 0) -> ModalCoefficients:
     """Synthetic modal data on bins 0..n//2 with |coeff_m| = m**-p.
 
-    Phases are drawn from a seeded generator, one pair per mode m >= 1 in
-    stream order, so rings of different sizes share the low-mode
-    coefficients.  Like any modal data they describe a real field
+    Phases are 2 pi u, with u from the random() stream of the stdlib
+    random.Random(seed), which Python keeps stable across versions: one pair
+    per mode m >= 1 in stream order, so rings of different sizes share the
+    low-mode coefficients.  Like any modal data they describe a real field
     (ModalCoefficients).  On an even ring the half-ring rightward amplitude
     is the conjugate of the leftward one, so that bin's position data are
     real.
@@ -357,9 +359,10 @@ def power_law_coefficients(n: int, p: float, seed: int = 0) -> ModalCoefficients
         raise RingflockError(f"need finite p > 1, got p={p:g}")
     if seed < 0:
         raise RingflockError(f"need a non-negative seed, got seed={seed}")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     half = n // 2
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=(half, 2))
+    draws = np.fromiter(iter(rng.random, None), float, 2 * half)  # the first 2 * half draws
+    phases = (2.0 * math.pi * draws).reshape(half, 2)
     # float ** float, not np.power, which can differ in the last bit
     mag = np.array([float(m) ** (-p) for m in range(1, half + 1)])
     left, right = np.zeros((2, half + 1), dtype=complex)

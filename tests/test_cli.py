@@ -78,6 +78,54 @@ def test_csv_module_loads_only_for_csv_output(tmp_path, command, loaded):
     assert _modules_after(code, "ringflock.csvtext") == loaded
 
 
+def test_wave_verify_loads_no_numpy_random(tmp_path):
+    # The synthetic phases come from the stdlib random module, which every
+    # interpreter has loaded at start; numpy.random adds about 5.5 MB of RSS.
+    cfg = write(tmp_path, "")
+    args = ["wave-verify", "--config", cfg, "--out", str(tmp_path / "out")]
+    code = f"from ringflock.cli import main; main({args!r})"
+    assert _modules_after(code, "numpy.random") == "[]"
+
+
+_RSS_LAUNCHER = """
+import os, sys
+quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ,
+                     file_actions=quiet)
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss, os.waitstatus_to_exitcode(status))
+"""
+
+
+def _peak_rss_mb(args):
+    """Peak RSS in MB of a fresh interpreter run with args, and its exit code.
+
+    A child's ru_maxrss starts at the RSS of the process that spawned it, so
+    a bare interpreter spawns the run, not this test process.
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", _RSS_LAUNCHER, *args],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120, check=True)
+    kb, code = proc.stdout.split()
+    return int(kb) / 1024, int(code)  # ru_maxrss is in KB on Linux
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux only")
+@pytest.mark.parametrize("args", [["wave-verify"], ["stability", "--n", "1000000"]],
+                         ids=["wave-verify", "stability-n1e6"])
+def test_job_peak_rss_stays_near_the_cli_import(tmp_path, args):
+    # 8.5 and 15.1 MB above it with numpy.random loaded and 2**16-mode
+    # verdict blocks; about 2.5 MB without them.
+    base, code = _peak_rss_mb(["-c", "import ringflock.cli"])
+    assert code == 0
+    cfg = write(tmp_path, "")
+    peak, code = _peak_rss_mb(["-m", "ringflock", *args, "--config", cfg,
+                               "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert peak < base + 5.0
+
+
 def test_dense_oracle_loads_no_scipy():
     # The dense check's bottleneck matching is numpy only as well.
     code = ("import ringflock as rf; p = rf.FlockParams.nearest_neighbor(16, -2.0, -1.0); "

@@ -2,11 +2,13 @@ import cmath
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ringflock as rf
+from ringflock import spectral
 from ringflock.model import moments
 from ringflock.spectral import series_coefficients
 from helpers import random_gate_true_params, random_underdamped_params, random_valid_params
@@ -73,6 +75,18 @@ def test_nu_double_root_at_half_ring():
     _, _, plus, minus = rf.eigenvalue_arrays(p, 4)
     assert plus == pytest.approx(-2.0, abs=1e-12)
     assert minus == pytest.approx(-2.0, abs=1e-12)
+
+
+def test_half_ring_symbols_are_exactly_real():
+    # an asymmetric velocity row has d * sin(pi) = -0.6 * 1.2e-16 in its
+    # imaginary part, whose sqrt split the double root -2 by 1.2e-8
+    p = rf.FlockParams.nearest_neighbor(4, -2.0, -2.0, rho_v_plus=-0.8, rho_v_minus=-0.2)
+    for m in (2, -2, 6, -10):
+        lx, lv, plus, minus = rf.eigenvalue_arrays(p, m)
+        assert (lx, lv) == (-4.0, -4.0) and lx.imag == lv.imag == 0.0
+        assert plus == minus == -2.0
+    _, lv, _, _ = rf.eigenvalue_arrays(p, 1)
+    assert lv.imag != 0.0
 
 
 def test_root_residual_small():
@@ -266,6 +280,17 @@ def test_hausdorff_matches_full_distance_matrix_on_spectra():
     assert rf.hausdorff(curve, nus) == want
 
 
+@pytest.mark.parametrize("pairs", [64, 4096, spectral._PAIRS])
+def test_hausdorff_is_exact_for_any_pair_block(monkeypatch, pairs):
+    # A strongly overdamped flock crowds the real axis, so query blocks are
+    # cut short inside each 4096-query lookup; 6000 queries take two lookups.
+    monkeypatch.setattr(spectral, "_PAIRS", pairs)
+    p = rf.FlockParams.nearest_neighbor(3000, -2.0, -20.0)
+    nus, curve = rf.spectrum(p).all_nus(), rf.eigencurve(p, 512).points()
+    want = _hausdorff_by_rows(nus, curve)
+    assert rf.hausdorff(nus, curve) == rf.hausdorff(curve, nus) == want
+
+
 def test_hausdorff_exact_on_tied_neighbours():
     # 85 = 9^2 + 2^2 = 7^2 + 6^2, yet np.abs can put 9+2j one ulp above
     # 7+6j (numpy's AVX-512 loop does), so a search that ranked neighbours
@@ -315,6 +340,20 @@ def test_hausdorff_of_default_flock_at_large_n():
     p = rf.FlockParams.nearest_neighbor(50000, -2.0, -2.0)
     d = rf.hausdorff(rf.spectrum(p).all_nus(), rf.eigencurve(p, 4096).points())
     assert d == 0.00076717767437023215
+
+
+def test_hausdorff_scratch_memory_is_bounded():
+    # 2.8 MB when the search measured 2**17 pairs at once
+    p = rf.FlockParams.nearest_neighbor(200, -2.0, -2.0)
+    nus, curve = rf.spectrum(p).all_nus(), rf.eigencurve(p, 4096).points()
+    tracemalloc.start()
+    try:
+        d = rf.hausdorff(nus, curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == 0.015688622925910674
+    assert peak < 2.25 * 2**20
 
 
 def test_spectra_fill_out_eigencurve():
@@ -424,8 +463,6 @@ def test_max_matching_distance_equals_a_threshold_search_over_scipy_matching():
 def test_max_matching_distance_memory_is_chunked():
     # At t = 1 the last free zero row reaches every column but 3.0, all of
     # them matched, so its next front holds 2047 rows.  d alone is 32 MB.
-    import tracemalloc
-
     n = 2048
     a = np.r_[np.zeros(n - 1), 2.0]
     b = np.r_[1.0, np.zeros(n - 2), 3.0]
@@ -436,6 +473,23 @@ def test_max_matching_distance_memory_is_chunked():
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+def test_max_matching_distance_search_copies_the_distances_once():
+    # Ties on a 0.1 grid make the threshold search run; d is 32 MiB, and
+    # taking the distinct candidates with np.unique peaked at 104 MiB.
+    rng = np.random.default_rng(83)
+    n = 2048
+    a, b = (np.round(rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n), 1)
+            for _ in range(2))
+    tracemalloc.start()
+    try:
+        got = rf.max_matching_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got > rf.hausdorff(a, b)
+    assert peak < 76 * 2**20
 
 
 def test_max_matching_distance_of_identical_points_is_zero():

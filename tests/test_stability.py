@@ -245,7 +245,7 @@ def test_verdict_memory_does_not_grow_with_n():
     finally:
         tracemalloc.stop()
     assert report.spectral_stable is True
-    assert peak < 16 * 2**20
+    assert peak < 4 * 2**20
 
 
 def test_verdict_refuses_rings_above_the_cap():

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -394,13 +395,12 @@ def test_power_law_coefficients_real_and_nested():
 
 def _power_law_coefficients_loop(n, p, seed):
     """The per-mode loop power_law_coefficients once ran: the reference."""
-    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=(n // 2, 2))
+    rng = random.Random(seed)
     left = np.zeros(n // 2 + 1, dtype=complex)
     right = np.zeros(n // 2 + 1, dtype=complex)
     for m in range(1, n // 2 + 1):
         mag = float(m) ** (-p)
-        lm = mag * cmath.exp(1j * phases[m - 1, 0])
-        rm = mag * cmath.exp(1j * phases[m - 1, 1])
+        lm, rm = (mag * cmath.exp(1j * (2.0 * math.pi * rng.random())) for _ in range(2))
         left[m], right[m] = lm, rm if m < n - m else lm.conjugate()
     return left, right
 
