@@ -235,13 +235,10 @@ def cmd_wave_verify(cfg, params, out_dir):
         raise RingflockError(f"n_sweep must be strictly increasing, got {_fmt(cfg['n_sweep'])}")
     alpha = cfg["alpha"]
     reports = []
-    d_const = None
     for n in cfg["n_sweep"]:
         ring = params.with_n(n)  # first, so a bad n fails as a bad agent count
         coeffs = power_law_coefficients(n, cfg["p"], seed=cfg["seed"])
-        reports.append(verify_wave_bound(ring, coeffs, alpha, cfg["beta"],
-                                         cfg["K"], cfg["p"], d_const=d_const))
-        d_const = reports[0].d_const
+        reports.append(verify_wave_bound(ring, coeffs, alpha, cfg["beta"], cfg["K"], cfg["p"]))
     per_ring = [(np.full(r.ts.size, r.n), r.ts, r.measured, r.term1, r.term2, r.term3)
                 for r in reports]
     _write_csv(out_dir / "wave_verify.csv",
@@ -252,7 +249,6 @@ def cmd_wave_verify(cfg, params, out_dir):
         print(f"alpha_guarantee=false  # alpha={alpha:g} outside the alpha < 1/3 regime")
     else:
         print("alpha_guarantee=true")
-    print(f"d_const={_fmt(d_const)}  # fitted at n={reports[0].n}, frozen afterwards")
     rel_errors = [r.measured[0] / r.signal_sup[0] for r in reports]
     for r, rel in zip(reports, rel_errors):
         print(f"n={r.n} rel_error={_fmt(rel)} bound_holds={_fmt(r.bound_holds())}")

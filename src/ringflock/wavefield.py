@@ -19,7 +19,6 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .model import FlockParams, moments
 from .spectral import eigenvalue_arrays, pencil_roots, root_pair
 from .stability import stable_for_all_n
 
-#: Two branch eigenvalues closer than this (relative) make the mode Jordan-like.
+#: Two branch eigenvalues closer than this, relative to |nu_+|, make the mode Jordan-like.
 DEGENERATE_MODE_TOL = 1e-10
 
 
@@ -98,9 +97,10 @@ class ModalCoefficients:
 def phase_velocities(params: FlockParams) -> PhaseVelocities:
     """Propagation speed and damping of every mode 1..n//2.
 
-    A mode is overdamped, with speeds +0.0, when both roots are real (|Im|
-    below 1e-12) or their imaginary parts do not have opposite signs; the
-    half-ring mode is once g_v**2 rho_v0**2 reaches -2 g_x rho_x0.
+    A mode is overdamped, with speeds +0.0, when its roots' imaginary parts
+    do not have opposite signs, as for two real roots (of imaginary part
+    exactly 0 from symmetric rows); the half-ring mode is once
+    g_v**2 rho_v0**2 reaches -2 g_x rho_x0.
 
     Raises:
         RingflockError: closed-form gate fails.
@@ -109,8 +109,7 @@ def phase_velocities(params: FlockParams) -> PhaseVelocities:
     n = params.n
     ms = np.arange(1, n // 2 + 1)
     _, _, plus, minus = eigenvalue_arrays(params, ms)
-    real = (np.abs(plus.imag) < 1e-12) & (np.abs(minus.imag) < 1e-12)
-    overdamped = real | ~((plus.imag > 0) & (minus.imag < 0))
+    overdamped = ~((plus.imag > 0) & (minus.imag < 0))
     mtheta = ms * params.theta
     return PhaseVelocities(
         ms=ms,
@@ -175,12 +174,12 @@ def group_velocity(params: FlockParams):
 
     Raises:
         RingflockError: closed-form gate fails, or the roots at phi = +-h
-            are real.
+            are real (imaginary parts of exactly 0).
     """
     _require_gate(params)
     h = 1e-5
     plus, minus = pencil_roots(params, np.array([h, -h]))
-    if ((np.abs(plus.imag) < 1e-12) & (np.abs(minus.imag) < 1e-12)).any():
+    if ((plus.imag == 0.0) & (minus.imag == 0.0)).any():
         raise RingflockError("branches degenerate near phi = 0")
     # toward increasing k: the "-" root at phi = h, the "+" root at -h
     return (float(-(minus.imag[0] - plus.imag[1]) / (2.0 * h)),
@@ -213,7 +212,7 @@ def modal_decompose(params: FlockParams, z0, zdot0) -> ModalCoefficients:
     zh, vh = np.fft.rfft(z0) / n, np.fft.rfft(zdot0) / n
     _, plus, minus = _half_roots(params)
     den = plus - minus
-    bad = np.abs(den[1:]) < DEGENERATE_MODE_TOL * np.maximum(1.0, np.abs(plus[1:]))
+    bad = np.abs(den[1:]) <= DEGENERATE_MODE_TOL * np.abs(plus[1:])
     if bad.any():
         raise RingflockError(f"mode m={int(np.argmax(bad)) + 1} has coincident branches")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -385,6 +384,8 @@ class WaveBoundReport:
     m_bound is the tightest envelope M = max |coeff_m| |m|**p of the data.
     damping_mid = C(alpha, beta) and damping_high = C(beta, 1) are the
     minimal |Re(nu)| over the two frequency bands, taken over both roots.
+    term1 bounds the kept modes' drift from their rigid translates, term2
+    and term3 the two damped bands; no term is fitted to a run.
     """
 
     n: int
@@ -396,7 +397,6 @@ class WaveBoundReport:
     m_bound: float
     damping_mid: float
     damping_high: float
-    d_const: float
     ts: np.ndarray
     measured: np.ndarray
     signal_sup: np.ndarray
@@ -432,26 +432,25 @@ def _envelope_bound(coeffs, p):
 
 
 def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
-                        alpha: float, beta: float, k_window: float, p: float,
-                        d_const: Optional[float] = None) -> WaveBoundReport:
+                        alpha: float, beta: float, k_window: float, p: float) -> WaveBoundReport:
     """Measure sup_k |z_k(t) - f_-(k - c_- t) - f_+(k - c_+ t)| on the window.
 
     The profiles f_+- keep the modes |m| < n**alpha (strict).  The tightest
     power-law envelope M = max |coeff_m| |m|**p is computed from the data,
     making the decay hypothesis checkable instead of assumed.  The
     observation window is [n/c_slow, K n/c_slow], c_slow = min(c_+, |c_-|)
-    the slower signal speed, sampled at 7 times.  The first bound term,
-    D M K n**(3 alpha - 1) * 2/c_slow, bounds the phase error of both kept
-    branches up to t = K n/c_slow.  Exact modal evolution provides the
-    ground truth, from one evaluation of the mode roots, one block of
-    frames at a time (the blocks of evolve, one frame each at n = 65536).
-    Per block the profiles are summed in modal space: the coefficient of
-    mode m >= 0, times exp(-i theta m c t), goes to rfft bin m, and one
-    irfft evaluates both at every agent of those frames; only that
-    block's states and profiles are held.  When d_const is None the
-    free constant of the first bound term is fitted as the smallest value
-    that makes the bound hold on this run (fit once at the smallest ring of
-    a sweep, then freeze it for the larger rings).
+    the slower signal speed, sampled at 7 times.  The first bound term has
+    no free constant: a kept mode's exponents nu t and -i theta m c t both
+    have real part <= 0, where |e^a - e^b| <= |a - b|, so the mode and its
+    conjugate bin drift from the profile by at most 2 t |coeff| |nu + i
+    theta m c|, summed over the kept modes and both branches at O(cutoff)
+    cost.  Exact modal evolution provides the ground truth, from one
+    evaluation of the mode roots, one block of frames at a time (the
+    blocks of evolve, one frame each at n = 65536).  Per block the
+    profiles are summed in modal space: the coefficient of mode m >= 0,
+    times exp(-i theta m c t), goes to rfft bin m, and one irfft evaluates
+    both at every agent of those frames; only that block's states and
+    profiles are held.
 
     Raises:
         RingflockError: exponent ordering violated, K or p not a finite
@@ -471,7 +470,6 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
     roots, left, right = _half_roots(params)
     zh, vh = _modal_dft(coeffs, left, right)
     rate = np.minimum(np.abs(left.real), np.abs(right.real))  # the slower decay of each mode
-    del left, right  # each per-mode array is dropped after its last use
     m_bound = _envelope_bound(coeffs, p)
 
     cutoff = math.floor(n ** alpha)
@@ -480,6 +478,14 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
     kept = min(cutoff, n // 2) + 1  # the profiles' rfft bins 0..kept - 1
     sigs = signal_velocities(params)
     c_plus, c_minus = sigs.c_plus, sigs.c_minus
+    f_minus, f_plus = coeffs.leftward[:kept], coeffs.rightward[:kept]
+
+    # term1 / t: bins m >= 1 count twice, with bin -m, but an even ring's half-ring bin once
+    itm = 1j * params.theta * np.arange(1, kept)
+    slip = (np.abs(f_minus[1:]) * np.abs(left[1:kept] + itm * c_minus)
+            + np.abs(f_plus[1:]) * np.abs(right[1:kept] + itm * c_plus))
+    slip_rate = 2.0 * slip.sum() - (slip[-1] if 2 * (kept - 1) == n else 0.0)
+    del left, right  # each per-mode array is dropped after its last use
 
     def damping(lo_exp, hi_exp):
         lo = math.ceil(n ** lo_exp)
@@ -496,7 +502,6 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
         raise RingflockError(f"the window end K n/|c| overflows float64 at K={k_window:g}")
     ts = np.linspace(lo, hi, 7)
 
-    f_minus, f_plus = coeffs.leftward[:kept], coeffs.rightward[:kept]
     phase = -1j * params.theta * np.arange(kept)
 
     def sups(block):  # (rows, error sup, signal sup) of one block of frames
@@ -511,8 +516,6 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
     for rows, err, sup in map(sups, _propagate(n, roots, zh, vh, ts)):
         measured[rows], signal_sup[rows] = err, sup
 
-    # The three right-hand-side terms of the bound; the first with D = 1.
-    unit1 = np.full(ts.shape, m_bound * k_window * (2.0 / c_slow) * n ** (3.0 * alpha - 1.0))
     fac = 4.0 * m_bound / (p - 1.0)
     try:  # n**alpha - 1 may be below 1, and then large p overflows
         low, mid = ((n ** e - 1.0) ** (1.0 - p) for e in (alpha, beta))
@@ -521,21 +524,19 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
     term2 = fac * (low - mid) * np.exp(-damping_mid * ts)
     term3 = fac * mid * np.exp(-damping_high * ts)
 
-    if d_const is None:
-        d_const = float(max(0.0, ((measured - term2 - term3) / unit1).max()))
-
     return WaveBoundReport(
         n=n, cutoff=cutoff, f_minus_coeffs=f_minus, f_plus_coeffs=f_plus,
         c_plus=c_plus, c_minus=c_minus, m_bound=m_bound, damping_mid=damping_mid,
-        damping_high=damping_high, d_const=d_const, ts=ts, measured=measured,
-        signal_sup=signal_sup, term1=unit1 * d_const, term2=term2, term3=term3)
+        damping_high=damping_high, ts=ts, measured=measured,
+        signal_sup=signal_sup, term1=slip_rate * ts, term2=term2, term3=term3)
 
 
 def exp_diff_bound_holds(a, b) -> bool:
     """Whether |exp(a) - exp(b)| < 2 |a - b|, with a = b passing as equality.
 
-    Holds for all small arguments (it is the engine of the traveling-wave
-    bound); the property suite sweeps the disk |a|, |b| <= 0.1.
+    Holds for all small arguments; the property suite sweeps the disk
+    |a|, |b| <= 0.1.  The traveling-wave bound rests instead on
+    |exp(a) - exp(b)| <= |a - b| for Re a, Re b <= 0 (verify_wave_bound).
     """
     a = complex(a)
     b = complex(b)

@@ -331,6 +331,41 @@ def test_velocities_prints_tiny_speeds(tmp_path, capsys):
     assert float(kv(out, "c_minus")) == pytest.approx(-math.sqrt(5e-15), rel=1e-12)
 
 
+def test_velocities_of_the_underdamped_flock_in_slow_time(tmp_path, capsys):
+    # g_v = -1, g_x = -2 with time in units of 1e12: speeds of +-1e-12, not
+    # an absolute 1e-12 threshold's "real branches" and exit 3
+    code, out, _ = run(capsys, tmp_path, "velocities", "n = 200\ng_x = -2e-24\ng_v = -1e-12\n")
+    assert code == 0
+    assert float(kv(out, "c_plus")) == pytest.approx(1e-12, rel=1e-15)
+    assert float(kv(out, "c_minus")) == pytest.approx(-1e-12, rel=1e-15)
+
+
+@pytest.mark.parametrize("s", [2.0 ** 40, 2.0 ** -40], ids=["2^40", "2^-40"])
+@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("flock", ["default", "underdamped", "rho_v"])
+def test_velocities_scale_bit_for_bit_with_the_unit_of_time(tmp_path, capsys, flock, n, s):
+    # the CLI side of test_wavefield's rescaling test: exit codes, printed
+    # speeds and every velocities.csv column
+    g_v = {"underdamped": -1.0}.get(flock, -2.0)
+    rho = "rho_v.m1 = -0.2\nrho_v.p1 = -0.8\n" if flock == "rho_v" else ""
+    runs = []
+    for scale in (1.0, s):
+        (tmp_path / repr(scale)).mkdir()
+        text = f"n = {n}\ng_x = {scale * scale * -2.0!r}\ng_v = {scale * g_v!r}\n{rho}"
+        code, out, out_dir = run(capsys, tmp_path / repr(scale), "velocities", text)
+        csv = out_dir / "velocities.csv"
+        runs.append((code, out, np.loadtxt(csv, delimiter=",", skiprows=1) if csv.exists() else None))
+    (code, out, table), (scaled_code, scaled_out, scaled_table) = runs
+    assert scaled_code == code
+    if code != 0:
+        assert scaled_out == out and scaled_table is None
+        return
+    for key, power in (("c_plus", 1), ("c_minus", 1), ("a", 2)):
+        assert float(kv(scaled_out, key)) == s ** power * float(kv(out, key))
+    assert np.array_equal(scaled_table[:, 0], table[:, 0])
+    assert np.array_equal(scaled_table[:, 1:], s * table[:, 1:])
+
+
 def test_velocities_unstable_config(tmp_path, capsys):
     code, out, _ = run(capsys, tmp_path, "velocities", UNSTABLE_GV)
     assert code == 2
@@ -586,9 +621,9 @@ def test_wave_verify_on_an_overdamped_flock_reaches_a_verdict(tmp_path, capsys, 
     code, out, out_dir = run(capsys, tmp_path, "wave-verify", text)
     lines = out.splitlines()
     assert [line.split("=")[0] for line in lines] == \
-        ["alpha_guarantee", "d_const", *["n"] * len(sweep), "rel_error_monotone"]
-    holds = [kv(line.split()[-1], "bound_holds") for line in lines[2:-1]]
-    assert [line.split()[0] for line in lines[2:-1]] == [f"n={n}" for n in sweep]
+        ["alpha_guarantee", *["n"] * len(sweep), "rel_error_monotone"]
+    holds = [kv(line.split()[-1], "bound_holds") for line in lines[1:-1]]
+    assert [line.split()[0] for line in lines[1:-1]] == [f"n={n}" for n in sweep]
     assert code == (0 if holds == ["true"] * len(sweep) else 2)
     data = np.loadtxt(out_dir / "wave_verify.csv", delimiter=",", skiprows=1)
     assert data.shape == (7 * len(sweep), 6) and np.isfinite(data).all()

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import ringflock as rf
 from ringflock import wavefield
@@ -73,6 +75,51 @@ def test_strongly_overdamped_flock_has_no_wave_speeds():
         rf.signal_velocity_limit(p)
     with pytest.raises(rf.RingflockError, match="branches degenerate near phi = 0"):
         rf.group_velocity(p)
+
+
+# Gate-true flocks as (g_x, g_v, rho_x_plus, rho_v_plus, rho_x_minus, rho_v_minus);
+# on an even ring the half-ring mode of "default" and "rho_v" is a real
+# double root, which has no phase velocity and no modal amplitudes
+RESCALED_FLOCKS = {
+    "default": (-2.0, -2.0, -0.5, -0.5, -0.5, -0.5),
+    "underdamped": (-2.0, -1.0, -0.5, -0.5, -0.5, -0.5),
+    "rho_v": (-2.0, -2.0, -0.5, -0.8, -0.5, -0.2),
+}
+
+
+def _outcome(call):
+    """call()'s result, or the text of the RingflockError it raises."""
+    try:
+        return call()
+    except rf.RingflockError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("s", [2.0 ** 40, 2.0 ** -40], ids=["2^40", "2^-40"])
+@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("flock", sorted(RESCALED_FLOCKS))
+def test_rescaling_time_scales_every_speed_bit_for_bit(flock, n, s):
+    # t -> t / s maps g_v -> s g_v and g_x -> s**2 g_x; every root and speed
+    # scales by s, exactly for a power of two, and no verdict may change
+    g_x, g_v, *rho = RESCALED_FLOCKS[flock]
+    p = rf.FlockParams.nearest_neighbor(n, g_x, g_v, *rho)
+    q = rf.FlockParams.nearest_neighbor(n, s * s * g_x, s * g_v, *rho)
+    pv, qv = rf.phase_velocities(p), rf.phase_velocities(q)
+    assert np.array_equal(qv.overdamped, pv.overdamped)
+    for field in ("c_plus", "c_minus", "re_nu_plus", "re_nu_minus"):
+        assert np.array_equal(getattr(qv, field), s * getattr(pv, field))
+    sp, sq = rf.signal_velocities(p), rf.signal_velocities(q)
+    assert (sq.c_plus, sq.c_minus, sq.a) == (s * sp.c_plus, s * sp.c_minus, s * s * sp.a)
+    assert rf.group_velocity(q) == tuple(s * c for c in rf.group_velocity(p))
+    z0, v0 = np.random.default_rng(7).uniform(-1.0, 1.0, (2, n))
+    cp = _outcome(lambda: rf.modal_decompose(p, z0, v0))
+    cq = _outcome(lambda: rf.modal_decompose(q, z0, s * v0))
+    if isinstance(cp, str):
+        assert cq == cp
+    else:
+        assert np.array_equal(cq.leftward, cp.leftward)
+        assert np.array_equal(cq.rightward, cp.rightward)
+        assert cq.coherent == (cp.coherent[0], s * cp.coherent[1])
 
 
 def test_opposite_imaginary_signs_across_modes():
@@ -504,6 +551,20 @@ def test_modal_calls_reject_data_of_another_ring():
             call()
 
 
+def _term1_per_time(p, co, cutoff):
+    """2 sum_{1<=m<=cutoff} (|l_m| |nu_+ + i theta m c_-| + |r_m| |nu_- + i theta m c_+|),
+    summed term by term with the half-ring bin of an even ring once."""
+    sigs = rf.signal_velocities(p)
+    total = 0.0
+    for m in range(1, min(cutoff, p.n // 2) + 1):
+        _, _, plus, minus = eigenvalue_arrays(p, m)
+        itm = 1j * p.theta * m
+        term = (abs(co.leftward[m]) * abs(complex(plus) + itm * sigs.c_minus)
+                + abs(co.rightward[m]) * abs(complex(minus) + itm * sigs.c_plus))
+        total += term if 2 * m == p.n else 2.0 * term
+    return total
+
+
 def test_verify_wave_bound_window_follows_the_slower_speed():
     # speeds more than K = 2 apart: the window is [n/c, K n/c] for the slower c
     n, k_window = 128, 2.0
@@ -513,32 +574,70 @@ def test_verify_wave_bound_window_follows_the_slower_speed():
     c_slow = min(rep.c_plus, -rep.c_minus)
     assert max(rep.c_plus, -rep.c_minus) > k_window * c_slow
     assert rep.ts[0] == n / c_slow and rep.ts[-1] == k_window * n / c_slow
-    assert (rep.term1 == rep.d_const * (rep.m_bound * k_window * (2.0 / c_slow)
-                                        * n ** (3 * 0.3 - 1.0))).all()
     assert rep.bound_holds()
-    # equal and opposite speeds: the same window and term as 1/c_+ + 1/|c_-|
+    # equal and opposite speeds: the same window for either speed
     sym = rf.verify_wave_bound(rf.FlockParams.nearest_neighbor(n, -2.0, -1.0), co,
                                0.3, 0.7, k_window, 2.0)
     assert sym.c_plus == -sym.c_minus
     assert sym.ts[0] == n / sym.c_plus and sym.ts[-1] == k_window * n / sym.c_plus
-    assert (sym.term1 == sym.d_const * (sym.m_bound * k_window
-                                        * (1.0 / -sym.c_minus + 1.0 / sym.c_plus)
-                                        * n ** (3 * 0.3 - 1.0))).all()
+
+
+@pytest.mark.parametrize("n, alpha", [(128, 0.3), (16, 0.9), (17, 0.9)],
+                         ids=["cutoff-4", "half-ring-once", "odd-ring"])
+@pytest.mark.parametrize("flock", ["asymmetric", "underdamped"])
+def test_verify_wave_bound_term1_is_the_kept_modes_drift(n, alpha, flock):
+    # term1(t) = t times the per-mode sum, with no fitted constant; at
+    # alpha = 0.9 the cutoff reaches the half-ring bin of n = 16
+    p = asym_params(n) if flock == "asymmetric" else rf.FlockParams.nearest_neighbor(n, -2.0, -1.0)
+    co = rf.power_law_coefficients(n, 2.0, seed=3)
+    rep = rf.verify_wave_bound(p, co, alpha, 0.95, 2.0, 2.0)
+    np.testing.assert_allclose(rep.term1, rep.ts * _term1_per_time(p, co, rep.cutoff),
+                               rtol=1e-13, atol=0)
+    assert rep.bound_holds()
 
 
 def test_verify_wave_bound_bound_and_decay():
     params = rf.FlockParams.nearest_neighbor(128, -2.0, -1.0)
-    d_const = None
     rels = []
     for n in (128, 256):
         co = rf.power_law_coefficients(n, 2.0, seed=12)
-        rep = rf.verify_wave_bound(params.with_n(n), co, 0.3, 0.7, 2.0, 2.0,
-                                     d_const=d_const)
-        if d_const is None:
-            d_const = rep.d_const
+        rep = rf.verify_wave_bound(params.with_n(n), co, 0.3, 0.7, 2.0, 2.0)
         assert rep.bound_holds()
         rels.append(rep.measured[0] / rep.signal_sup[0])
     assert rels[1] < rels[0]
+
+
+@pytest.mark.parametrize("g_v, sweep, seeds", [
+    (-2.0, (256, 512, 1024), range(41)),
+    (-1.0, (256, 512, 1024), range(41)),
+    (-2.0, (4096, 16384, 65536), range(21)),
+], ids=["default", "underdamped", "large"])
+def test_verify_wave_bound_holds_for_every_seed(g_v, sweep, seeds):
+    # the CLI draws its data from any --seed; the bound has no constant to refit
+    p = rf.FlockParams.nearest_neighbor(sweep[0], -2.0, g_v)
+    failed = [(seed, n) for seed in seeds for n in sweep
+              if not rf.verify_wave_bound(p.with_n(n), rf.power_law_coefficients(n, 2.0, seed=seed),
+                                          0.3, 0.7, 2.0, 2.0).bound_holds()]
+    assert failed == []
+
+
+def test_verify_wave_bound_fails_a_measured_error_four_times_too_large(monkeypatch):
+    # a mutant whose frames lie 4x as far from the profiles: a constant
+    # fitted at the smallest ring absorbed that factor, the unfitted bound fails
+    p = rf.FlockParams.nearest_neighbor(256, -2.0, -2.0)
+    co = rf.power_law_coefficients(256, 2.0, seed=0)
+    rep = rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
+    assert rep.bound_holds()
+    profile, propagate = _profiles(p, rep), wavefield._propagate
+
+    def far_frames(*args):
+        for lo, z, zdot in propagate(*args):
+            yield lo, z + 3.0 * (z - profile[lo:lo + len(z)]), zdot
+
+    monkeypatch.setattr(wavefield, "_propagate", far_frames)
+    mutant = rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
+    np.testing.assert_allclose(mutant.measured, 4.0 * rep.measured, rtol=1e-9)
+    assert not mutant.bound_holds()
 
 
 def test_verify_wave_bound_matches_direct_profile_sum():
@@ -562,14 +661,20 @@ def test_verify_wave_bound_matches_direct_profile_sum():
         assert abs(rep.signal_sup[i] - np.abs(z).max()) <= 1e-12
 
 
-def _whole_batch_rule(p, co, rep):
-    """(measured, signal_sup) by the rule before streaming: every frame at
-    once, then one irfft of the profiles' bins 0..cutoff at all 7 times."""
-    z, _ = rf.modal_evolve(p, co, rep.ts)
+def _profiles(p, rep):
+    """f_-(k - c_- t) + f_+(k - c_+ t) at the report's 7 times, by one irfft
+    of the profiles' bins 0..cutoff."""
     phase = -1j * p.theta * np.arange(len(rep.f_minus_coeffs)) * rep.ts[:, None]
     w = (rep.f_minus_coeffs * np.exp(phase * rep.c_minus)
          + rep.f_plus_coeffs * np.exp(phase * rep.c_plus))
-    return np.abs(z - p.n * np.fft.irfft(w, p.n)).max(axis=1), np.abs(z).max(axis=1)
+    return p.n * np.fft.irfft(w, p.n)
+
+
+def _whole_batch_rule(p, co, rep):
+    """(measured, signal_sup) by the rule before streaming: every frame at
+    once, then the profiles at all 7 times."""
+    z, _ = rf.modal_evolve(p, co, rep.ts)
+    return np.abs(z - _profiles(p, rep)).max(axis=1), np.abs(z).max(axis=1)
 
 
 @pytest.mark.parametrize("n", [4096, 16384, 65536])  # 1, 4 and 7 blocks of frames
@@ -663,6 +768,21 @@ def test_exp_diff_bound_sweep():
             a = complex(*rng.uniform(-0.07, 0.07, 2))
             b = complex(*rng.uniform(-0.07, 0.07, 2))
         assert rf.exp_diff_bound_holds(a, b)
+
+
+_LEFT_HALF = st.builds(complex, st.floats(-1e300, 0.0), st.floats(-1e300, 1e300))
+
+
+@given(_LEFT_HALF, _LEFT_HALF)
+@example(-1e300 + 1e300j, 0j)
+@example(-700.0 + 3.0j, -1e-3 + 2e5j)
+@example(1e5j, -1e5j)
+@example(-1e-300 + 1e-300j, 0j)
+def test_exp_difference_is_at_most_the_exponent_difference_in_the_left_half_plane(a, b):
+    # the inequality term1 of verify_wave_bound rests on: e^a - e^b is the
+    # integral of e^(b + s (a - b)) (a - b) over s in [0, 1], |e^(...)| <= 1;
+    # 1e-15 covers cmath.exp's rounding, as |e^a|, |e^b| <= 1
+    assert abs(cmath.exp(a) - cmath.exp(b)) <= abs(a - b) + 1e-15
 
 
 def test_high_modes_die_before_crossing_time():
