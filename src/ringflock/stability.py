@@ -30,8 +30,8 @@ SYMMETRY_TOL = 1e-12
 #: Modes per block of spectral_verdict's walk; bounds its scratch memory.
 _BLOCK_MODES = 1 << 13
 
-#: spectral_verdict refuses larger rings: walking this many modes already
-#: takes minutes (about 0.13 us per mode on a 2-core x86_64 VM).
+#: spectral_verdict refuses larger rings: walking this many already takes
+#: over a minute (about 0.07 us per agent at n = 10**7 on a 2-core x86_64 VM).
 VERDICT_N_MAX = 1 << 30
 
 #: The witness search doubles the ring size from 8 agents up to this many.
@@ -107,10 +107,12 @@ def spectral_verdict(params: FlockParams) -> StabilityReport:
     anything else is marginal.  The coherent mode contributes exactly the
     double zero by construction and is excluded.
 
-    The modes are walked in ascending blocks of _BLOCK_MODES, so the memory
-    does not grow with n.  The witness is the first root of largest real part
-    in the order of all "+" roots by ascending m, then all "-" roots, taken
-    among the roots above their band whenever there is one.
+    Modes 1..n//2 are evaluated in ascending blocks of _BLOCK_MODES, so the
+    memory does not grow with n, and mode -m is read off mode m.  Every "-"
+    root has a "+" root ranked as high by (above its band, Re nu): its mirror
+    image, or its partner where both are real.  So the witness is the first
+    "+" root of largest real part in mode_range order, taken among the roots
+    above their band whenever there is one.
 
     Raises:
         RingflockError: n above VERDICT_N_MAX.
@@ -118,37 +120,32 @@ def spectral_verdict(params: FlockParams) -> StabilityReport:
     n = params.n
     if n > VERDICT_N_MAX:
         raise RingflockError(f"n={n} exceeds the spectral verdict cap {VERDICT_N_MAX}")
-    lo = -((n - 1) // 2)  # mode_range(n) is lo .. lo + n - 1
-    stable, above_any, max_re = True, False, -np.inf
-    best = {}  # branch -> ((above its band, Re nu), m, nu) of its first maximal root
-    for start in range(lo, lo + n, _BLOCK_MODES):
-        ms = np.arange(start, min(start + _BLOCK_MODES, lo + n))
-        ms = ms[ms != 0]
-        _, _, plus, minus = eigenvalue_arrays(params, ms)
-        for branch, nus in (("+", plus), ("-", minus)):
-            res = nus.real
-            band = MARGINAL_BAND * np.abs(nus)
-            stable = stable and bool((res < -band).all())
-            max_re = max(max_re, float(res.max()))
-            above = res > band
-            i = int(np.argmax(np.where(above, res, -np.inf) if above.any() else res))
-            key = (bool(above[i]), float(res[i]))
-            above_any = above_any or key[0]
-            if branch not in best or key > best[branch][0]:
-                best[branch] = (key, int(ms[i]), complex(nus[i]))
-
-    witness = None
-    if not stable:
-        branch = "+" if best["+"][0] >= best["-"][0] else "-"
-        _, m, nu = best[branch]
-        witness = (m, branch, nu)
+    stable, max_re, best = True, -np.inf, ((False, -np.inf, 0), 0j)
+    for start in range(1, n // 2 + 1, _BLOCK_MODES):
+        ms = np.arange(start, min(start + _BLOCK_MODES, n // 2 + 1))
+        lx, lv, plus, minus = eigenvalue_arrays(params, ms)
+        # Mode -m has the roots of mode m where both symbols are real; else their
+        # mirror images (imag -> 0.0 - imag), with labels swapped unless tied.
+        same = (lx.imag == 0.0) & (lv.imag == 0.0)
+        low = np.where(same | (plus.imag == minus.imag), plus, minus)
+        low.imag = np.where(same, low.imag, 0.0 - low.imag)
+        nus = np.concatenate([low[2 * ms < n][::-1], plus])  # "+" roots in mode_range order
+        signed = np.concatenate([-ms[2 * ms < n][::-1], ms])
+        res, band = nus.real, MARGINAL_BAND * np.abs(nus)
+        stable = stable and bool((res < -band).all())
+        max_re = max(max_re, float(res.max()))
+        above = res > band
+        i = int(np.argmax(np.where(above, res, -np.inf) if above.any() else res))
+        key = (bool(above[i]), float(res[i]), -int(signed[i]))  # ties: smaller m first
+        best = max(best, (key, complex(nus[i])))  # keys differ in m, so nus never compare
+    (above_any, _, neg_m), nu = best
 
     return StabilityReport(
         n=n,
         spectral_stable=stable,
         marginal=not stable and not above_any,
         max_real_part=max_re + 0.0,  # an exact zero prints as 0, not -0
-        witness=witness,
+        witness=None if stable else (-neg_m, "+", nu),
     )
 
 

@@ -408,7 +408,7 @@ class WaveBoundReport:
         return self.term1 + self.term2 + self.term3
 
     def bound_holds(self) -> bool:
-        return bool((self.measured <= self.bound() + 1e-9).all())
+        return bool((self.measured <= self.bound()).all())
 
 
 def _envelope_bound(coeffs, p):

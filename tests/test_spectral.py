@@ -11,7 +11,12 @@ import ringflock as rf
 from ringflock import spectral
 from ringflock.model import moments
 from ringflock.spectral import series_coefficients
-from helpers import random_gate_true_params, random_underdamped_params, random_valid_params
+from helpers import (
+    random_asymmetric_x_params,
+    random_gate_true_params,
+    random_underdamped_params,
+    random_valid_params,
+)
 
 
 def test_lambdas_vanish_at_zero_mode():
@@ -102,17 +107,37 @@ def test_root_residual_small():
                 assert resid <= 1e-10 * (1.0 + abs(lv) ** 2 + abs(lx))
 
 
+def _mirror(z, keep):
+    """z with its imaginary part 0.0 - imag, except where keep."""
+    z = np.array(z)
+    z.imag = np.where(keep, z.imag, 0.0 - z.imag)
+    return z
+
+
 def test_conjugate_pairing_and_ring_identification():
     rng = np.random.default_rng(37)
-    for _ in range(10):
-        p = random_valid_params(rng, 12)
+    kinds = (random_valid_params, random_gate_true_params, random_underdamped_params,
+             random_asymmetric_x_params)
+    draws = [kind(rng, n) for n in (12, 13) for kind in kinds for _ in range(3)]
+    # two real roots at most modes, the "+" one with imaginary part -0.0
+    draws += [rf.FlockParams.nearest_neighbor(n, -2.0, -20.0) for n in (12, 13)]
+    for p in draws:
+        # Bit for bit, mode -m has each real symbol of mode m and the mirror
+        # image of the others.  Where both are real its roots are those of m;
+        # else they are mirrored and swap labels unless their imaginary parts
+        # tie.
+        ms = np.arange(1, (p.n - 1) // 2 + 1)
+        lx, lv, plus, minus = rf.eigenvalue_arrays(p, ms)
+        same = (lx.imag == 0.0) & (lv.imag == 0.0)
+        keep = same | (plus.imag == minus.imag)
+        want = (_mirror(lx, lx.imag == 0.0), _mirror(lv, lv.imag == 0.0),
+                _mirror(np.where(keep, plus, minus), same),
+                _mirror(np.where(keep, minus, plus), same))
+        got = rf.eigenvalue_arrays(p, -ms)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], p
         for m in (1, 2, 5):
-            _, _, plus, minus = rf.eigenvalue_arrays(p, m)
-            _, _, plus_neg, minus_neg = rf.eigenvalue_arrays(p, -m)
-            assert abs(plus_neg - minus.conjugate()) <= 1e-12
-            assert abs(minus_neg - plus.conjugate()) <= 1e-12
             _, _, wrap, _ = rf.eigenvalue_arrays(p, m - p.n)
-            assert abs(wrap - plus_neg) <= 1e-12 or abs(wrap - plus) <= 1e-12
+            assert abs(wrap - got[2][m - 1]) <= 1e-12 or abs(wrap - plus[m - 1]) <= 1e-12
         # An int mode is a 0-d row of the spectrum, bit for bit, and every
         # multiple of n is the coherent zero.
         for q in (p, p.with_n(13)):

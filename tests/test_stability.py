@@ -10,6 +10,7 @@ from ringflock import stability
 from helpers import (
     random_asymmetric_x_params,
     random_gate_true_params,
+    random_underdamped_params,
     random_valid_params,
     routh_hurwitz_holds,
 )
@@ -194,10 +195,22 @@ def _verdict_fields(report):
 @pytest.mark.parametrize("block", [16, stability._BLOCK_MODES])
 def test_verdict_blocks_match_whole_spectrum(monkeypatch, block):
     monkeypatch.setattr(stability, "_BLOCK_MODES", block)
-    # one partial block, one block less one mode, exactly one block, one
-    # block and one mode, several blocks and a partial one
-    for n in (block // 2 + 3, block - 1, block, block + 1, 3 * block + 5):
-        cases = [  # (name, params, (stable, marginal))
+    walked = []
+
+    def spy(params, ms):
+        walked.append(ms)
+        return rf.eigenvalue_arrays(params, ms)
+
+    monkeypatch.setattr(stability, "eigenvalue_arrays", spy)
+    rng = np.random.default_rng(11)
+    kinds = (random_valid_params, random_gate_true_params, random_underdamped_params,
+             random_asymmetric_x_params)
+    # random draws on the smallest rings; then one partial block, one block
+    # less one mode, exactly one block, one block and one mode, several blocks
+    # and a partial one
+    for n in (3, 4, block // 2 + 3, block - 1, block, block + 1, 3 * block + 5):
+        draws = [(kind.__name__, kind(rng, n), None) for kind in kinds for _ in range(2)]
+        cases = draws if n < 5 else draws + [  # (name, params, (stable, marginal))
             ("stable", rf.FlockParams.nearest_neighbor(n, -2.0, -2.0), (True, False)),
             ("unstable", rf.FlockParams.nearest_neighbor(n, -2.0, -2.0, -0.3, -0.5, -0.7),
              (False, False)),
@@ -205,26 +218,39 @@ def test_verdict_blocks_match_whole_spectrum(monkeypatch, block):
             # conjugate pairs with Re = lambda_v / 2 > 0, largest at |m| = n // 2:
             # on odd rings -m and +m and both branches tie
             ("tie", rf.FlockParams.nearest_neighbor(n, -2.0, 0.1), (False, False)),
+            # two real roots at most modes, the "+" one with imaginary part -0.0
+            ("overdamped", rf.FlockParams.nearest_neighbor(n, -2.0, -20.0), (True, False)),
+            # two real roots at every mode, the largest at |m| = n // 2: on odd
+            # rings -m has the roots of +m, labels unswapped
+            ("real", rf.FlockParams.nearest_neighbor(n, 2.0, -20.0), (False, False)),
         ]
         for name, p, kind in cases:
             spec = rf.spectrum(p)
             want = _whole_spectrum_verdict(spec.ms, spec.nu_plus, spec.nu_minus)
+            walked.clear()
             got = _verdict_fields(rf.spectral_verdict(p))
             assert repr(got) == repr(want), (n, name)
-            assert got[:2] == kind, (n, name)
-            if name == "tie" and n % 2:
+            assert np.array_equal(np.concatenate(walked), np.arange(1, n // 2 + 1)), (n, name)
+            if kind is not None:
+                assert got[:2] == kind, (n, name)
+            if name in ("tie", "real") and n % 2:
                 assert got[3][:2] == (-(n // 2), "+"), n
 
 
 def test_verdict_prefers_a_root_above_its_band(monkeypatch):
     # Modes -5 and 10 have the largest real parts, but inside their bands
     # (1e-7); among the roots above their bands (1e-13) mode -6 beats mode 3.
-    # Blocks of 4 modes put -6 beside -5, and 3 and 10 in later blocks.
+    # The fake honours the mirror: the "-" root of mode m is the conjugate of
+    # the "+" root of mode -m.  Blocks of 4 modes walk 1..4, 5..8, ...: mode 3
+    # wins the first block, and -6 (walked with 6, beside -5) beats it in the
+    # second.
     special = {-6: 5e-12 + 1e-3j, -5: 1e-11 + 1e3j, 3: 1e-12 + 1e-3j, 10: 2e-11 + 1e3j}
 
     def roots(params, ms):
+        lam = 1j * np.sign(ms)  # symbols that are not real, mirrored at -m
         plus = np.array([special.get(int(m), -1.0 + 1j) for m in ms])
-        return None, None, plus, plus.conjugate()
+        minus = np.array([special.get(-int(m), -1.0 + 1j) for m in ms]).conjugate()
+        return lam, lam, plus, minus
 
     monkeypatch.setattr(stability, "_BLOCK_MODES", 4)
     monkeypatch.setattr(stability, "eigenvalue_arrays", roots)

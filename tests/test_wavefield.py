@@ -621,22 +621,26 @@ def test_verify_wave_bound_holds_for_every_seed(g_v, sweep, seeds):
     assert failed == []
 
 
-def test_verify_wave_bound_fails_a_measured_error_four_times_too_large(monkeypatch):
-    # a mutant whose frames lie 4x as far from the profiles: a constant
-    # fitted at the smallest ring absorbed that factor, the unfitted bound fails
+@pytest.mark.parametrize("scale, factor", [(1.0, 4.0), (1e-13, 100.0)])
+def test_verify_wave_bound_fails_a_measured_error_too_large(monkeypatch, scale, factor):
+    # A mutant whose frames lie factor times as far from the profiles: a
+    # constant fitted at the smallest ring absorbed a factor of 4, the unfitted
+    # bound fails.  Data scaled by 1e-13 put the bound near 3e-13, and the
+    # check has no absolute slack that such small errors could hide under.
     p = rf.FlockParams.nearest_neighbor(256, -2.0, -2.0)
     co = rf.power_law_coefficients(256, 2.0, seed=0)
+    co = dataclasses.replace(co, leftward=scale * co.leftward, rightward=scale * co.rightward)
     rep = rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
     assert rep.bound_holds()
     profile, propagate = _profiles(p, rep), wavefield._propagate
 
     def far_frames(*args):
         for lo, z, zdot in propagate(*args):
-            yield lo, z + 3.0 * (z - profile[lo:lo + len(z)]), zdot
+            yield lo, z + (factor - 1.0) * (z - profile[lo:lo + len(z)]), zdot
 
     monkeypatch.setattr(wavefield, "_propagate", far_frames)
     mutant = rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
-    np.testing.assert_allclose(mutant.measured, 4.0 * rep.measured, rtol=1e-9)
+    np.testing.assert_allclose(mutant.measured, factor * rep.measured, rtol=1e-9)
     assert not mutant.bound_holds()
 
 
