@@ -7,6 +7,8 @@ them with the closed-form prediction, agent by agent as well.  The orbits
 are x_k(t) = z_k(t) + k, read straight off traj.z.
 """
 
+import numpy as np
+
 import ringflock as rf
 
 params = rf.FlockParams.nearest_neighbor(200, g_x=-2.0, g_v=-2.0)
@@ -16,7 +18,7 @@ print(f"predicted front speeds: c+ = {front.predicted_c_plus:+.4f}, "
       f"c- = {front.predicted_c_minus:+.4f}")
 print(f"fitted from arrivals  : c+ = {front.fitted_c_plus:+.4f}, "
       f"c- = {front.fitted_c_minus:+.4f}")
-print(f"agents never reached  : {len(front.no_arrival)}")
+print(f"agents never reached  : {np.isnan(front.arrival_time).sum()}")
 
 print("\narrival of the forward front (threshold crossing of |zdot|):")
 for k in (10, 25, 50, 75, 90):

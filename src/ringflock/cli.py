@@ -207,15 +207,10 @@ def cmd_simulate(cfg, params, out_dir):
         print("closed_form=false")
         return 2
     run = ImpulseRun(params, t_end=cfg["t_end"])
-
-    def rows(block):  # the trajectory columns t, z_k, zdot_k of one frame block
-        lo, z, zdot = block
-        return run.times[lo:lo + len(z)], z, zdot
-
     n = params.n
     _write_csv(out_dir / "trajectory.csv",
                ["t", *(f"z_{k}" for k in range(n)), *(f"zdot_{k}" for k in range(n))],
-               blocks=map(rows, run))  # map holds no block while the next is computed
+               blocks=run)
     front = run.report
     _write_csv(out_dir / "wavefront.csv", ["k", "arrival_time"], np.arange(n),
                front.arrival_time)
@@ -224,9 +219,7 @@ def cmd_simulate(cfg, params, out_dir):
     print(f"fitted_c_minus={_fmt(front.fitted_c_minus)}")
     print(f"predicted_c_plus={_fmt(front.predicted_c_plus)}")
     print(f"predicted_c_minus={_fmt(front.predicted_c_minus)}")
-    print(f"no_arrival_count={len(front.no_arrival)}")
-    if front.no_arrival:
-        print("no_arrival=" + ",".join(str(k) for k in front.no_arrival))
+    print(f"no_arrival_count={np.isnan(front.arrival_time).sum()}")
     return 0
 
 

@@ -35,9 +35,9 @@ class WavefrontReport:
     """First-arrival data of a localized impulse and the fitted front speeds.
 
     arrival_time[k] is the first sampled time with |zdot_k| above 2 percent
-    of the unit impulse (NaN when the signal never arrives); the fitted speeds
-    come from straight-line fits of arrival time against agent index on each
-    branch, and the predictions are the closed-form signal velocities.
+    of the unit impulse, NaN for an agent the signal never reaches; the fitted
+    speeds come from straight-line fits of arrival time against agent index
+    on each branch, and the predictions are the closed-form signal velocities.
     """
 
     arrival_time: np.ndarray
@@ -45,7 +45,6 @@ class WavefrontReport:
     fitted_c_minus: float
     predicted_c_plus: float
     predicted_c_minus: float
-    no_arrival: list
 
 
 def _coupled(rho, x):
@@ -68,16 +67,21 @@ def integrate(params: FlockParams, z0, zdot0, t_end: float, dt: float) -> Trajec
     holds the increment, not the step: the step's center coefficient is
     1 + O(dt^2), and its rounding error of one ulp would recur every step.
 
+    The step cap 0.5 / R, R = |g_v| sum|rho_v| + sqrt(|g_x| sum|rho_x|) >= |nu|
+    on every mode, has the unit of time and keeps |dt nu| <= 0.5, well inside
+    RK4's stability region for a decaying mode.
+
     Raises:
-        RingflockError: dt is not in (0, 0.1 / (|g_x| + |g_v| + 1)], the
-            stability heuristic (a NaN step included); t_end is not positive
-            and finite; the initial arrays do not have shape (n,) or are not
-            finite; or the state stopped being finite (divergence or a bad
-            step size).
+        RingflockError: dt is not a finite number in (0, 0.5 / R]; t_end
+            is not positive and finite; the initial arrays do not have shape
+            (n,) or are not finite; or the state stopped being finite
+            (divergence or a bad step size).
     """
     g_x, g_v, rho_x, rho_v, n = params.g_x, params.g_v, params.rho_x, params.rho_v, params.n
-    cap = 0.1 / (abs(g_x) + abs(g_v) + 1.0)
-    if not 0.0 < dt <= cap:
+    rate = (abs(g_v) * sum(map(abs, rho_v.values()))
+            + math.sqrt(abs(g_x) * sum(map(abs, rho_x.values()))))
+    cap = 0.5 / rate if rate else math.inf
+    if not 0.0 < dt < math.inf or dt > cap:
         raise RingflockError(f"dt={dt:.4g} outside (0, {cap:.4g}]")
     if not 0.0 < t_end < math.inf:
         raise RingflockError(f"t_end={t_end} must be positive and finite")
@@ -152,20 +156,19 @@ def _wavefront_report(arrival, sigs):
         fitted_c_minus=_fit_speed(bwd - n, arrival[bwd]),  # signed index on the back branch
         predicted_c_plus=sigs.c_plus,
         predicted_c_minus=sigs.c_minus,
-        no_arrival=[int(k) for k in np.flatnonzero(np.isnan(arrival))],
     )
 
 
 class ImpulseRun:
     """impulse_experiment as a stream, one block of frames at a time.
 
-    Construction checks the inputs.  Iterating yields the propagator's
-    blocks (lo, z, zdot), the (rows, n) states at times[lo], times[lo + 1],
-    ..., each scanned for drift and arrivals and then dropped.  After the
-    last block the drift is checked over all frames and, when t_end >
-    t_front, the arrival window is streamed the same way; then `report`
-    holds the WavefrontReport.  A failed check raises before the iteration
-    ends, so a consumer writing the blocks to a file can still discard it.
+    Construction checks the inputs.  Iterating yields the propagator's blocks
+    (t, z, zdot), the (rows, n) states at the times t, a view of `times`,
+    each scanned for drift and arrivals and then dropped.  After the last
+    block the drift is checked over all frames and, when t_end > t_front,
+    the arrival window is streamed the same way; then `report` holds the
+    WavefrontReport.  A failed check raises before the iteration ends, so a
+    consumer writing the blocks to a file can still discard it.
     """
 
     def __init__(self, params: FlockParams, t_end: Optional[float] = None):
@@ -189,24 +192,24 @@ class ImpulseRun:
         n = self._n
         arrival = np.full(n, np.nan)
 
-        def scan(ts, zdot):  # first frames of the ts with |zdot_k| above 0.02
+        def scan(t, zdot):  # first frames of the block with |zdot_k| above 0.02
             hit = np.abs(zdot) > 0.02
             new = hit.any(axis=0) & np.isnan(arrival)
-            arrival[new] = ts[hit.argmax(axis=0)[new]]
+            arrival[new] = t[hit.argmax(axis=0)[new]]
 
         drift = 0.0
-        for lo, z, zdot in _propagate(*self._propagator, self.times):
+        for t, z, zdot in _propagate(*self._propagator, self.times):
             # np.maximum, like a max over all frames, keeps a NaN
             drift = np.maximum(drift, np.abs(zdot.mean(axis=1) - 1.0 / n).max())
             if self._window is None:
-                scan(self.times[lo:], zdot)
-            yield lo, z, zdot
+                scan(t, zdot)
+            yield t, z, zdot
             del z, zdot  # so the next block is computed with this one freed
         if drift > 1e-12 / n:
             raise RingflockError(f"mean velocity drifts by {drift:.3e} from 1 / n")
         if self._window is not None:
-            for lo, z, zdot in _propagate(*self._propagator, self._window):
-                scan(self._window[lo:], zdot)
+            for t, z, zdot in _propagate(*self._propagator, self._window):
+                scan(t, zdot)
                 del z, zdot
         self.report = _wavefront_report(arrival, self._sigs)
 

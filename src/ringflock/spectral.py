@@ -53,12 +53,13 @@ def lambda_curves(params: FlockParams, phi):
     def symbol(g, rho):
         s = rho[1] + rho[-1]
         d = rho[1] - rho[-1]
-        with np.errstate(over="ignore", invalid="ignore"):  # _labeled_roots rejects overflow
-            re = np.full(phi.shape, math.fsum(rho.values())) - 2.0 * s * np.sin(0.5 * phi) ** 2
-            im = np.zeros(phi.shape) + d * np.sin(phi)  # 0 + (-0.0) is +0.0: sqrt's branch
-            return g * (re + 1j * im)
+        re = np.full(phi.shape, math.fsum(rho.values())) - 2.0 * s * half_sq
+        im = np.zeros(phi.shape) + d * sin  # 0 + (-0.0) is +0.0: sqrt's branch
+        return g * (re + 1j * im)
 
-    return symbol(params.g_x, params.rho_x), symbol(params.g_v, params.rho_v)
+    with np.errstate(over="ignore", invalid="ignore"):  # _labeled_roots rejects overflow
+        half_sq, sin = np.sin(0.5 * phi) ** 2, np.sin(phi)  # shared by both symbols
+        return symbol(params.g_x, params.rho_x), symbol(params.g_v, params.rho_v)
 
 
 def root_pair(lam_x, lam_v):

@@ -242,15 +242,16 @@ def _initial_arrays(n, z0, zdot0):
 def _propagate(n, roots, zh, vh, ts):
     """Exact frames on n agents of the state with DFT data (zh, vh) on bins
     0..n//2 at the times ts.ravel(), one block of _BLOCK_CELLS // n frames
-    (at least one) at a time: yields (lo, z, zdot), the (rows, n) states at
-    the times lo, lo + 1, ... of the block, each frame computed on its own,
-    so the blocking changes no bit.  No name here holds a block between
+    (at least one) at a time: yields (t, z, zdot), the block's own times (a
+    view of ts) and the (rows, n) states at them, each frame computed on its
+    own, so the blocking changes no bit.  No name here holds a block between
     yields, so a consumer that drops each block keeps one alive."""
     w = vh - roots[1] * zh
     col = ts.reshape(-1, 1)
     step = max(1, _BLOCK_CELLS // n)
     for lo in range(0, len(col), step):
-        yield (lo, *_frames(n, roots, zh, vh, w, col[lo:lo + step]))
+        tb = col[lo:lo + step]
+        yield (tb[:, 0], *_frames(n, roots, zh, vh, w, tb))
 
 
 def _frames(n, roots, zh, vh, w, tb):
@@ -282,12 +283,13 @@ def _frames(n, roots, zh, vh, w, tb):
 
 
 def _collect(blocks, ts, n):
-    """(z, zdot) at the float times ts from their frame blocks (lo, z, zdot),
-    such as _propagate's: (n,) arrays for a scalar ts, ts.shape + (n,) arrays
-    for an array of times."""
-    out = np.empty((2, ts.size, n))
-    for lo, z, zdot in blocks:
+    """(z, zdot) at the float times ts from their frame blocks (t, z, zdot),
+    such as _propagate's, which cover ts.ravel() in order: (n,) arrays for a
+    scalar ts, ts.shape + (n,) arrays for an array of times."""
+    out, lo = np.empty((2, ts.size, n)), 0
+    for _, z, zdot in blocks:
         out[0, lo:lo + len(z)], out[1, lo:lo + len(z)] = z, zdot
+        lo += len(z)
         del z, zdot  # so the next block is computed with this one freed
     return tuple(out.reshape((2,) + ts.shape + (n,)))
 
@@ -504,17 +506,14 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
 
     phase = -1j * params.theta * np.arange(kept)
 
-    def sups(block):  # (rows, error sup, signal sup) of one block of frames
-        lo, z, _ = block
-        rows = slice(lo, lo + len(z))
-        ph = phase * ts[rows, None]
+    def sups(block):  # (error sup, signal sup) of one block of frames
+        t, z, _ = block
+        ph = phase * t[:, None]
         w = f_minus * np.exp(ph * c_minus) + f_plus * np.exp(ph * c_plus)
-        return rows, np.abs(z - n * np.fft.irfft(w, n)).max(axis=1), np.abs(z).max(axis=1)
+        return np.abs(z - n * np.fft.irfft(w, n)).max(axis=1), np.abs(z).max(axis=1)
 
-    measured, signal_sup = np.empty(ts.size), np.empty(ts.size)
     # map keeps no block alive while the generator computes the next one
-    for rows, err, sup in map(sups, _propagate(n, roots, zh, vh, ts)):
-        measured[rows], signal_sup[rows] = err, sup
+    measured, signal_sup = map(np.concatenate, zip(*map(sups, _propagate(n, roots, zh, vh, ts))))
 
     fac = 4.0 * m_bound / (p - 1.0)
     try:  # n**alpha - 1 may be below 1, and then large p overflows

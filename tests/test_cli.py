@@ -410,13 +410,14 @@ def test_simulate_csv_floats_round_trip_exactly(tmp_path, capsys):
         assert [float(cell) for cell in row] == values
         assert row == ["%.17g" % v for v in values]
 
-    assert front.no_arrival
+    unreached = np.isnan(front.arrival_time)
+    assert unreached.any()
     rows = (out_dir / "wavefront.csv").read_text().splitlines()[1:]
     assert rows == ["%d,%.17g" % kt for kt in enumerate(front.arrival_time.tolist())]
     arrival = [row.split(",")[1] for row in rows]
-    assert [k for k, cell in enumerate(arrival) if cell == "nan"] == front.no_arrival
+    assert [cell == "nan" for cell in arrival] == unreached.tolist()
     for k, cell in enumerate(arrival):
-        if k not in front.no_arrival:
+        if not unreached[k]:
             assert float(cell) == front.arrival_time[k]
 
 
@@ -586,12 +587,22 @@ def test_simulate_memory_does_not_grow_with_n(tmp_path, capsys):
     assert peak < 8 * 2**20
 
 
-def test_simulate_lists_no_arrival_agents(tmp_path, capsys):
-    code, out, _ = run(capsys, tmp_path, "simulate",
-                       "n = 200\ng_x = -2\ng_v = -1\nt_end = 10\n")
+def test_simulate_counts_no_arrival_agents(tmp_path, capsys):
+    # the unreached agents are the nan rows of wavefront.csv, and only counted on stdout
+    code, out, out_dir = run(capsys, tmp_path, "simulate",
+                             "n = 200\ng_x = -2\ng_v = -1\nt_end = 10\n")
     assert code == 0
-    assert int(kv(out, "no_arrival_count")) > 0
-    assert "no_arrival=" in out
+    count = int(kv(out, "no_arrival_count"))
+    assert count > 0
+    rows = (out_dir / "wavefront.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows].count("nan") == count
+
+
+def test_simulate_stdout_does_not_grow_with_unreached_agents(tmp_path, capsys):
+    code, out, _ = run(capsys, tmp_path, "simulate", "n = 400\nt_end = 10\n")
+    assert code == 0
+    assert int(kv(out, "no_arrival_count")) > 300
+    assert len(out.splitlines()) <= 6
 
 
 def test_wave_verify_flags_large_alpha(tmp_path, capsys):

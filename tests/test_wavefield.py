@@ -120,6 +120,16 @@ def test_rescaling_time_scales_every_speed_bit_for_bit(flock, n, s):
         assert np.array_equal(cq.leftward, cp.leftward)
         assert np.array_equal(cq.rightward, cp.rightward)
         assert cq.coherent == (cp.coherent[0], s * cp.coherent[1])
+    # RK4 with dt -> dt / s: the step cap (0.5 / 4 or 0.5 / 6 here) refuses
+    # the same steps, and an accepted run scales bit for bit
+    for dt in (2.0 ** -4, 2.0 ** -2):
+        rp = _outcome(lambda: rf.integrate(p, z0, v0, 2.0, dt))
+        rq = _outcome(lambda: rf.integrate(q, z0, s * v0, 2.0 / s, dt / s))
+        assert isinstance(rp, str) == isinstance(rq, str) == (dt > 2.0 ** -4)
+        if not isinstance(rp, str):
+            assert np.array_equal(rq.times, rp.times / s)
+            assert np.array_equal(rq.z, rp.z)
+            assert np.array_equal(rq.zdot, s * rp.zdot)
 
 
 def test_opposite_imaginary_signs_across_modes():
@@ -279,6 +289,25 @@ def test_evolve_blocks_of_frames_match_scalar_calls_bit_for_bit(n):
     one_by_one = np.array([rf.evolve(p, z0, v0, t) for t in ts[checked]])
     assert batch.shape == one_by_one.shape == (len(checked), 2, n)
     assert batch.tobytes() == one_by_one.tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 65536])  # 512 frames per block, and one
+def test_propagate_blocks_carry_their_own_times(n):
+    # Three blocks, the last one short: their times are views of ts that
+    # concatenate to ts.ravel(), and each block is _frames on those times.
+    rng = np.random.default_rng(n)
+    p = random_underdamped_params(rng, n)
+    n, roots, zh, vh = wavefield._propagator(p, *rng.uniform(-1, 1, (2, n)))
+    step = max(1, wavefield._BLOCK_CELLS // n)
+    ts = np.sort(rng.uniform(0.0, 3.0 * n, 2 * step + 1)).reshape(-1, 1)
+    blocks = list(wavefield._propagate(n, roots, zh, vh, ts))
+    assert [len(t) for t, _, _ in blocks] == [step, step, 1]
+    assert np.concatenate([t for t, _, _ in blocks]).tobytes() == ts.ravel().tobytes()
+    w = vh - roots[1] * zh
+    for t, z, zdot in blocks:
+        assert np.shares_memory(t, ts)
+        want = wavefield._frames(n, roots, zh, vh, w, t[:, None])
+        assert np.stack([z, zdot]).tobytes() == want.tobytes()
 
 
 def _full_bins(p, co):
@@ -635,8 +664,8 @@ def test_verify_wave_bound_fails_a_measured_error_too_large(monkeypatch, scale, 
     profile, propagate = _profiles(p, rep), wavefield._propagate
 
     def far_frames(*args):
-        for lo, z, zdot in propagate(*args):
-            yield lo, z + (factor - 1.0) * (z - profile[lo:lo + len(z)]), zdot
+        for t, z, zdot in propagate(*args):
+            yield t, z + (factor - 1.0) * (z - profile[np.searchsorted(rep.ts, t)]), zdot
 
     monkeypatch.setattr(wavefield, "_propagate", far_frames)
     mutant = rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
