@@ -111,22 +111,22 @@ def _write_atomic(path: Path, chunks):
         tmp.unlink(missing_ok=True)  # gone already once os.replace succeeds
 
 
-def _write_csv(path: Path, header, *columns, blocks=None):
-    """Atomic CSV write of equal-length columns: 1-D arrays, or 2-D arrays
-    that each give several adjacent columns.  Or, in their place, blocks: an
-    iterable of such column tuples, each a run of the next rows, rendered as
-    it arrives and dropped before the next is asked for, so a streamed table
-    costs the memory of one block; an error raised by the iterable leaves no
-    file.  Each cell's text is exactly '%.17g' % float(v), which keeps every
-    float64 bit and writes integers below 2**53 as plain integers; numpy
-    renders it _CSV_BLOCK_CELLS cells at a time."""
+def _write_csv(path: Path, header, blocks):
+    """Atomic CSV write of blocks: an iterable of tuples of equal-length
+    columns (1-D arrays, or 2-D arrays that each give several adjacent
+    columns), each a run of the next rows; a whole table is a one-block list.
+    A block is rendered as it arrives and dropped before the next is asked
+    for, so a streamed table costs the memory of one block; an error raised
+    by the iterable leaves no file.  Each cell's text is exactly '%.17g' %
+    float(v), which keeps every float64 bit and writes integers below 2**53
+    as plain integers; numpy renders it _CSV_BLOCK_CELLS cells at a time."""
     from .csvtext import render  # loaded only by runs that write a CSV
 
     rows = max(1, _CSV_BLOCK_CELLS // len(header))
 
     def chunks():
         yield (",".join(header) + "\n").encode()
-        for cols in (columns,) if blocks is None else blocks:
+        for cols in blocks:
             for i in range(0, len(cols[0]), rows):
                 yield render(np.column_stack([c[i:i + rows] for c in cols]))
             del cols  # so the next block is computed with this one freed
@@ -170,13 +170,13 @@ def cmd_spectrum(cfg, params, out_dir):
     _write_csv(out_dir / "spectrum.csv",
                ["m", "re_lambda_x", "im_lambda_x", "re_lambda_v", "im_lambda_v",
                 "re_nu_plus", "im_nu_plus", "re_nu_minus", "im_nu_minus"],
-               spec.ms, spec.lambda_x.real, spec.lambda_x.imag,
-               spec.lambda_v.real, spec.lambda_v.imag, spec.nu_plus.real,
-               spec.nu_plus.imag, spec.nu_minus.real, spec.nu_minus.imag)
+               [(spec.ms, spec.lambda_x.real, spec.lambda_x.imag,
+                 spec.lambda_v.real, spec.lambda_v.imag, spec.nu_plus.real,
+                 spec.nu_plus.imag, spec.nu_minus.real, spec.nu_minus.imag)])
     r1, r2 = curve.roots.T
     _write_csv(out_dir / "eigencurve.csv",
                ["phi", "re_nu_1", "im_nu_1", "re_nu_2", "im_nu_2"],
-               curve.phi, r1.real, r1.imag, r2.real, r2.imag)
+               [(curve.phi, r1.real, r1.imag, r2.real, r2.imag)])
     d_h = hausdorff(spec.all_nus(), curve.points())
     print(f"modes={params.n}")
     print(f"hausdorff={_fmt(d_h)}")
@@ -195,7 +195,7 @@ def cmd_velocities(cfg, params, out_dir):
     sigs = signal_velocities(params)
     _write_csv(out_dir / "velocities.csv",
                ["m", "c_plus", "c_minus", "re_nu_plus", "re_nu_minus"],
-               pv.ms, pv.c_plus, pv.c_minus, pv.re_nu_plus, pv.re_nu_minus)
+               [(pv.ms, pv.c_plus, pv.c_minus, pv.re_nu_plus, pv.re_nu_minus)])
     print(f"c_plus={_fmt(sigs.c_plus)}")
     print(f"c_minus={_fmt(sigs.c_minus)}")
     print(f"a={_fmt(sigs.a)}")
@@ -210,10 +210,10 @@ def cmd_simulate(cfg, params, out_dir):
     n = params.n
     _write_csv(out_dir / "trajectory.csv",
                ["t", *(f"z_{k}" for k in range(n)), *(f"zdot_{k}" for k in range(n))],
-               blocks=run)
+               run)
     front = run.report
-    _write_csv(out_dir / "wavefront.csv", ["k", "arrival_time"], np.arange(n),
-               front.arrival_time)
+    _write_csv(out_dir / "wavefront.csv", ["k", "arrival_time"],
+               [(np.arange(n), front.arrival_time)])
 
     print(f"fitted_c_plus={_fmt(front.fitted_c_plus)}")
     print(f"fitted_c_minus={_fmt(front.fitted_c_minus)}")
@@ -232,11 +232,10 @@ def cmd_wave_verify(cfg, params, out_dir):
         ring = params.with_n(n)  # first, so a bad n fails as a bad agent count
         coeffs = power_law_coefficients(n, cfg["p"], seed=cfg["seed"])
         reports.append(verify_wave_bound(ring, coeffs, alpha, cfg["beta"], cfg["K"], cfg["p"]))
-    per_ring = [(np.full(r.ts.size, r.n), r.ts, r.measured, r.term1, r.term2, r.term3)
-                for r in reports]
     _write_csv(out_dir / "wave_verify.csv",
                ["n", "t", "measured_error", "bound_term1", "bound_term2", "bound_term3"],
-               *map(np.concatenate, zip(*per_ring)))
+               [(np.full(r.ts.size, r.n), r.ts, r.measured, r.term1, r.term2, r.term3)
+                for r in reports])
     # Everything above can fail; print only once the whole sweep is done.
     if alpha >= 1.0 / 3.0:
         print(f"alpha_guarantee=false  # alpha={alpha:g} outside the alpha < 1/3 regime")

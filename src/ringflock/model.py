@@ -29,6 +29,8 @@ NEAREST_NEIGHBORHOOD = (-1, 0, 1)
 #: Row sums at or below this magnitude are re-closed into the center weight.
 ROW_SUM_TOL = 1e-12
 
+_INT64 = np.iinfo(np.int64)
+
 
 @dataclass(frozen=True)
 class FlockParams:
@@ -41,14 +43,14 @@ class FlockParams:
     which keeps the coherent zero eigenvalue structurally exact downstream.
 
     Attributes:
-        n: number of agents, an int or numpy integer (at least 3).
+        n: number of agents, an int or numpy integer (3 to int64 max).
         g_x: position coupling gain (1/time^2).
         g_v: velocity coupling gain (1/time).
         rho_x: map offset (-1, 0 or +1) -> dimensionless position weight.
         rho_v: map offset (-1, 0 or +1) -> dimensionless velocity weight.
 
     Raises:
-        RingflockError: n is not an integer >= 3, a gain or weight is not
+        RingflockError: n is not an int64 >= 3, a gain or weight is not
             finite, a weight sits off the offsets -1, 0, +1, or a row sums to
             more than ROW_SUM_TOL; one error lists every problem, joined by '; '.
     """
@@ -136,6 +138,8 @@ def _violations(params):
         probs.append(f"agent count n={n!r} is not an integer")
     elif n < 3:
         probs.append(f"agent count n={n} is below 3")
+    elif n > _INT64.max:
+        probs.append(f"agent count n={n} exceeds int64, in which modes are indexed")
     for name in ("g_x", "g_v"):
         gain = getattr(params, name)
         if not math.isfinite(gain):

@@ -25,18 +25,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RingflockError
-from .model import DenseSystem, FlockParams, moments
+from .model import _INT64, DenseSystem, FlockParams, moments
 
 #: Dense eigensolves are refused above this ring size.
 DENSE_N_CAP = 2048
 
-_INT64 = np.iinfo(np.int64)
+#: Relative tolerance for detecting a symmetric position row.
+SYMMETRY_TOL = 1e-12
 
 
 def mode_range(n: int) -> np.ndarray:
-    """Symmetric mode indices ceil(-(n-1)/2) .. ceil((n-1)/2), ascending."""
+    """Symmetric mode indices ceil(-(n-1)/2) .. ceil((n-1)/2), ascending.
+
+    Raises:
+        RingflockError: numpy cannot build the range.
+    """
     lo = -((n - 1) // 2)
-    return np.arange(lo, lo + n)
+    ms = np.arange(lo, lo + n)
+    if ms.size != n:  # near n = 2**63 the length overflows and arange returns []
+        raise RingflockError(f"n={n} modes are more than numpy can index")
+    return ms
 
 
 def lambda_curves(params: FlockParams, phi):
@@ -156,67 +164,97 @@ def spectrum(params: FlockParams) -> Spectrum:
                     nu_plus=plus, nu_minus=minus)
 
 
-def series_coefficients(params: FlockParams, branch: int, order: int = 4) -> np.ndarray:
-    """Taylor coefficients c[1..order] of the branch eigenvalue in u = m*theta.
+def _symmetric_position_row(params: FlockParams) -> bool:
+    """rho_x[-1] = rho_x[+1] to SYMMETRY_TOL relative to the largest position
+    weight: the closed-form gate's test, free of any unit of time."""
+    rx = params.rho_x
+    scale = max(abs(w) for w in rx.values()) or 1.0
+    return abs(rx[1] - rx[-1]) <= SYMMETRY_TOL * scale
 
-    The coefficients solve nu**2 - lambda_v nu - lambda_x = 0 order by order
-    after substituting the moment expansions of the symbols, starting from
 
-        c1 = i * (I_v1 / 2 + branch * sqrt(a)),   a = I_v1**2/4 + I_x2/2.
-
-    Each further order is linear in the next coefficient with the invertible
-    factor 2*i*branch*sqrt(a), so the recursion reproduces the closed-form
-    expansion exactly (through any order the moments support) without
-    transcribing the unwieldy printed coefficients.
-
-    Requires a vanishing first position moment (symmetric-type couplings);
-    with I_x1 != 0 the branches open as a square root and no power series
-    exists.
+def _signal_speeds(params: FlockParams):
+    """(c_plus, c_minus, a): the long-wave limit c_+- = -I_v1/2 +- sqrt(a),
+    a = I_v1**2/4 + I_x2/2, of the mode pencils.  The moments it uses do not
+    change under normalize.
 
     Raises:
-        RingflockError: branch not +-1, order not an int >= 1, I_x1 != 0,
-            or a <= 0.
+        RingflockError: a overflows float64, a <= 0, or a speed underflows to 0.
     """
-    if branch not in (-1, 1):
-        raise RingflockError("branch must be +1 or -1")
-    if not (isinstance(order, (int, np.integer)) and order >= 1):
-        raise RingflockError(f"order must be an int >= 1, got {order!r}")
-    mom = moments(params, order + 1)
-    ix, iv = mom.x, mom.v
-    if abs(ix[1]) > 1e-9 * (1.0 + abs(ix[2])):
-        raise RingflockError("expansion requires I_x1 = 0 (symmetric position weights)")
-    a = iv[1] ** 2 / 4.0 + ix[2] / 2.0
+    with np.errstate(all="ignore"):
+        mom = moments(params, 2)
+    v1, x2 = float(mom.v[1]), float(mom.x[2])  # float math: overflow gives inf
+    a = v1 * v1 / 4.0 + x2 / 2.0
+    if not math.isfinite(a):
+        raise RingflockError("expansion constant is not finite; the gains overflow float64")
     if a <= 0.0:
         raise RingflockError(f"I_v1^2/4 + I_x2/2 = {a:.6g} <= 0")
-    sq = math.sqrt(a)
+    far = -v1 / 2.0 + math.copysign(math.sqrt(a), -v1)  # the root free of cancellation
+    near = -x2 / 2.0 / far if v1 else -far  # since c_+ c_- = -I_x2 / 2
+    if 0.0 in (far, near):
+        raise RingflockError(f"a signal speed underflows float64 to 0 (c_+ c_- = {-x2 / 2.0:.6g})")
+    return max(far, near), min(far, near), a
+
+
+def series_coefficients(params: FlockParams, order: int = 4) -> np.ndarray:
+    """Taylor coefficients c[1..order] of both branch eigenvalues in u = m*theta.
+
+    Rows 0 and 1 are the "+" and "-" branches; column 0 is zero.  The
+    coefficients solve nu**2 - lambda_v nu - lambda_x = 0 order by order
+    after substituting the moment expansions of the symbols, starting from
+    the signal speeds of _signal_speeds:
+
+        c1 = -i c_-  ("+" branch),   c1 = -i c_+  ("-" branch).
+
+    Each further order is linear in the next coefficient with the invertible
+    factor +-i (c_+ - c_-) = +-2 i sqrt(a), so the recursion reproduces the
+    closed-form expansion exactly (through any order the moments support)
+    without transcribing the unwieldy printed coefficients.
+
+    Requires a symmetric position row (the gate's test); with I_x1 != 0 the
+    branches open as a square root and no power series exists.
+
+    Raises:
+        RingflockError: order not an int >= 1, an asymmetric position row,
+            an error of _signal_speeds, or a coefficient not finite.
+    """
+    if not (isinstance(order, (int, np.integer)) and order >= 1):
+        raise RingflockError(f"order must be an int >= 1, got {order!r}")
+    if not _symmetric_position_row(params):
+        raise RingflockError("expansion requires I_x1 = 0 (symmetric position weights)")
+    c_plus, c_minus, _ = _signal_speeds(params)
 
     ks = np.arange(order + 2)
     fact = np.array([math.factorial(k) for k in ks], dtype=float)
-    lv = (1j ** ks) * iv[: order + 2] / fact
-    lx = (1j ** ks) * ix[: order + 2] / fact
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mom = moments(params, order + 1)
+        lv = (1j ** ks) * mom.v[: order + 2] / fact
+        lx = (1j ** ks) * mom.x[: order + 2] / fact
 
-    c = np.zeros(order + 1, dtype=complex)
-    c[1] = 1j * (iv[1] / 2.0 + branch * sq)
-    denom = 2j * branch * sq
-    for n in range(3, order + 2):
-        rhs = lx[n]
-        rhs += sum(lv[j] * c[n - j] for j in range(2, n))
-        rhs -= sum(c[k] * c[n - k] for k in range(2, n - 1))
-        c[n - 1] = rhs / denom
+        c = np.zeros((2, order + 1), dtype=complex)
+        c[:, 1] = -1j * np.array([c_minus, c_plus])
+        denom = 1j * (c_plus - c_minus) * np.array([1.0, -1.0])
+        for n in range(3, order + 2):
+            rhs = lx[n]
+            rhs += sum(lv[j] * c[:, n - j] for j in range(2, n))
+            rhs -= sum(c[:, k] * c[:, n - k] for k in range(2, n - 1))
+            c[:, n - 1] = rhs / denom
+    if not np.isfinite(c).all():
+        raise RingflockError("series coefficients are not finite; the gains overflow float64")
     return c
 
 
 def mode_eigenvalues_series(params: FlockParams, m: int, order: int = 4):
     """Partial sums of the small-angle expansion of (nu_plus, nu_minus).
 
-    Valid for nearest-neighbor couplings with I_x1 = 0 and positive
-    expansion constant.  The returned pair follows the same positive/negative
-    imaginary-part labels as eigenvalue_arrays at small m*theta (for m < 0 the
-    two analytic branches swap labels).
+    Valid for nearest-neighbor couplings with a symmetric position row and
+    positive expansion constant; the first order is -i c_-+ m theta with the
+    speeds of signal_velocities.  The returned pair follows the same
+    positive/negative imaginary-part labels as eigenvalue_arrays at small
+    m*theta (for m < 0 the two analytic branches swap labels).
 
     Raises:
-        RingflockError: order is not an int between 1 and 4, or m is not one
-            integer within int64 (as_modes).
+        RingflockError: order is not an int between 1 and 4, m is not one
+            integer within int64 (as_modes), or series_coefficients fails.
     """
     if not (isinstance(order, (int, np.integer)) and 1 <= order <= 4):
         raise RingflockError(f"order must be an int between 1 and 4, got {order!r}")
@@ -227,9 +265,7 @@ def mode_eigenvalues_series(params: FlockParams, m: int, order: int = 4):
     if m % params.n == 0:
         return 0j, 0j
     u = m * params.theta
-    powers = u ** np.arange(order + 1)
-    val_p = complex(series_coefficients(params, +1, order) @ powers)
-    val_m = complex(series_coefficients(params, -1, order) @ powers)
+    val_p, val_m = (series_coefficients(params, order) @ u ** np.arange(order + 1)).tolist()
     return (val_p, val_m) if m > 0 else (val_m, val_p)
 
 

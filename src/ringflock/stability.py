@@ -19,13 +19,10 @@ import numpy as np
 
 from .errors import RingflockError
 from .model import FlockParams
-from .spectral import as_modes, eigenvalue_arrays, lambda_curves
+from .spectral import _symmetric_position_row, as_modes, eigenvalue_arrays, lambda_curves
 
 #: Relative half-width of each root's marginal band around Re(nu) = 0.
 MARGINAL_BAND = 1e-10
-
-#: Relative tolerance for detecting a symmetric position row.
-SYMMETRY_TOL = 1e-12
 
 #: Modes per block of spectral_verdict's walk; bounds its scratch memory.
 _BLOCK_MODES = 1 << 13
@@ -59,13 +56,11 @@ def stable_for_all_n(params: FlockParams) -> bool:
     """Closed-form gate: stable at every ring size, or not.
 
     True iff the position weights are symmetric (rho_x[-1] = rho_x[+1] to
-    relative tolerance), g_x * rho_x[0] < 0, and g_v * rho_v[0] < 0.
+    spectral.SYMMETRY_TOL relative to the largest weight, the test the
+    small-angle series uses too), g_x * rho_x[0] < 0, and g_v * rho_v[0] < 0.
     """
-    rx = params.rho_x
-    scale = max(abs(w) for w in rx.values()) or 1.0
-    symmetric = abs(rx[1] - rx[-1]) <= SYMMETRY_TOL * scale
-    return (symmetric
-            and params.g_x * rx[0] < 0.0
+    return (_symmetric_position_row(params)
+            and params.g_x * params.rho_x[0] < 0.0
             and params.g_v * params.rho_v[0] < 0.0)
 
 

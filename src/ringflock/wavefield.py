@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RingflockError
-from .model import FlockParams, moments
-from .spectral import eigenvalue_arrays, pencil_roots, root_pair
+from .model import FlockParams
+from .spectral import _signal_speeds, eigenvalue_arrays, pencil_roots, root_pair
 from .stability import stable_for_all_n
 
 #: Two branch eigenvalues closer than this, relative to |nu_+|, make the mode Jordan-like.
@@ -122,10 +122,8 @@ def phase_velocities(params: FlockParams) -> PhaseVelocities:
 
 
 def signal_velocities(params: FlockParams) -> SignalVelocities:
-    """Closed-form long-wave signal speeds of a stable flock.
-
-    The moments g * sum_j rho[j] * j**l they use do not change under
-    normalize, so any center weights will do.
+    """Closed-form long-wave signal speeds of a stable flock (the small-angle
+    series starts from the same speeds).
 
     Raises:
         RingflockError: closed-form gate fails, a overflows float64,
@@ -133,19 +131,7 @@ def signal_velocities(params: FlockParams) -> SignalVelocities:
             or a speed underflows to 0.
     """
     _require_gate(params)
-    with np.errstate(all="ignore"):
-        mom = moments(params, 2)
-    v1, x2 = float(mom.v[1]), float(mom.x[2])  # float math: overflow gives inf
-    a = v1 * v1 / 4.0 + x2 / 2.0
-    if not math.isfinite(a):
-        raise RingflockError("expansion constant is not finite; the gains overflow float64")
-    if a <= 0.0:
-        raise RingflockError(f"expansion constant {a:.6g} <= 0")
-    far = -v1 / 2.0 + math.copysign(math.sqrt(a), -v1)  # the root free of cancellation
-    near = -x2 / 2.0 / far if v1 else -far  # since c_+ c_- = -I_x2 / 2
-    if 0.0 in (far, near):
-        raise RingflockError(f"a signal speed underflows float64 to 0 (c_+ c_- = {-x2 / 2.0:.6g})")
-    return SignalVelocities(c_plus=max(far, near), c_minus=min(far, near), a=a)
+    return SignalVelocities(*_signal_speeds(params))
 
 
 def signal_velocity_limit(params: FlockParams):

@@ -427,7 +427,7 @@ def test_write_csv_blocks_narrower_than_a_row(tmp_path, monkeypatch):
     texts = []
     for cells in (2, 1 << 15):
         monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", cells)
-        cli._write_csv(tmp_path / "out.csv", ["k", "x", "y"], *columns)
+        cli._write_csv(tmp_path / "out.csv", ["k", "x", "y"], [columns])
         texts.append((tmp_path / "out.csv").read_text())
     assert texts[0] == texts[1]
     assert texts[0].count("\n") == 1 + 7
@@ -485,7 +485,7 @@ def test_write_csv_text_is_exactly_the_per_cell_format(tmp_path):
     columns = (ints, *floats[:3 * rows].reshape(3, rows))
     header = ["k", "x", "y", "z"]
     assert rows * len(columns) > 10**6
-    cli._write_csv(tmp_path / "out.csv", header, *columns)
+    cli._write_csv(tmp_path / "out.csv", header, [columns])
     _assert_same_text((tmp_path / "out.csv").read_text(), _csv_reference(header, *columns))
 
 
@@ -498,7 +498,7 @@ def test_write_csv_block_edges_match_the_per_cell_format(tmp_path, monkeypatch):
     for columns in ((k, *xyz), (k, xyz.T)):  # three 1-D columns, or one (700, 3) group
         for cells in (1, 3, 4, 5, 401, 8191):
             monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", cells)
-            cli._write_csv(tmp_path / "out.csv", ["k", "x", "y", "z"], *columns)
+            cli._write_csv(tmp_path / "out.csv", ["k", "x", "y", "z"], [columns])
             _assert_same_text((tmp_path / "out.csv").read_text(), want)
 
 
@@ -564,9 +564,9 @@ def test_simulate_streams_the_library_run_byte_for_byte(tmp_path, capsys, monkey
                      "--n", str(n)]) == 0
         traj, front = impulse_experiment(params, t_end=t_end)
         assert front.predicted_c_plus == -front.predicted_c_minus == 1.0  # t_front is exact
-        cli._write_csv(tmp_path / "trajectory.csv", header, traj.times, traj.z, traj.zdot)
-        cli._write_csv(tmp_path / "wavefront.csv", ["k", "arrival_time"], np.arange(n),
-                       front.arrival_time)
+        cli._write_csv(tmp_path / "trajectory.csv", header, [(traj.times, traj.z, traj.zdot)])
+        cli._write_csv(tmp_path / "wavefront.csv", ["k", "arrival_time"],
+                       [(np.arange(n), front.arrival_time)])
         for name in ("trajectory.csv", "wavefront.csv"):
             assert (out_dir / name).read_bytes() == (tmp_path / name).read_bytes(), (t_end, name)
     capsys.readouterr()
@@ -704,6 +704,10 @@ UNDERFLOW = "g_x = -1e-300\ng_v = -1e100\nrho_v.m1 = -0.95\nrho_v.p1 = -0.40\n"
     ("spectrum", "n = 16\nn_phi = 1000000000000000\n"),
     # far above the ring sizes the spectral verdict walks (VERDICT_N_MAX)
     ("stability", "n = 1000000000000000\n"),
+    # beyond int64, in which modes are indexed
+    ("spectrum", "n = 9223372036854775808\n"),
+    # numpy cannot build this mode range: its length overflows to an empty array
+    ("spectrum", "n = 9223372036854775807\n"),
     # m**-p overflows float64 unless p is checked first
     ("wave-verify", "p = -400\nn_sweep = 64\n"),
     # the window end K n / |c| overflows float64
@@ -723,7 +727,8 @@ UNDERFLOW = "g_x = -1e-300\ng_v = -1e100\nrho_v.m1 = -0.95\nrho_v.p1 = -0.40\n"
         "stability-overflow", "spectrum-overflow", "wave-verify-overflow",
         "n_sweep-decreasing", "simulate-overflow",
         "row-sum-overflow", "symbol-overflow", "expansion-overflow",
-        "n_phi-unallocatable", "n-unallocatable", "p--400", "K-1e308",
+        "n_phi-unallocatable", "n-unallocatable", "n-2^63", "n-2^63-1",
+        "p--400", "K-1e308",
         "tail-overflow", "wave-verify-underflow", "simulate-underflow",
         "alpha-5e-324", "seed-negative"])
 def test_bad_value_exits_1_with_one_line(tmp_path, capsys, command, text):
@@ -739,6 +744,8 @@ def test_bad_value_exits_1_with_one_line(tmp_path, capsys, command, text):
         assert "gains" in captured.err
     if text.endswith(SIDE_OVERFLOW):  # not an offset the config never set
         assert captured.err == "error: rho_v side weights m1 + p1 overflow float64\n"
+    if text.startswith("n = 92233720368547758"):  # the int64 limit: the error names n
+        assert f"n={text[4:-1]} " in captured.err
     if text.startswith("alpha = 5e-324"):
         assert captured.err == "error: n**alpha = 1 must exceed 1\n"
     if text.startswith("seed = -1"):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -41,6 +42,34 @@ def test_validate_rejects_non_integer_agent_count(n):
     assert str(exc.value) == f"agent count n={n!r} is not an integer"
     with pytest.raises(rf.RingflockError, match="is not an integer"):
         rf.FlockParams.nearest_neighbor(16, -2.0, -1.0).with_n(n)
+
+
+def test_ring_sizes_beyond_int64_are_refused():
+    # Modes are indexed in int64, so a larger ring is refused when it is built;
+    # near 2**63 numpy cannot build the mode range, and spectrum says so.
+    p = rf.FlockParams.nearest_neighbor(16, -2.0, -1.0)
+    for n in (2**63, np.uint64(2**63), 10**30):
+        with pytest.raises(rf.RingflockError, match=f"^agent count n={n} exceeds int64, "):
+            p.with_n(n)
+    big = p.with_n(2**63 - 1)
+    with pytest.raises(rf.RingflockError,
+                       match=f"^n={2**63 - 1} modes are more than numpy can index$"):
+        rf.spectrum(big)
+    assert np.isfinite(rf.eigenvalue_arrays(big, [1, -1])).all()
+    assert all(c.all() for c in rf.routh_hurwitz(big, [1, -1]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: rf.moments(rf.FlockParams.nearest_neighbor(16, -2.0, -1.0), 0),
+     "lmax must be at least 1"),
+    (lambda: rf.max_matching_distance([0j], [0j, 1j]), "multiset sizes differ: 1 vs 2"),
+    (lambda: rf.FlockParams(n=16, g_x=-2.0, g_v=-2.0, rho_x={-1: 1e308, 0: 0.0, 1: 1e308},
+                            rho_v={-1: -0.5, 0: 1.0, 1: -0.5}),
+     "rho_x row sum inf exceeds 1e-12"),
+], ids=["moments-lmax-0", "matching-sizes-differ", "row-sum-overflow"])
+def test_guards_refuse_bad_input(call, message):
+    with pytest.raises(rf.RingflockError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_validate_accepts_numpy_integer_agent_count():

@@ -101,17 +101,14 @@ def test_integrate_rejects_bad_shape(z0, zdot0):
 
 
 def test_integrate_detects_divergence():
-    # positive position gain blows up; either the finiteness guard fires or
-    # the state grows by orders of magnitude over the run
+    # A positive position gain blows up; the overflow warnings of numpy (the
+    # suite turns warnings into errors) must not preempt the finiteness guard.
     p = rf.FlockParams.nearest_neighbor(16, 2.0, -0.5)
     z0 = np.zeros(16)
     v0 = np.zeros(16)
     v0[0] = 1e-3
-    try:
-        traj = rf.integrate(p, z0, v0, t_end=40.0, dt=0.02)
-        assert np.abs(traj.z[-1]).max() > 1e3 * np.abs(traj.z[1]).max()
-    except rf.RingflockError as exc:
-        assert "non-finite state" in str(exc)
+    with pytest.raises(rf.RingflockError, match=r"^non-finite state at t="):
+        rf.integrate(p, z0, v0, t_end=1000.0, dt=0.1)
 
 
 def _stage_by_stage_rk4(p, z, v, t_end, dt):

@@ -171,8 +171,7 @@ def test_series_second_order_matches_explicit_formula():
         p = random_gate_true_params(rng, 128)
         mom = moments(p, 3)
         a = mom.v[1] ** 2 / 4.0 + mom.x[2] / 2.0
-        for eps in (+1, -1):
-            c = series_coefficients(p, eps, order=2)
+        for c, eps in zip(series_coefficients(p, order=2), (+1, -1)):
             expected1 = 1j * (mom.v[1] / 2.0 + eps * math.sqrt(a))
             expected2 = (-mom.v[2] / 4.0
                          - eps * (mom.v[1] * mom.v[2] / 4.0 + mom.x[3] / 6.0)
@@ -207,9 +206,8 @@ def test_series_rejects_nonpositive_expansion_constant():
 @pytest.mark.parametrize("order", [0, -1, 2.5])
 def test_series_rejects_order_that_is_not_a_positive_int(order):
     p = rf.FlockParams.nearest_neighbor(64, -2.0, -1.0)
-    for branch in (1, -1):
-        with pytest.raises(rf.RingflockError, match="order must be an int"):
-            series_coefficients(p, branch, order=order)
+    with pytest.raises(rf.RingflockError, match="order must be an int"):
+        series_coefficients(p, order=order)
     for m in (0, 1):
         with pytest.raises(rf.RingflockError, match="order must be an int"):
             rf.mode_eigenvalues_series(p, m, order=order)
@@ -235,11 +233,48 @@ def test_series_rejects_an_array_of_modes():
             rf.mode_eigenvalues_series(p, ms)
 
 
-def test_series_rejects_asymmetric_position_row():
-    p = rf.FlockParams(n=64, g_x=-1.0, g_v=-1.0,
+@pytest.mark.parametrize("s", [1.0, 2.0 ** 20, 2.0 ** -20, 2.0 ** 40, 2.0 ** -40],
+                         ids=["1", "2^20", "2^-20", "2^40", "2^-40"])
+def test_series_rejects_asymmetric_position_row(s):
+    # t -> t / s scales g_x by s**2 and I_x1 with it; the verdict has no unit of time
+    p = rf.FlockParams(n=64, g_x=-s * s, g_v=-s,
                        rho_x={-1: -0.6, 0: 1.0, 1: -0.4},
                        rho_v={-1: -0.5, 0: 1.0, 1: -0.5})
-    with pytest.raises(ValueError):
+    with pytest.raises(rf.RingflockError, match=r"^expansion requires I_x1 = 0"):
+        rf.mode_eigenvalues_series(p, 1)
+
+
+# The one-sided velocity row of the stiff flock and the cancelling flock makes
+# -I_v1/2 + sqrt(a) cancel: partly in the first, to exactly 0 in the second.
+STIFF = rf.FlockParams.nearest_neighbor(128, -1.0, -1e4, -0.5, -0.2, -0.5, -0.8)
+CANCELLING = rf.FlockParams(n=4096, g_x=-1.0, g_v=-44739243.0,
+                            rho_x={-1: -1.0, 0: 2.0, 1: -1.0},
+                            rho_v={-1: -2.0, 0: 1.0, 1: 1.0})
+
+
+def test_series_starts_from_the_signal_speeds():
+    rng = np.random.default_rng(47)
+    for p in [random_gate_true_params(rng, 64) for _ in range(200)] + [STIFF, CANCELLING]:
+        sigs = rf.signal_velocities(p)
+        c1 = series_coefficients(p, order=4)[:, 1]
+        assert not c1.real.any()
+        assert c1.imag.tolist() == [-sigs.c_minus, -sigs.c_plus]
+
+
+def test_series_keeps_the_small_root():
+    _, _, plus, minus = rf.eigenvalue_arrays(CANCELLING, 1)
+    sp, sm = rf.mode_eigenvalues_series(CANCELLING, 1, 4)
+    assert abs(sp - plus) <= 1e-9 * abs(plus)
+    assert abs(sm - minus) <= 1e-9 * abs(minus)
+
+
+def test_series_refuses_overflowing_gains():
+    # The higher orders overflow float64; no numpy warning escapes (the
+    # suite turns warnings into errors) and no NaN is returned.
+    p = rf.FlockParams.nearest_neighbor(64, -2.0, -1e150)
+    assert rf.signal_velocities(p).c_plus == 1.0
+    with pytest.raises(rf.RingflockError,
+                       match="^series coefficients are not finite; the gains overflow float64$"):
         rf.mode_eigenvalues_series(p, 1)
 
 

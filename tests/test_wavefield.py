@@ -111,6 +111,9 @@ def test_rescaling_time_scales_every_speed_bit_for_bit(flock, n, s):
     sp, sq = rf.signal_velocities(p), rf.signal_velocities(q)
     assert (sq.c_plus, sq.c_minus, sq.a) == (s * sp.c_plus, s * sp.c_minus, s * s * sp.a)
     assert rf.group_velocity(q) == tuple(s * c for c in rf.group_velocity(p))
+    for m in (1, -1, 3):
+        assert rf.mode_eigenvalues_series(q, m) == tuple(
+            s * nu for nu in rf.mode_eigenvalues_series(p, m))
     z0, v0 = np.random.default_rng(7).uniform(-1.0, 1.0, (2, n))
     cp = _outcome(lambda: rf.modal_decompose(p, z0, v0))
     cq = _outcome(lambda: rf.modal_decompose(q, z0, s * v0))
