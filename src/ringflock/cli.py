@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError, RingflockError
 from .model import FlockParams
 from .sim import ImpulseRun
-from .spectral import eigencurve, hausdorff, spectrum
+from .spectral import _mode_blocks, _spectrum_roots, _symmetric_modes, eigencurve, hausdorff
 from .stability import WITNESS_N_MAX, instability_witness, spectral_verdict, stable_for_all_n
 from .wavefield import (
     phase_velocities,
@@ -165,19 +165,25 @@ def cmd_stability(cfg, params, out_dir):
 
 
 def cmd_spectrum(cfg, params, out_dir):
-    spec = spectrum(params)
+    # Two walks of the mode blocks: the first keeps only the 2n roots, so the
+    # distance and every error come before any write; the second streams the
+    # rows.  Rendered after hausdorff, the rows reuse the heap its scratch
+    # grew: one walk that rendered as it went took 14.1k minor page faults
+    # and 214 ms here at n = 50000, against 4.5k and 197 ms (2-core x86_64 VM).
+    nus = _spectrum_roots(params)
     curve = eigencurve(params, cfg["n_phi"])  # before any write: it checks n_phi
+    d_h = hausdorff(nus, curve.points())
+    del nus
     _write_csv(out_dir / "spectrum.csv",
                ["m", "re_lambda_x", "im_lambda_x", "re_lambda_v", "im_lambda_v",
                 "re_nu_plus", "im_nu_plus", "re_nu_minus", "im_nu_minus"],
-               [(spec.ms, spec.lambda_x.real, spec.lambda_x.imag,
-                 spec.lambda_v.real, spec.lambda_v.imag, spec.nu_plus.real,
-                 spec.nu_plus.imag, spec.nu_minus.real, spec.nu_minus.imag)])
+               ((ms, lx.real, lx.imag, lv.real, lv.imag, plus.real, plus.imag,
+                 minus.real, minus.imag)
+                for ms, lx, lv, plus, minus in _mode_blocks(params, _symmetric_modes(params.n))))
     r1, r2 = curve.roots.T
     _write_csv(out_dir / "eigencurve.csv",
                ["phi", "re_nu_1", "im_nu_1", "re_nu_2", "im_nu_2"],
                [(curve.phi, r1.real, r1.imag, r2.real, r2.imag)])
-    d_h = hausdorff(spec.all_nus(), curve.points())
     print(f"modes={params.n}")
     print(f"hausdorff={_fmt(d_h)}")
     return 0
@@ -229,7 +235,7 @@ def cmd_wave_verify(cfg, params, out_dir):
     alpha = cfg["alpha"]
     reports = []
     for n in cfg["n_sweep"]:
-        ring = params.with_n(n)  # first, so a bad n fails as a bad agent count
+        ring = build_params({**cfg, "n": n})  # first, so a bad n fails as a bad agent count
         coeffs = power_law_coefficients(n, cfg["p"], seed=cfg["seed"])
         reports.append(verify_wave_bound(ring, coeffs, alpha, cfg["beta"], cfg["K"], cfg["p"]))
     _write_csv(out_dir / "wave_verify.csv",
@@ -279,7 +285,9 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         _echo_config(cfg, out_dir)
-        return _COMMANDS[args.command](cfg, build_params(cfg), out_dir)
+        # wave-verify builds the rings of its sweep and never reads n
+        params = None if args.command == "wave-verify" else build_params(cfg)
+        return _COMMANDS[args.command](cfg, params, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -19,13 +19,10 @@ import numpy as np
 
 from .errors import RingflockError
 from .model import FlockParams
-from .spectral import _symmetric_position_row, as_modes, eigenvalue_arrays, lambda_curves
+from .spectral import _mode_blocks, _symmetric_position_row, as_modes, lambda_curves
 
 #: Relative half-width of each root's marginal band around Re(nu) = 0.
 MARGINAL_BAND = 1e-10
-
-#: Modes per block of spectral_verdict's walk; bounds its scratch memory.
-_BLOCK_MODES = 1 << 13
 
 #: spectral_verdict refuses larger rings: walking this many already takes
 #: over a minute (about 0.07 us per agent at n = 10**7 on a 2-core x86_64 VM).
@@ -102,12 +99,13 @@ def spectral_verdict(params: FlockParams) -> StabilityReport:
     anything else is marginal.  The coherent mode contributes exactly the
     double zero by construction and is excluded.
 
-    Modes 1..n//2 are evaluated in ascending blocks of _BLOCK_MODES, so the
-    memory does not grow with n, and mode -m is read off mode m.  Every "-"
-    root has a "+" root ranked as high by (above its band, Re nu): its mirror
-    image, or its partner where both are real.  So the witness is the first
-    "+" root of largest real part in mode_range order, taken among the roots
-    above their band whenever there is one.
+    Modes 1..n//2 are walked in the ascending blocks of
+    spectral._mode_blocks, so the memory does not grow with n, and mode -m
+    is read off mode m.  Every "-" root has a "+" root ranked as high by
+    (above its band, Re nu): its mirror image, or its partner where both are
+    real.  So the witness is the first "+" root of largest real part in
+    mode_range order, taken among the roots above their band whenever there
+    is one.
 
     Raises:
         RingflockError: n above VERDICT_N_MAX.
@@ -116,9 +114,7 @@ def spectral_verdict(params: FlockParams) -> StabilityReport:
     if n > VERDICT_N_MAX:
         raise RingflockError(f"n={n} exceeds the spectral verdict cap {VERDICT_N_MAX}")
     stable, max_re, best = True, -np.inf, ((False, -np.inf, 0), 0j)
-    for start in range(1, n // 2 + 1, _BLOCK_MODES):
-        ms = np.arange(start, min(start + _BLOCK_MODES, n // 2 + 1))
-        lx, lv, plus, minus = eigenvalue_arrays(params, ms)
+    for ms, lx, lv, plus, minus in _mode_blocks(params, range(1, n // 2 + 1)):
         # Mode -m has the roots of mode m where both symbols are real; else their
         # mirror images (imag -> 0.0 - imag), with labels swapped unless tied.
         same = (lx.imag == 0.0) & (lv.imag == 0.0)

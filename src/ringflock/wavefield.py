@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import RingflockError
 from .model import FlockParams
-from .spectral import _signal_speeds, eigenvalue_arrays, pencil_roots, root_pair
+from .spectral import (_labeled, _modes, _signal_speeds, _symbols, eigenvalue_arrays,
+                       pencil_roots, root_pair)
 from .stability import stable_for_all_n
 
 #: Two branch eigenvalues closer than this, relative to |nu_+|, make the mode Jordan-like.
@@ -103,11 +104,12 @@ def phase_velocities(params: FlockParams) -> PhaseVelocities:
     g_v**2 rho_v0**2 reaches -2 g_x rho_x0.
 
     Raises:
-        RingflockError: closed-form gate fails.
+        RingflockError: closed-form gate fails, or numpy cannot build the
+            mode range (the message names n).
     """
     _require_gate(params)
     n = params.n
-    ms = np.arange(1, n // 2 + 1)
+    ms = _modes(n, range(1, n // 2 + 1))
     _, _, plus, minus = eigenvalue_arrays(params, ms)
     overdamped = ~((plus.imag > 0) & (minus.imag < 0))
     mtheta = ms * params.theta
@@ -174,9 +176,10 @@ def group_velocity(params: FlockParams):
 
 def _half_roots(params):
     """The root pair (d, r1, r2) and the (leftward, rightward) = ("+", "-")
-    roots of modes 0..n//2, from one eigenvalue evaluation."""
-    lx, lv, plus, minus = eigenvalue_arrays(params, np.arange(params.n // 2 + 1))
-    return root_pair(lx, lv), plus, minus
+    roots of modes 0..n//2, the labels those of eigenvalue_arrays, from one
+    root_pair."""
+    roots = root_pair(*_symbols(params, np.arange(params.n // 2 + 1)))
+    return (roots, *_labeled(*roots[1:]))
 
 
 def modal_decompose(params: FlockParams, z0, zdot0) -> ModalCoefficients:
@@ -225,24 +228,26 @@ def _initial_arrays(n, z0, zdot0):
     return z0, zdot0
 
 
-def _propagate(n, roots, zh, vh, ts):
+def _propagate(n, roots, zh, vh, ts, velocities=True):
     """Exact frames on n agents of the state with DFT data (zh, vh) on bins
     0..n//2 at the times ts.ravel(), one block of _BLOCK_CELLS // n frames
     (at least one) at a time: yields (t, z, zdot), the block's own times (a
-    view of ts) and the (rows, n) states at them, each frame computed on its
-    own, so the blocking changes no bit.  No name here holds a block between
-    yields, so a consumer that drops each block keeps one alive."""
+    view of ts) and the (rows, n) states at them, or (t, z) when velocities
+    is false, for a consumer that reads positions only.  Each frame is
+    computed on its own, so the blocking changes no bit.  No name here holds
+    a block between yields, so a consumer that drops each block keeps one
+    alive."""
     w = vh - roots[1] * zh
     col = ts.reshape(-1, 1)
     step = max(1, _BLOCK_CELLS // n)
     for lo in range(0, len(col), step):
         tb = col[lo:lo + step]
-        yield (tb[:, 0], *_frames(n, roots, zh, vh, w, tb))
+        yield (tb[:, 0], *_frames(n, roots, zh, vh if velocities else None, w, tb))
 
 
 def _frames(n, roots, zh, vh, w, tb):
     """The states (z, zdot) at the times of the column tb, as one real
-    (2, rows, n) array.
+    (2, rows, n) array; with vh None, the positions z alone, as (1, rows, n).
 
     Per mode z_hat(t) = e^(r1 t) (zh + P w), zdot_hat(t) = e^(r1 t) (vh + r2 P w)
     with roots = (d, r1, r2) from spectral.root_pair, r1,2 = lambda_v/2 +- d (d
@@ -251,7 +256,9 @@ def _frames(n, roots, zh, vh, w, tb):
     mode gives zh + t vh, a critical one (d = 0) its Jordan solution.  A cell
     whose e^(r1 t) underflows to 0 is 0 even where P w or the phase has
     overflowed (t near 1e308).  irfft makes bin -m the conjugate of bin m:
-    the state is real by construction.  A non-finite one raises RingflockError.
+    the state is real by construction.  Each row is evolved and transformed
+    on its own, so z is the same bits with or without zdot.  A non-finite
+    state raises RingflockError.
     """
     d, r1, r2 = roots
     with np.errstate(all="ignore"):
@@ -261,7 +268,7 @@ def _frames(n, roots, zh, vh, w, tb):
         # one name, so each step frees the array of the step before.
         zv = np.exp(r1 * tb)
         pw[zv == 0.0] = 0.0
-        zv = zv * np.stack([zh + pw, vh + r2 * pw])
+        zv = zv * np.stack([zh + pw] if vh is None else [zh + pw, vh + r2 * pw])
         zv = n * np.fft.irfft(zv, n)
     if not np.isfinite(zv).all():
         raise RingflockError(f"the evolved state is not finite by t={tb[-1, 0]:.4g}")
@@ -434,11 +441,12 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
     theta m c|, summed over the kept modes and both branches at O(cutoff)
     cost.  Exact modal evolution provides the ground truth, from one
     evaluation of the mode roots, one block of frames at a time (the
-    blocks of evolve, one frame each at n = 65536).  Per block the
-    profiles are summed in modal space: the coefficient of mode m >= 0,
-    times exp(-i theta m c t), goes to rfft bin m, and one irfft evaluates
-    both at every agent of those frames; only that block's states and
-    profiles are held.
+    blocks of evolve, one frame each at n = 65536), positions only: no
+    velocity is evolved or transformed, and the positions are the bits
+    evolve gives.  Per block the profiles are summed in modal space: the
+    coefficient of mode m >= 0, times exp(-i theta m c t), goes to rfft bin
+    m, and one irfft evaluates both at every agent of those frames; only
+    that block's positions and profiles are held.
 
     Raises:
         RingflockError: exponent ordering violated, K or p not a finite
@@ -493,13 +501,14 @@ def verify_wave_bound(params: FlockParams, coeffs: ModalCoefficients,
     phase = -1j * params.theta * np.arange(kept)
 
     def sups(block):  # (error sup, signal sup) of one block of frames
-        t, z, _ = block
+        t, z = block
         ph = phase * t[:, None]
         w = f_minus * np.exp(ph * c_minus) + f_plus * np.exp(ph * c_plus)
         return np.abs(z - n * np.fft.irfft(w, n)).max(axis=1), np.abs(z).max(axis=1)
 
+    frames = _propagate(n, roots, zh, vh, ts, velocities=False)
     # map keeps no block alive while the generator computes the next one
-    measured, signal_sup = map(np.concatenate, zip(*map(sups, _propagate(n, roots, zh, vh, ts))))
+    measured, signal_sup = map(np.concatenate, zip(*map(sups, frames)))
 
     fac = 4.0 * m_bound / (p - 1.0)
     try:  # n**alpha - 1 may be below 1, and then large p overflows

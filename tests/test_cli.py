@@ -17,9 +17,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_gate_true_params
-from ringflock import cli, errors, wavefield
+from ringflock import cli, errors, spectral, wavefield
 from ringflock.cli import DEFAULTS, build_params, main
 from ringflock.sim import impulse_experiment
+from ringflock.spectral import eigencurve, hausdorff, spectrum
 from test_golden import CONFIGS as GOLDEN_CONFIGS, SMALL_RUN
 
 STABLE = """
@@ -112,18 +113,25 @@ def _peak_rss_mb(args):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux only")
-@pytest.mark.parametrize("args", [["wave-verify"], ["stability", "--n", "1000000"]],
-                         ids=["wave-verify", "stability-n1e6"])
-def test_job_peak_rss_stays_near_the_cli_import(tmp_path, args):
-    # 8.5 and 15.1 MB above it with numpy.random loaded and 2**16-mode
-    # verdict blocks; about 2.5 MB without them.
+@pytest.mark.parametrize("args,text,margin", [
+    (["wave-verify"], "", 5.0),
+    (["stability", "--n", "1000000"], "", 5.0),
+    (["spectrum", "--n", "50000"], "", 10.5),
+    (["wave-verify"], "n_sweep = 4096,16384,65536\n", 12.5),
+], ids=["wave-verify", "stability-n1e6", "spectrum-n50000", "wave-verify-large-sweep"])
+def test_job_peak_rss_stays_near_the_cli_import(tmp_path, args, text, margin):
+    # The first two: 8.5 and 15.1 MB above it with numpy.random loaded and
+    # 2**16-mode verdict blocks; about 2.5 MB without them.  spectrum held a
+    # whole Spectrum while its rows rendered, and the large sweep evolved
+    # every velocity it never read: 12.6 and 13.9 MB above it, against about
+    # 8.3 and 10.8 MB with the 2n roots alone and positions only.
     base, code = _peak_rss_mb(["-c", "import ringflock.cli"])
     assert code == 0
-    cfg = write(tmp_path, "")
+    cfg = write(tmp_path, text)
     peak, code = _peak_rss_mb(["-m", "ringflock", *args, "--config", cfg,
                                "--out", str(tmp_path / "out")])
     assert code == 0
-    assert peak < base + 5.0
+    assert peak < base + margin
 
 
 def test_dense_oracle_loads_no_scipy():
@@ -312,6 +320,32 @@ def test_spectrum_hausdorff_decreases_with_n(tmp_path, capsys):
         assert code == 0
         values.append(float(kv(capsys.readouterr().out, "hausdorff")))
     assert values[1] < values[0]
+
+
+@pytest.mark.parametrize("blocks,extra", [(1, -1), (1, 0), (1, 1), (2, 1)],
+                         ids=["block-less-one", "block", "block-and-one", "two-blocks-and-one"])
+@pytest.mark.parametrize("text", [*GOLDEN_CONFIGS.values(), "g_v = -20\n"],
+                         ids=[*GOLDEN_CONFIGS, "g_v=-20"])
+def test_spectrum_streams_the_whole_spectrum_byte_for_byte(tmp_path, capsys, blocks, extra,
+                                                          text):
+    # spectrum.csv streams blocks of spectral._BLOCK_MODES modes and hausdorff
+    # sees only the 2n roots; the reference writes spectrum()'s whole arrays
+    # as one block (n = 8191, 8192, 8193 and 16385 at 8192 modes a block).
+    n = blocks * spectral._BLOCK_MODES + extra
+    code, out, out_dir = run(capsys, tmp_path, "spectrum", text + "n_phi = 64\n",
+                             ["--n", str(n)])
+    assert code == 0
+    params = build_params({**DEFAULTS, **cli.parse_config(tmp_path / "run.cfg"), "n": n})
+    spec = spectrum(params)
+    cli._write_csv(tmp_path / "spectrum.csv",
+                   ["m", "re_lambda_x", "im_lambda_x", "re_lambda_v", "im_lambda_v",
+                    "re_nu_plus", "im_nu_plus", "re_nu_minus", "im_nu_minus"],
+                   [(spec.ms, spec.lambda_x.real, spec.lambda_x.imag, spec.lambda_v.real,
+                     spec.lambda_v.imag, spec.nu_plus.real, spec.nu_plus.imag,
+                     spec.nu_minus.real, spec.nu_minus.imag)])
+    assert (out_dir / "spectrum.csv").read_bytes() == (tmp_path / "spectrum.csv").read_bytes()
+    d_h = hausdorff(spec.all_nus(), eigencurve(params, 64).points())
+    assert out == f"modes={n}\nhausdorff={d_h:.17g}\n"
 
 
 def test_velocities_symmetric_prints_unit_speeds(tmp_path, capsys):
@@ -708,6 +742,9 @@ UNDERFLOW = "g_x = -1e-300\ng_v = -1e100\nrho_v.m1 = -0.95\nrho_v.p1 = -0.40\n"
     ("spectrum", "n = 9223372036854775808\n"),
     # numpy cannot build this mode range: its length overflows to an empty array
     ("spectrum", "n = 9223372036854775807\n"),
+    # numpy refuses these mode and root arrays as too big, naming no key
+    ("spectrum", "n = 4611686018427387904\n"),
+    ("velocities", "n = 9223372036854775807\n"),
     # m**-p overflows float64 unless p is checked first
     ("wave-verify", "p = -400\nn_sweep = 64\n"),
     # the window end K n / |c| overflows float64
@@ -727,7 +764,8 @@ UNDERFLOW = "g_x = -1e-300\ng_v = -1e100\nrho_v.m1 = -0.95\nrho_v.p1 = -0.40\n"
         "stability-overflow", "spectrum-overflow", "wave-verify-overflow",
         "n_sweep-decreasing", "simulate-overflow",
         "row-sum-overflow", "symbol-overflow", "expansion-overflow",
-        "n_phi-unallocatable", "n-unallocatable", "n-2^63", "n-2^63-1",
+        "n_phi-unallocatable", "n-unallocatable", "n-2^63", "n-2^63-1", "spectrum-n-2^62",
+        "velocities-n-2^63-1",
         "p--400", "K-1e308",
         "tail-overflow", "wave-verify-underflow", "simulate-underflow",
         "alpha-5e-324", "seed-negative"])
@@ -744,7 +782,7 @@ def test_bad_value_exits_1_with_one_line(tmp_path, capsys, command, text):
         assert "gains" in captured.err
     if text.endswith(SIDE_OVERFLOW):  # not an offset the config never set
         assert captured.err == "error: rho_v side weights m1 + p1 overflow float64\n"
-    if text.startswith("n = 92233720368547758"):  # the int64 limit: the error names n
+    if text.startswith(("n = 92233720368547758", "n = 4611686018427387904")):  # the error names n
         assert f"n={text[4:-1]} " in captured.err
     if text.startswith("alpha = 5e-324"):
         assert captured.err == "error: n**alpha = 1 must exceed 1\n"
@@ -790,6 +828,20 @@ def test_one_package_error_type():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Raise):
                 assert node.exc.func.id in classes, f"{path.name}:{node.lineno}"
+
+
+@pytest.mark.parametrize("n", ["2", "9223372036854775808"])
+def test_wave_verify_ignores_the_agent_count(tmp_path, capsys, n):
+    # wave-verify sweeps n_sweep; --n, which it never reads, changes nothing
+    cfg = write(tmp_path, "n_sweep = 64,128\n")
+    want = main(["wave-verify", "--config", cfg, "--out", str(tmp_path / "want")])
+    want_out = capsys.readouterr()
+    code = main(["wave-verify", "--config", cfg, "--out", str(tmp_path / "got"), "--n", n])
+    got = capsys.readouterr()
+    assert code == want == 0
+    assert got == want_out
+    assert ((tmp_path / "got" / "wave_verify.csv").read_bytes()
+            == (tmp_path / "want" / "wave_verify.csv").read_bytes())
 
 
 def test_wave_verify_negative_ring_is_a_bad_agent_count(tmp_path, capsys):

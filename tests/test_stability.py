@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ringflock as rf
-from ringflock import stability
+from ringflock import spectral, stability
 from helpers import (
     random_asymmetric_x_params,
     random_gate_true_params,
@@ -192,16 +192,16 @@ def _verdict_fields(report):
     return report.spectral_stable, report.marginal, report.max_real_part, report.witness
 
 
-@pytest.mark.parametrize("block", [16, stability._BLOCK_MODES])
+@pytest.mark.parametrize("block", [16, spectral._BLOCK_MODES])
 def test_verdict_blocks_match_whole_spectrum(monkeypatch, block):
-    monkeypatch.setattr(stability, "_BLOCK_MODES", block)
+    monkeypatch.setattr(spectral, "_BLOCK_MODES", block)
     walked = []
 
     def spy(params, ms):
         walked.append(ms)
         return rf.eigenvalue_arrays(params, ms)
 
-    monkeypatch.setattr(stability, "eigenvalue_arrays", spy)
+    monkeypatch.setattr(spectral, "eigenvalue_arrays", spy)
     rng = np.random.default_rng(11)
     kinds = (random_valid_params, random_gate_true_params, random_underdamped_params,
              random_asymmetric_x_params)
@@ -252,8 +252,8 @@ def test_verdict_prefers_a_root_above_its_band(monkeypatch):
         minus = np.array([special.get(-int(m), -1.0 + 1j) for m in ms]).conjugate()
         return lam, lam, plus, minus
 
-    monkeypatch.setattr(stability, "_BLOCK_MODES", 4)
-    monkeypatch.setattr(stability, "eigenvalue_arrays", roots)
+    monkeypatch.setattr(spectral, "_BLOCK_MODES", 4)
+    monkeypatch.setattr(spectral, "eigenvalue_arrays", roots)
     p = rf.FlockParams.nearest_neighbor(40, -2.0, -2.0)
     ms = rf.mode_range(40)
     got = _verdict_fields(rf.spectral_verdict(p))
