@@ -33,11 +33,8 @@ for name, params in cases.items():
               f"violated RH conditions: {failures}")
     if not gate:
         found = rf.instability_witness(params)
-        if found is None:
-            print("  witness search inconclusive up to n=4096")
-        else:
-            m, _, nu = found.witness
-            print(f"  first witness: n={found.n}, mode m={m}, Re(nu)={nu.real:+.4e}")
+        m, _, nu = found.witness
+        print(f"  first unstable ring: n={found.n}, mode m={m}, Re(nu)={nu.real:+.4e}")
     print()
 
 print("A tilted position row passes every small-ring check and still fails")

@@ -1,8 +1,8 @@
 """ringflock command line: config ingestion, subcommands, CSV emission.
 
 Exit codes: 0 stable / ok, 1 usage, invalid value or I/O failure, 2
-domain-negative result (instability, violated bound), 3 marginal or
-inconclusive.
+domain-negative result (instability, violated bound), 3 a marginal spectrum
+(stability) or an overdamped mode with no phase velocity (velocities).
 """
 
 import argparse
@@ -16,7 +16,7 @@ from .errors import ConfigError, RingflockError
 from .model import FlockParams
 from .sim import ImpulseRun
 from .spectral import _mode_blocks, _spectrum_roots, _symmetric_modes, eigencurve, hausdorff
-from .stability import WITNESS_N_MAX, instability_witness, spectral_verdict, stable_for_all_n
+from .stability import instability_witness, spectral_verdict, stable_for_all_n
 from .wavefield import (
     phase_velocities,
     power_law_coefficients,
@@ -142,6 +142,8 @@ def _echo_config(cfg, out_dir: Path):
 def cmd_stability(cfg, params, out_dir):
     report = spectral_verdict(params)
     closed_form = stable_for_all_n(params)
+    # The witness search can fail, so it runs before anything is printed.
+    found = instability_witness(params) if report.spectral_stable and not closed_form else report
     print(f"ring of {params.n} agents, g_x={params.g_x:g}, g_v={params.g_v:g}")
     print(f"closed_form={_fmt(closed_form)}")
     print(f"spectral={_fmt(report.spectral_stable)}")
@@ -151,14 +153,9 @@ def cmd_stability(cfg, params, out_dir):
     if report.marginal:
         print("verdict=marginal")
         return 3
-    if report.spectral_stable:
-        report = instability_witness(params)
-        if report is None:
-            print(f"verdict=inconclusive  # no witness up to n={WITNESS_N_MAX}")
-            return 3
-    m, branch, nu = report.witness
+    m, branch, nu = found.witness
     print(f"witness_m={m}")
-    print(f"witness_n={report.n}")
+    print(f"witness_n={found.n}")
     print(f"witness_branch={branch}")
     print(f"witness_re={_fmt(nu.real)}")
     return 2

@@ -184,7 +184,10 @@ class ImpulseRun:
         # Arrivals are timed on 2001 frames of [0, min(t_end, t_front)]: the
         # trajectory's own (window None) or those of a second stream.
         self._window = None if t_end <= t_front else np.linspace(0.0, t_front, 2001)
-        v0 = np.zeros(n)
+        try:
+            v0 = np.zeros(n)
+        except ValueError:  # numpy's "array is too big", which names no key
+            raise RingflockError(f"n={n} agents are more than numpy can index") from None
         v0[0] = 1.0
         self._propagator = _propagator(params, np.zeros(n), v0)
         self.report = None
@@ -238,9 +241,9 @@ def impulse_experiment(params: FlockParams, t_end: Optional[float] = None):
 
     Raises:
         RingflockError: the closed-form gate fails, t_end is not positive
-            and finite, the evolved state is not finite in float64, or the
-            mean velocity, which the couplings conserve, strays from 1 / n
-            by 1e-12 relative.
+            and finite, numpy cannot hold a state of n agents, the evolved
+            state is not finite in float64, or the mean velocity, which the
+            couplings conserve, strays from 1 / n by 1e-12 relative.
     """
     run = ImpulseRun(params, t_end)
     z, zdot = _collect(run, run.times, params.n)

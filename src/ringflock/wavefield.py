@@ -346,8 +346,8 @@ def power_law_coefficients(n: int, p: float, seed: int = 0) -> ModalCoefficients
     real.
 
     Raises:
-        RingflockError: p is not a finite number above 1, or seed is
-            negative.
+        RingflockError: p is not a finite number above 1, seed is
+            negative, or numpy cannot hold the draws of n // 2 modes.
     """
     if not 1.0 < p < math.inf:
         raise RingflockError(f"need finite p > 1, got p={p:g}")
@@ -355,7 +355,10 @@ def power_law_coefficients(n: int, p: float, seed: int = 0) -> ModalCoefficients
         raise RingflockError(f"need a non-negative seed, got seed={seed}")
     rng = random.Random(seed)
     half = n // 2
-    draws = np.fromiter(iter(rng.random, None), float, 2 * half)  # the first 2 * half draws
+    try:
+        draws = np.fromiter(iter(rng.random, None), float, 2 * half)  # the first 2 * half draws
+    except ValueError:  # numpy's "array is too big", which names no key
+        raise RingflockError(f"n={n} modes are more than numpy can index") from None
     phases = (2.0 * math.pi * draws).reshape(half, 2)
     # float ** float, not np.power, which can differ in the last bit
     mag = np.array([float(m) ** (-p) for m in range(1, half + 1)])

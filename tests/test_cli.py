@@ -239,13 +239,13 @@ def test_stability_stable_config(tmp_path, capsys):
 def test_stability_asymmetric_config_finds_witness(tmp_path, capsys):
     code, out, _ = run(capsys, tmp_path, "stability", ASYM_X)
     assert code == 2
-    assert int(kv(out, "witness_n")) <= 4096
+    assert kv(out, "witness_n") == "64"  # the configured ring is already unstable
     assert float(kv(out, "witness_re")) > 0.0
 
 
 def test_stability_searched_witness_prints_like_a_direct_one(tmp_path, capsys):
     # A 1% tilt of the position row is stable at n = 16; the search finds
-    # the first unstable ring at n = 128.
+    # the first unstable ring at n = 65.
     text = ("n = 16\ng_x = -1\ng_v = -3\n"
             "rho_x.m1 = -0.495\nrho_x.p1 = -0.505\n")
     code, out, _ = run(capsys, tmp_path, "stability", text)
@@ -254,7 +254,7 @@ def test_stability_searched_witness_prints_like_a_direct_one(tmp_path, capsys):
     keys = [line.split("=")[0] for line in out.splitlines()[4:]]
     assert keys == ["witness_m", "witness_n", "witness_branch", "witness_re"]
     assert (kv(out, "witness_m"), kv(out, "witness_n"), kv(out, "witness_branch")) == \
-        ("1", "128", "+")
+        ("1", "65", "+")
     assert float(kv(out, "witness_re")) > 0.0
 
 
@@ -283,17 +283,19 @@ def test_stability_marginal_config(tmp_path, capsys):
                    "verdict=marginal\n")
 
 
-def test_stability_inconclusive_config(tmp_path, capsys):
-    # A 2e-7 tilt of the position row first destabilizes a ring of about
-    # 9935 agents, beyond the witness search.
+def test_stability_witness_of_a_small_tilt(tmp_path, capsys):
+    # A 2e-7 tilt of the position row first destabilizes a ring of 9935 agents.
     text = "n = 16\nrho_x.m1 = -0.5000001\nrho_x.p1 = -0.4999999\n"
     code, out, _ = run(capsys, tmp_path, "stability", text)
-    assert code == 3
+    assert code == 2
     assert out == ("ring of 16 agents, g_x=-2, g_v=-2\n"
                    "closed_form=false\n"
                    "spectral=true\n"
                    "max_re=-0.076120267488713284\n"
-                   "verdict=inconclusive  # no witness up to n=4096\n")
+                   "witness_m=-1\n"
+                   "witness_n=9935\n"
+                   "witness_branch=+\n"
+                   "witness_re=1.6573363146297008e-11\n")
 
 
 def test_spectrum_emits_files(tmp_path, capsys):
@@ -745,6 +747,11 @@ UNDERFLOW = "g_x = -1e-300\ng_v = -1e100\nrho_v.m1 = -0.95\nrho_v.p1 = -0.40\n"
     # numpy refuses these mode and root arrays as too big, naming no key
     ("spectrum", "n = 4611686018427387904\n"),
     ("velocities", "n = 9223372036854775807\n"),
+    # numpy refuses the state and the modal draws as too big, naming no key
+    ("simulate", "n = 4611686018427387904\n"),
+    ("wave-verify", "n_sweep = 4611686018427387904\n"),
+    # a 2e-12 tilt against g_v = -2e6 first destabilizes a ring above VERDICT_N_MAX
+    ("stability", "g_v = -2000000\nrho_x.m1 = -0.500000000001\nrho_x.p1 = -0.499999999999\n"),
     # m**-p overflows float64 unless p is checked first
     ("wave-verify", "p = -400\nn_sweep = 64\n"),
     # the window end K n / |c| overflows float64
@@ -765,7 +772,7 @@ UNDERFLOW = "g_x = -1e-300\ng_v = -1e100\nrho_v.m1 = -0.95\nrho_v.p1 = -0.40\n"
         "n_sweep-decreasing", "simulate-overflow",
         "row-sum-overflow", "symbol-overflow", "expansion-overflow",
         "n_phi-unallocatable", "n-unallocatable", "n-2^63", "n-2^63-1", "spectrum-n-2^62",
-        "velocities-n-2^63-1",
+        "velocities-n-2^63-1", "simulate-n-2^62", "wave-verify-n-2^62", "witness-above-cap",
         "p--400", "K-1e308",
         "tail-overflow", "wave-verify-underflow", "simulate-underflow",
         "alpha-5e-324", "seed-negative"])
@@ -782,8 +789,11 @@ def test_bad_value_exits_1_with_one_line(tmp_path, capsys, command, text):
         assert "gains" in captured.err
     if text.endswith(SIDE_OVERFLOW):  # not an offset the config never set
         assert captured.err == "error: rho_v side weights m1 + p1 overflow float64\n"
-    if text.startswith(("n = 92233720368547758", "n = 4611686018427387904")):  # the error names n
-        assert f"n={text[4:-1]} " in captured.err
+    if text.startswith(("n = 92233720368547758", "n = 4611686018427387904",
+                        "n_sweep = 4611686018427387904")):  # the error names n
+        assert f"n={text.split('= ')[1][:-1]} " in captured.err
+    if text.startswith("g_v = -2000000"):
+        assert captured.err == "error: n=3141627560 exceeds the spectral verdict cap 1073741824\n"
     if text.startswith("alpha = 5e-324"):
         assert captured.err == "error: n**alpha = 1 must exceed 1\n"
     if text.startswith("seed = -1"):

@@ -24,11 +24,17 @@ def run_python(tmp_path, args):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+    return proc.stdout
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(tmp_path, script):
-    run_python(tmp_path, [str(script)])
+    out = run_python(tmp_path, [str(script)])
+    if script.stem == "02_stability_gates":  # the tilted row, then the flipped gain
+        assert [line for line in out.splitlines() if "first unstable ring" in line] == [
+            "  first unstable ring: n=65, mode m=1, Re(nu)=+5.9628e-05",
+            "  first unstable ring: n=3, mode m=-1, Re(nu)=+1.5000e+00",
+        ]
 
 
 def test_readme_quick_start_runs(tmp_path):

@@ -8,6 +8,8 @@ import pytest
 import ringflock as rf
 from ringflock import spectral, stability
 from helpers import (
+    dyadic,
+    dyadic_nonzero,
     random_asymmetric_x_params,
     random_gate_true_params,
     random_underdamped_params,
@@ -280,21 +282,113 @@ def test_verdict_refuses_rings_above_the_cap():
         rf.spectral_verdict(p)
 
 
+def _first_unstable_ring(p, n_max):
+    """The least n in 3..n_max whose spectral verdict is unstable, or None.
+
+    A ring is unstable iff a root of one of its modes 1..n//2 lies above its
+    band (mode -m mirrors mode m in real part).  Every mode of every ring is
+    evaluated with eigenvalue_arrays' arithmetic (its half-ring rule
+    included), 64 rings at a time, in ascending n.
+    """
+    lo = 3
+    while lo <= n_max:
+        hi = min(n_max + 1, lo + 64)
+        sizes = np.arange(lo, hi)
+        ns = np.repeat(sizes, sizes // 2)
+        ms = np.arange(ns.size) - np.repeat(np.cumsum(sizes // 2) - sizes // 2, sizes // 2) + 1
+        lx, lv = spectral.lambda_curves(p, ms * (2.0 * np.pi / ns))
+        half = 2 * ms == ns
+        _, r1, r2 = spectral.root_pair(np.where(half, lx.real, lx), np.where(half, lv.real, lv))
+        hit = ns[stability._band_sides(r1)[1] | stability._band_sides(r2)[1]]
+        if hit.size:
+            return int(hit[0])
+        lo = hi
+    return None
+
+
+def _zero_center_params(rng, n):
+    """A gate-true draw whose position row is given a zero center weight."""
+    p = random_gate_true_params(rng, n)
+    w = dyadic_nonzero(rng, -1, 1)
+    return rf.FlockParams.nearest_neighbor(n, p.g_x, p.g_v, w, p.rho_v[1], -w, p.rho_v[-1])
+
+
+def _tilted_params(rng, n):
+    """A position row tilted by 1e-5 to 1e-1 with |g_v| from 0.05 to 3000
+    (log-uniform): first unstable rings from a few agents to millions."""
+    tilt = 10.0 ** rng.uniform(-5, -1) * rng.choice([-1.0, 1.0])
+    g_v = -(10.0 ** rng.uniform(np.log10(0.05), np.log10(3000)))
+    g_x = -dyadic_nonzero(rng, 0.3, 3, bits=10)
+    rv1 = dyadic(rng, -1.2, 0.2)
+    return rf.FlockParams.nearest_neighbor(n, g_x, g_v, -0.5 + tilt, rv1, -0.5 - tilt, -(1.0 + rv1))
+
+
+@pytest.mark.parametrize("kind,draws,seed", [
+    (random_valid_params, 100, 83),
+    (random_asymmetric_x_params, 100, 89),
+    (_zero_center_params, 60, 97),
+    (_tilted_params, 10, 101),
+    (_tilted_params, 10, 103),
+    (_tilted_params, 10, 107),
+    (_tilted_params, 10, 109),
+], ids=["valid", "asymmetric", "zero-center", "tilted-a", "tilted-b", "tilted-c", "tilted-d"])
+def test_witness_is_the_first_unstable_ring(kind, draws, seed):
+    # The brute force walks every ring up to the witness, or up to 2048
+    # when the witness is larger or missing (a marginal flock).
+    rng = np.random.default_rng(seed)
+    checked = 0
+    while checked < draws:
+        p = kind(rng, 16)
+        if rf.stable_for_all_n(p):
+            continue
+        try:
+            n = rf.instability_witness(p).n
+        except rf.RingflockError:
+            n = None
+        want = _first_unstable_ring(p, 2048 if n is None else min(n, 2048))
+        assert want == (n if n is not None and n <= 2048 else None), p
+        checked += 1
+
+
 def test_witness_found_for_asymmetric_row():
     rng = np.random.default_rng(79)
     p = random_asymmetric_x_params(rng, 8)
     found = rf.instability_witness(p)
-    assert found is not None
     _, _, nu = found.witness
     assert nu.real > 0.0
-    assert found.n <= 4096
+    assert found.n == _first_unstable_ring(p, found.n)
 
 
 def test_witness_immediate_for_positive_gx():
     p = rf.FlockParams.nearest_neighbor(8, 2.0, -2.0)
     found = rf.instability_witness(p)
-    assert found is not None
-    assert found.n == 8
+    assert found.n == 3
+
+
+@pytest.mark.parametrize("tilt,n", [(1e-7, 9935), (1e-9, 99347), (1e-10, 314161),
+                                    (1e-11, 993475), (0.2, 8)])
+def test_witness_of_a_tilted_position_row(tilt, n):
+    # n is the first ring whose mode 1 clears its band, a little past the
+    # Routh-Hurwitz threshold at the smallest tilts (99346, 314160, 993459).
+    p = rf.FlockParams.nearest_neighbor(16, -2.0, -2.0, -0.5 + tilt, -0.5, -0.5 - tilt, -0.5)
+    found = rf.instability_witness(p)
+    assert found.n == n
+    before = rf.spectral_verdict(p.with_n(n - 1))
+    assert before.spectral_stable or before.marginal
+    m, branch, nu = found.witness
+    assert (m, branch) == (-1, "+") and nu.real > 0.0
+
+
+@pytest.mark.parametrize("rho_v", [(-0.5, -0.5), (-0.25, 0.25)], ids=["g_v-0", "rho_v0-0"])
+def test_witness_refuses_a_marginal_flock(rho_v):
+    # With a symmetric position row, g_v = 0 or a zero velocity center weight
+    # leaves lambda_v**2 / 4 + lambda_x real and negative: every root lies on
+    # the imaginary axis, at every ring size.
+    g_v = 0.0 if rho_v == (-0.5, -0.5) else -2.0
+    p = rf.FlockParams.nearest_neighbor(8, -2.0, g_v, -0.5, rho_v[1], -0.5, rho_v[0])
+    with pytest.raises(rf.RingflockError,
+                       match="^no ring up to n=4611686018427387904 has a root above"):
+        rf.instability_witness(p)
 
 
 def test_witness_refuses_stable_gate():
