@@ -31,6 +31,16 @@ ROW_SUM_TOL = 1e-12
 
 _INT64 = np.iinfo(np.int64)
 
+#: The most entries of two complex128 values numpy can index: no array the
+#: package sizes by n or n_phi is larger.
+_SIZE_MAX = np.iinfo(np.intp).max // 32
+
+
+def _check_size(key, size, what):
+    """Refuse a size above _SIZE_MAX with a RingflockError naming key=size."""
+    if size > _SIZE_MAX:
+        raise RingflockError(f"{key}={size} {what} are more than numpy can index")
+
 
 @dataclass(frozen=True)
 class FlockParams:

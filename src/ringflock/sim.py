@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import RingflockError
-from .model import FlockParams
+from .model import FlockParams, _check_size
 from .wavefield import (_collect, _initial_arrays, _propagate, _propagator,
                         signal_velocities)
 
@@ -184,10 +184,8 @@ class ImpulseRun:
         # Arrivals are timed on 2001 frames of [0, min(t_end, t_front)]: the
         # trajectory's own (window None) or those of a second stream.
         self._window = None if t_end <= t_front else np.linspace(0.0, t_front, 2001)
-        try:
-            v0 = np.zeros(n)
-        except ValueError:  # numpy's "array is too big", which names no key
-            raise RingflockError(f"n={n} agents are more than numpy can index") from None
+        _check_size("n", n, "agents")
+        v0 = np.zeros(n)
         v0[0] = 1.0
         self._propagator = _propagator(params, np.zeros(n), v0)
         self.report = None
@@ -241,7 +239,7 @@ def impulse_experiment(params: FlockParams, t_end: Optional[float] = None):
 
     Raises:
         RingflockError: the closed-form gate fails, t_end is not positive
-            and finite, numpy cannot hold a state of n agents, the evolved
+            and finite, n is above model._SIZE_MAX, the evolved
             state is not finite in float64, or the mean velocity, which the
             couplings conserve, strays from 1 / n by 1e-12 relative.
     """

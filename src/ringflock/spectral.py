@@ -25,25 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RingflockError
-from .model import _INT64, DenseSystem, FlockParams, moments
+from .model import _INT64, DenseSystem, FlockParams, _check_size, moments
 
 #: Dense eigensolves are refused above this ring size.
 DENSE_N_CAP = 2048
 
 #: Relative tolerance for detecting a symmetric position row.
 SYMMETRY_TOL = 1e-12
-
-
-def _modes(n, modes: range) -> np.ndarray:
-    """The range of modes of an n-ring as an int64 array, or a RingflockError
-    naming n where numpy cannot build it."""
-    try:
-        ms = np.arange(modes.start, modes.stop)
-    except ValueError:  # numpy's "array is too big", which names no key
-        ms = None
-    if ms is None or ms.size != modes.stop - modes.start:  # near n = 2**63 arange gives []
-        raise RingflockError(f"n={n} modes are more than numpy can index")
-    return ms
 
 
 def _symmetric_modes(n) -> range:
@@ -56,9 +44,10 @@ def mode_range(n: int) -> np.ndarray:
     """Symmetric mode indices ceil(-(n-1)/2) .. ceil((n-1)/2), ascending.
 
     Raises:
-        RingflockError: numpy cannot build the range.
+        RingflockError: n is above model._SIZE_MAX.
     """
-    return _modes(n, _symmetric_modes(n))
+    _check_size("n", n, "modes")
+    return np.arange(-((n - 1) // 2), n // 2 + 1)
 
 
 def lambda_curves(params: FlockParams, phi):
@@ -169,7 +158,7 @@ def _mode_blocks(params: FlockParams, modes: range):
     nu_plus, nu_minus) for each ascending block of _BLOCK_MODES of them;
     each block builds its own ms, so no array as long as the range is made."""
     for lo in range(modes.start, modes.stop, _BLOCK_MODES):
-        ms = _modes(params.n, range(lo, min(lo + _BLOCK_MODES, modes.stop)))
+        ms = np.arange(lo, min(lo + _BLOCK_MODES, modes.stop))
         yield (ms, *eigenvalue_arrays(params, ms))
 
 
@@ -177,10 +166,8 @@ def _spectrum_roots(params: FlockParams) -> np.ndarray:
     """Spectrum.all_nus() of spectrum(params) as a (2, n) array, rows nu_plus
     and nu_minus, from _mode_blocks: the 2n roots alone are held."""
     n, modes = params.n, _symmetric_modes(params.n)
-    try:
-        nus = np.empty((2, n), dtype=complex)
-    except ValueError:  # numpy's "array is too big", which names no key
-        raise RingflockError(f"n={n} modes are more than numpy can index") from None
+    _check_size("n", n, "modes")
+    nus = np.empty((2, n), dtype=complex)
     for ms, _, _, plus, minus in _mode_blocks(params, modes):
         at = slice(ms[0] - modes.start, ms[-1] - modes.start + 1)
         nus[0, at], nus[1, at] = plus, minus
@@ -344,9 +331,11 @@ class Eigencurve:
 
 
 def eigencurve(params: FlockParams, n_phi: int) -> Eigencurve:
-    """Sample the eigencurve on n_phi angles, endpoints 0 and 2*pi included."""
+    """Sample the eigencurve on n_phi angles, endpoints 0 and 2*pi included;
+    n_phi below 16 or above model._SIZE_MAX raises RingflockError."""
     if n_phi < 16:
         raise RingflockError("n_phi must be at least 16")
+    _check_size("n_phi", n_phi, "samples")
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi)
     plus, minus = pencil_roots(params, phi)
     return Eigencurve(phi=phi, roots=np.column_stack([plus, minus]))

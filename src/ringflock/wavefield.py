@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RingflockError
-from .model import FlockParams
-from .spectral import (_labeled, _modes, _signal_speeds, _symbols, eigenvalue_arrays,
-                       pencil_roots, root_pair)
+from .model import FlockParams, _check_size
+from .spectral import (_labeled, _signal_speeds, _symbols, eigenvalue_arrays, pencil_roots,
+                       root_pair)
 from .stability import stable_for_all_n
 
 #: Two branch eigenvalues closer than this, relative to |nu_+|, make the mode Jordan-like.
@@ -104,12 +104,13 @@ def phase_velocities(params: FlockParams) -> PhaseVelocities:
     g_v**2 rho_v0**2 reaches -2 g_x rho_x0.
 
     Raises:
-        RingflockError: closed-form gate fails, or numpy cannot build the
-            mode range (the message names n).
+        RingflockError: closed-form gate fails, or n is above
+            model._SIZE_MAX (the message names n).
     """
     _require_gate(params)
     n = params.n
-    ms = _modes(n, range(1, n // 2 + 1))
+    _check_size("n", n, "modes")
+    ms = np.arange(1, n // 2 + 1)
     _, _, plus, minus = eigenvalue_arrays(params, ms)
     overdamped = ~((plus.imag > 0) & (minus.imag < 0))
     mtheta = ms * params.theta
@@ -252,18 +253,19 @@ def _frames(n, roots, zh, vh, w, tb):
     Per mode z_hat(t) = e^(r1 t) (zh + P w), zdot_hat(t) = e^(r1 t) (vh + r2 P w)
     with roots = (d, r1, r2) from spectral.root_pair, r1,2 = lambda_v/2 +- d (d
     the principal root), w = vh - r1 zh and P = t expm1(y)/y, y = -2 d t, which
-    Re y <= 0 bounds by t.  No labels, 2x2 solve or special case: the coherent
-    mode gives zh + t vh, a critical one (d = 0) its Jordan solution.  A cell
-    whose e^(r1 t) underflows to 0 is 0 even where P w or the phase has
-    overflowed (t near 1e308).  irfft makes bin -m the conjugate of bin m:
-    the state is real by construction.  Each row is evolved and transformed
-    on its own, so z is the same bits with or without zdot.  A non-finite
-    state raises RingflockError.
+    Re y <= 0 bounds by t; P = t where y is 0 or subnormal (1/y overflows).
+    No labels, 2x2 solve or special case: the coherent mode gives zh + t vh,
+    a critical one (d = 0) its Jordan solution.  A cell whose e^(r1 t)
+    underflows to 0 is 0 even where P w or the phase has overflowed (t near
+    1e308).  irfft makes bin -m the conjugate of bin m: the state is real by
+    construction.  Each row is evolved and transformed on its own, so z is
+    the same bits with or without zdot.  A non-finite state raises
+    RingflockError.
     """
     d, r1, r2 = roots
     with np.errstate(all="ignore"):
         y = -2.0 * d * tb
-        pw = tb * np.where(y == 0.0, 1.0, np.expm1(y) / y) * w
+        pw = tb * np.where(np.abs(y) < np.finfo(float).tiny, 1.0, np.expm1(y) / y) * w
         # zv is e^(r1 t), then its product with the state, then the frames:
         # one name, so each step frees the array of the step before.
         zv = np.exp(r1 * tb)
@@ -347,18 +349,16 @@ def power_law_coefficients(n: int, p: float, seed: int = 0) -> ModalCoefficients
 
     Raises:
         RingflockError: p is not a finite number above 1, seed is
-            negative, or numpy cannot hold the draws of n // 2 modes.
+            negative, or n is above model._SIZE_MAX.
     """
     if not 1.0 < p < math.inf:
         raise RingflockError(f"need finite p > 1, got p={p:g}")
     if seed < 0:
         raise RingflockError(f"need a non-negative seed, got seed={seed}")
+    _check_size("n", n, "modes")
     rng = random.Random(seed)
     half = n // 2
-    try:
-        draws = np.fromiter(iter(rng.random, None), float, 2 * half)  # the first 2 * half draws
-    except ValueError:  # numpy's "array is too big", which names no key
-        raise RingflockError(f"n={n} modes are more than numpy can index") from None
+    draws = np.fromiter(iter(rng.random, None), float, 2 * half)  # the first 2 * half draws
     phases = (2.0 * math.pi * draws).reshape(half, 2)
     # float ** float, not np.power, which can differ in the last bit
     mag = np.array([float(m) ** (-p) for m in range(1, half + 1)])

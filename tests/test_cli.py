@@ -1,4 +1,5 @@
 import ast
+import compileall
 import contextlib
 import io
 import itertools
@@ -125,6 +126,12 @@ def test_job_peak_rss_stays_near_the_cli_import(tmp_path, args, text, margin):
     # whole Spectrum while its rows rendered, and the large sweep evolved
     # every velocity it never read: 12.6 and 13.9 MB above it, against about
     # 8.3 and 10.8 MB with the 2n roots alone and positions only.
+    # Both runs read bytecode compiled first: compiling costs RSS (about 1.1
+    # MB for the CLI's imports, 0.55 MB for the lazily imported csvtext), and
+    # a warm base against a job that compiled csvtext left 1.5 MB, not 2.1 MB,
+    # of headroom.
+    compileall.compile_dir(Path(__file__).resolve().parent.parent / "src" / "ringflock",
+                           quiet=1)
     base, code = _peak_rss_mb(["-c", "import ringflock.cli"])
     assert code == 0
     cfg = write(tmp_path, text)
@@ -742,14 +749,18 @@ UNDERFLOW = "g_x = -1e-300\ng_v = -1e100\nrho_v.m1 = -0.95\nrho_v.p1 = -0.40\n"
     ("stability", "n = 1000000000000000\n"),
     # beyond int64, in which modes are indexed
     ("spectrum", "n = 9223372036854775808\n"),
-    # numpy cannot build this mode range: its length overflows to an empty array
+    # more modes, agents or eigencurve samples than numpy can index, refused
+    # before numpy's own error (an empty arange near 2**63, "array is too big"
+    # or an IndexError), which names no key
     ("spectrum", "n = 9223372036854775807\n"),
-    # numpy refuses these mode and root arrays as too big, naming no key
     ("spectrum", "n = 4611686018427387904\n"),
     ("velocities", "n = 9223372036854775807\n"),
-    # numpy refuses the state and the modal draws as too big, naming no key
     ("simulate", "n = 4611686018427387904\n"),
     ("wave-verify", "n_sweep = 4611686018427387904\n"),
+    ("spectrum", "n = 16\nn_phi = 4611686018427387904\n"),
+    ("spectrum", "n = 16\nn_phi = 9223372036854775807\n"),
+    ("spectrum", "n = 16\nn_phi = 9223372036854775808\n"),
+    ("spectrum", "n = 16\nn_phi = 1000000000000000000000000000000\n"),
     # a 2e-12 tilt against g_v = -2e6 first destabilizes a ring above VERDICT_N_MAX
     ("stability", "g_v = -2000000\nrho_x.m1 = -0.500000000001\nrho_x.p1 = -0.499999999999\n"),
     # m**-p overflows float64 unless p is checked first
@@ -772,7 +783,8 @@ UNDERFLOW = "g_x = -1e-300\ng_v = -1e100\nrho_v.m1 = -0.95\nrho_v.p1 = -0.40\n"
         "n_sweep-decreasing", "simulate-overflow",
         "row-sum-overflow", "symbol-overflow", "expansion-overflow",
         "n_phi-unallocatable", "n-unallocatable", "n-2^63", "n-2^63-1", "spectrum-n-2^62",
-        "velocities-n-2^63-1", "simulate-n-2^62", "wave-verify-n-2^62", "witness-above-cap",
+        "velocities-n-2^63-1", "simulate-n-2^62", "wave-verify-n-2^62",
+        "n_phi-2^62", "n_phi-2^63-1", "n_phi-2^63", "n_phi-1e30", "witness-above-cap",
         "p--400", "K-1e308",
         "tail-overflow", "wave-verify-underflow", "simulate-underflow",
         "alpha-5e-324", "seed-negative"])
@@ -792,6 +804,9 @@ def test_bad_value_exits_1_with_one_line(tmp_path, capsys, command, text):
     if text.startswith(("n = 92233720368547758", "n = 4611686018427387904",
                         "n_sweep = 4611686018427387904")):  # the error names n
         assert f"n={text.split('= ')[1][:-1]} " in captured.err
+    n_phi = text.partition("n_phi = ")[2][:-1]
+    if len(n_phi) > 18:  # at least 2**62: the error names n_phi
+        assert captured.err == f"error: n_phi={n_phi} samples are more than numpy can index\n"
     if text.startswith("g_v = -2000000"):
         assert captured.err == "error: n=3141627560 exceeds the spectral verdict cap 1073741824\n"
     if text.startswith("alpha = 5e-324"):
@@ -924,10 +939,10 @@ _WAVE_KEY = st.one_of(st.just(""), st.builds(
     "{} = {!r}\n".format, st.sampled_from(["alpha", "beta", "K", "p"]), _NUMBER))
 
 
-def _run_fuzzed(tmp_path, command, text):
-    """Run one fuzzed config at n = 16 and check that it ends cleanly: an exit
-    code in {0,1,2,3}, one stderr line and no stdout on exit 1, an empty
-    stderr (warnings included) otherwise."""
+def _run_fuzzed(tmp_path, command, text, n=16):
+    """Run one fuzzed config on a ring of n agents and check that it ends
+    cleanly: an exit code in {0,1,2,3}, one stderr line and no stdout on exit
+    1, an empty stderr (warnings included) otherwise."""
     out_dir = tmp_path / "out"
     shutil.rmtree(out_dir, ignore_errors=True)
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -935,7 +950,7 @@ def _run_fuzzed(tmp_path, command, text):
             contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         warnings.simplefilter("always")
         code = main([command, "--config", write(tmp_path, text), "--out", str(out_dir),
-                     "--n", "16"])
+                     "--n", str(n)])
     # A warning would reach a real run's stderr.
     err = stderr.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
     assert code in (0, 1, 2, 3)
@@ -952,7 +967,7 @@ _FUZZ = settings(derandomize=True, deadline=None, database=None,
 
 
 def _check_success(command, out_dir):
-    """The invariants of a run that exits 0 at n = 16."""
+    """The invariants of a run that exits 0 (simulate: at n = 16)."""
     if command == "velocities":
         _, c_plus, c_minus, _, _ = np.loadtxt(out_dir / "velocities.csv", delimiter=",",
                                               skiprows=1, ndmin=2).T
@@ -989,21 +1004,23 @@ def test_simulate_fuzzed_config_ends_cleanly(tmp_path, text, gate_true):
 ], ids=["stability", "spectrum", "velocities", "wave-verify"])
 @settings(_FUZZ, max_examples=50)
 @given(text=_config(), wave=_WAVE_KEY, default_flock=st.booleans(),
-       gate_true=_gate_true_config())
+       gate_true=_gate_true_config(), n=st.integers(3, 33))
 # Pinned draws that the random ones seldom reach: +-1e308 at p (0 * inf in the
 # envelope, m**-p overflowing) and at K (the window end overflowing).
-@example(text="", wave="p = 1e+308\n", default_flock=True, gate_true="")
-@example(text="", wave="p = -1e+308\n", default_flock=True, gate_true="")
-@example(text="", wave="K = 1e+308\n", default_flock=True, gate_true="")
+@example(text="", wave="p = 1e+308\n", default_flock=True, gate_true="", n=16)
+@example(text="", wave="p = -1e+308\n", default_flock=True, gate_true="", n=16)
+@example(text="", wave="K = 1e+308\n", default_flock=True, gate_true="", n=16)
 def test_subcommand_fuzzed_config_ends_cleanly(tmp_path, command, keys, text, wave,
-                                               default_flock, gate_true):
+                                               default_flock, gate_true, n):
+    # n is the ring of stability, spectrum and velocities; wave-verify's
+    # rings come from n_sweep.
     if command == "wave-verify":
         # the default flock passes the gate, so the wave key reaches the bound
         text = wave if default_flock else text + wave
     # Each draw runs twice: the config of _config, then a gate-true one
     # (whose special value may already sit at a wave key).
     for flock in (text, gate_true):
-        code, stdout, out_dir = _run_fuzzed(tmp_path, command, flock + keys)
+        code, stdout, out_dir = _run_fuzzed(tmp_path, command, flock + keys, n)
         if code != 1:
             assert "nan" not in stdout.lower()
         for csv in out_dir.glob("*.csv"):

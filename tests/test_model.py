@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ringflock as rf
+from ringflock import model
 from helpers import random_gate_true_params, random_valid_params
 
 
@@ -57,6 +58,21 @@ def test_ring_sizes_beyond_int64_are_refused():
         rf.spectrum(big)
     assert np.isfinite(rf.eigenvalue_arrays(big, [1, -1])).all()
     assert all(c.all() for c in rf.routh_hurwitz(big, [1, -1]))
+
+
+def test_sizes_above_the_limit_are_named():
+    # A (2, n) complex128 array takes 32 n bytes; numpy refuses more than
+    # intp max bytes.  The first size refused is named, never allocated.
+    assert model._SIZE_MAX == np.iinfo(np.intp).max // 32
+    model._check_size("n", model._SIZE_MAX, "modes")
+    n = model._SIZE_MAX + 1
+    with pytest.raises(rf.RingflockError, match=f"^n={n} modes are more than numpy can index$"):
+        rf.mode_range(n)
+    with pytest.raises(rf.RingflockError, match=f"^n={n} agents are more than numpy can index$"):
+        rf.impulse_experiment(rf.FlockParams.nearest_neighbor(n, -2.0, -1.0))
+    with pytest.raises(rf.RingflockError,
+                       match=f"^n_phi={n} samples are more than numpy can index$"):
+        rf.eigencurve(rf.FlockParams.nearest_neighbor(16, -2.0, -1.0), n)
 
 
 @pytest.mark.parametrize("call, message", [

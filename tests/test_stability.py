@@ -350,6 +350,30 @@ def test_witness_is_the_first_unstable_ring(kind, draws, seed):
         checked += 1
 
 
+@pytest.mark.parametrize("kind,seed", [(random_valid_params, 5), (random_asymmetric_x_params, 7)],
+                         ids=["valid", "asymmetric"])
+def test_witness_agrees_with_the_dense_oracle(kind, seed):
+    # Dyadic draws close their rows exactly, so the oracle's coherent pair is
+    # exactly 0.  Its other eigenvalues are off by about 1e-12, so only draws
+    # whose largest closed-form real parts at n and n - 1 sit 1e-6 or more
+    # from zero are kept: there the oracle cannot flip a sign.
+    rng = np.random.default_rng(seed)
+    checked = 0
+    while checked < 20:
+        p = kind(rng, 16)
+        if rf.stable_for_all_n(p):
+            continue
+        n = rf.instability_witness(p).n
+        rings = [k for k in (n, n - 1) if k >= 3]
+        if n > 128 or min(abs(rf.spectral_verdict(p.with_n(k)).max_real_part)
+                          for k in rings) < 1e-6:
+            continue
+        tops = [rf.dense_spectrum(rf.build_dense(p.with_n(k))).real.max() for k in rings]
+        assert tops[0] > 1e-9, p
+        assert all(top <= 1e-9 for top in tops[1:]), p
+        checked += 1
+
+
 def test_witness_found_for_asymmetric_row():
     rng = np.random.default_rng(79)
     p = random_asymmetric_x_params(rng, 8)

@@ -428,6 +428,21 @@ def test_evolve_decays_the_slow_mode_of_a_stiff_pencil():
     assert np.abs(v + 1e-9 * z0 / math.e).max() <= 1e-21
 
 
+def test_evolve_at_subnormal_times_stays_at_the_initial_frame():
+    # y = -2 d t is subnormal there, and numpy's complex expm1(y) / y
+    # overflowed to inf + nan j.
+    rng = np.random.default_rng(7)
+    p = rf.FlockParams.nearest_neighbor(16, -2.0, -2.0)
+    z0, v0 = rng.uniform(-1, 1, 16), rng.uniform(-1, 1, 16)
+    start = np.array(rf.evolve(p, z0, v0, 0.0))
+    for t in (1e-310, 5e-324):
+        state = np.array(rf.evolve(p, z0, v0, t))
+        assert np.isfinite(state).all()
+        assert np.abs(state - start).max() <= 1e-300
+    traj, _ = rf.impulse_experiment(p, t_end=1e-306)
+    assert np.isfinite(traj.zdot).all()
+
+
 def test_evolve_rejects_overflowing_state():
     p = rf.FlockParams.nearest_neighbor(16, -2.0, -1.0)
     v0 = np.zeros(16)
