@@ -35,11 +35,20 @@ _INT64 = np.iinfo(np.int64)
 #: package sizes by n or n_phi is larger.
 _SIZE_MAX = np.iinfo(np.intp).max // 32
 
+#: Dense systems are refused above this ring size.
+DENSE_N_CAP = 2048
+
 
 def _check_size(key, size, what):
     """Refuse a size above _SIZE_MAX with a RingflockError naming key=size."""
     if size > _SIZE_MAX:
         raise RingflockError(f"{key}={size} {what} are more than numpy can index")
+
+
+def _check_dense(n):
+    """Refuse a ring above DENSE_N_CAP with a RingflockError naming n."""
+    if n > DENSE_N_CAP:
+        raise RingflockError(f"n={n} exceeds the dense eigensolve cap {DENSE_N_CAP}")
 
 
 @dataclass(frozen=True)
@@ -206,8 +215,13 @@ def moments(params: FlockParams, lmax: int = 5) -> Moments:
 
 
 def build_dense(params: FlockParams) -> DenseSystem:
-    """Assemble the dense 2n x 2n system matrix."""
+    """Assemble the dense 2n x 2n system matrix.
+
+    Raises:
+        RingflockError: ring size above DENSE_N_CAP, before any allocation.
+    """
     n = params.n
+    _check_dense(n)
     l_x = _circulant(n, params.rho_x)
     l_v = _circulant(n, params.rho_v)
     m = np.zeros((2 * n, 2 * n))

@@ -25,10 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RingflockError
-from .model import _INT64, DenseSystem, FlockParams, _check_size, moments
-
-#: Dense eigensolves are refused above this ring size.
-DENSE_N_CAP = 2048
+from .model import _INT64, DenseSystem, FlockParams, _check_dense, _check_size, moments
 
 #: Relative tolerance for detecting a symmetric position row.
 SYMMETRY_TOL = 1e-12
@@ -353,10 +350,23 @@ def _farthest_by_rows(a, b) -> float:
 
 
 def _cell_ids(z, x0, y0, k, nx, ny):
-    """Row-major ids of the 2**k-sided cells holding z, one ring of cells past the nx-by-ny grid."""
-    cx = np.floor(np.clip(np.ldexp(z.real - x0, -k), -1.0, nx))
-    cy = np.floor(np.clip(np.ldexp(z.imag - y0, -k), -1.0, ny))
-    return ((cy + 1.0) * (nx + 2) + cx + 1.0).astype(np.int64)
+    """Row-major ids of the 2**k-sided cells holding z, one ring of cells past the nx-by-ny grid.
+
+    Two buffers, one per coordinate, carry every step: ((cy + 1) * (nx + 2)
+    + cx) + 1 is summed in that order in cy, and the int64 ids are cast into
+    cx's buffer."""
+    cx, cy = z.real - x0, z.imag - y0
+    for c, top in ((cx, nx), (cy, ny)):
+        np.ldexp(c, -k, out=c)
+        np.clip(c, -1.0, top, out=c)
+        np.floor(c, out=c)
+    cy += 1.0
+    cy *= nx + 2
+    cy += cx
+    cy += 1.0
+    ids = cx.view(np.int64)
+    ids[...] = cy
+    return ids
 
 
 def _farthest_nearest(a, b) -> float:
@@ -379,12 +389,14 @@ def _farthest_nearest(a, b) -> float:
         nx, ny = int(math.ldexp(w, -k)) + 1, int(math.ldexp(h, -k)) + 1
         ids = _cell_ids(b, x0, y0, k, nx, ny)
         order = np.argsort(ids, kind="stable")
-        ids = ids[order]
+        ids.sort()
         crowd = b.size / (np.count_nonzero(np.diff(ids)) + 1)
         if crowd <= 4.0 or k == k_min or shrinks == 2:
             break
         k = max(k_min, k - math.ceil(math.log2(crowd / 4.0)))
-    b_sorted = b[order]
+        del ids, order  # before the finer grid's ids are formed
+    b_sorted = b.take(order)
+    del order
 
     # A point of b outside the 3x3 cells around a query is at least one side
     # away (less the 2**-32 rounding), so a nearest distance found inside them
@@ -408,9 +420,12 @@ def _farthest_nearest(a, b) -> float:
             m = max(1, int(np.searchsorted(ends_q[s:], done + _PAIRS, side="right")))
             lo, n, ends = lo_q[s:s + m].ravel(), n_q[s:s + m].ravel(), ends_q[s:s + m] - done
             count = np.diff(ends, prepend=0)
-            idx = np.arange(ends[-1]) + np.repeat(lo - (np.cumsum(n) - n), n)
+            # the gathered points less their queries, in place: b - a is
+            # exactly -(a - b), so np.abs gives the same bits
+            d = b_sorted[np.arange(ends[-1]) + np.repeat(lo - (np.cumsum(n) - n), n)]
             qa = a[start + s:start + s + m]
-            d = np.abs(np.repeat(qa, count) - b_sorted[idx])
+            d -= np.repeat(qa, count)
+            d = np.abs(d)
             near = np.full(m, np.inf)
             near[count > 0] = np.minimum.reduceat(d, (ends - count)[count > 0])
             hit = np.ldexp(near, -k) < 1.0 - 1e-9
@@ -539,11 +554,10 @@ def dense_spectrum(system: DenseSystem) -> np.ndarray:
     oracle knows nothing of the closed-form mode pencils.
 
     Raises:
-        RingflockError: ring size above DENSE_N_CAP.
+        RingflockError: ring size above model.DENSE_N_CAP.
     """
     n = system.l_x.shape[0]
-    if n > DENSE_N_CAP:
-        raise RingflockError(f"n={n} exceeds the dense eigensolve cap {DENSE_N_CAP}")
+    _check_dense(n)  # build_dense checks too, but a system may be built by hand
     m = system.m
     p = m[n:, :n]
     q = m[n:, n:]

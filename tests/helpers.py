@@ -1,10 +1,20 @@
 """Seeded parameter draws and checks shared by the unit and acceptance tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
 from ringflock import FlockParams, mode_range, routh_hurwitz
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes tracemalloc traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def fft_modes(n):

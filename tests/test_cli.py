@@ -8,7 +8,6 @@ import os
 import shutil
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_gate_true_params
+from helpers import random_gate_true_params, traced_peak
 from ringflock import cli, errors, spectral, wavefield
 from ringflock.cli import DEFAULTS, build_params, main
 from ringflock.sim import impulse_experiment
@@ -618,12 +617,7 @@ def test_simulate_streams_the_library_run_byte_for_byte(tmp_path, capsys, monkey
 def test_simulate_memory_does_not_grow_with_n(tmp_path, capsys):
     # holding the whole 2001-frame trajectory, z and zdot, is 64 MB at this n
     cfg = {**DEFAULTS, "n": 2000}
-    tracemalloc.start()
-    try:
-        code = cli.cmd_simulate(cfg, build_params(cfg), tmp_path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(cli.cmd_simulate, cfg, build_params(cfg), tmp_path)
     assert code == 0
     assert "fitted_c_plus=" in capsys.readouterr().out
     assert (tmp_path / "trajectory.csv").stat().st_size > 2001 * 4000 * 10

@@ -7,7 +7,7 @@ import pytest
 
 import ringflock as rf
 from ringflock import model
-from helpers import random_gate_true_params, random_valid_params
+from helpers import random_gate_true_params, random_valid_params, traced_peak
 
 
 def test_validate_symmetric_row_ok():
@@ -254,6 +254,20 @@ def test_build_dense_rows_n3():
     sys = rf.build_dense(p)
     gx_lx = sys.m[3:, :3]
     np.testing.assert_allclose(gx_lx, [[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
+
+
+@pytest.mark.parametrize("n", [2049, 2**40])
+def test_build_dense_refuses_rings_above_the_cap_before_allocating(n):
+    # At 2049 the system took 192 MiB before dense_spectrum refused it; at
+    # 2**40 numpy's "array is too big" named no key.
+    p = rf.FlockParams.nearest_neighbor(n, -2.0, -2.0)
+
+    def build():
+        with pytest.raises(rf.RingflockError, match=f"^n={n} exceeds the dense eigensolve cap 2048$"):
+            rf.build_dense(p)
+
+    _, peak = traced_peak(build)
+    assert peak < 2**20
 
 
 def test_build_dense_kernel_and_structure():

@@ -2,7 +2,6 @@ import cmath
 import itertools
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from helpers import (
     random_gate_true_params,
     random_underdamped_params,
     random_valid_params,
+    traced_peak,
 )
 
 
@@ -397,21 +397,20 @@ def test_hausdorff_matches_full_distance_matrix_at_extreme_scales():
 
 
 def test_hausdorff_of_default_flock_at_large_n():
+    # 4.8 MiB of scratch while the grid sorted a copy of its ids and built
+    # each distance block from two temporaries
     p = rf.FlockParams.nearest_neighbor(50000, -2.0, -2.0)
-    d = rf.hausdorff(rf.spectrum(p).all_nus(), rf.eigencurve(p, 4096).points())
+    nus, curve = rf.spectrum(p).all_nus(), rf.eigencurve(p, 4096).points()
+    d, peak = traced_peak(rf.hausdorff, nus, curve)
     assert d == 0.00076717767437023215
+    assert peak < 4.4 * 2**20
 
 
 def test_hausdorff_scratch_memory_is_bounded():
     # 2.8 MB when the search measured 2**17 pairs at once
     p = rf.FlockParams.nearest_neighbor(200, -2.0, -2.0)
     nus, curve = rf.spectrum(p).all_nus(), rf.eigencurve(p, 4096).points()
-    tracemalloc.start()
-    try:
-        d = rf.hausdorff(nus, curve)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    d, peak = traced_peak(rf.hausdorff, nus, curve)
     assert d == 0.015688622925910674
     assert peak < 2.25 * 2**20
 
@@ -526,12 +525,8 @@ def test_max_matching_distance_memory_is_chunked():
     n = 2048
     a = np.r_[np.zeros(n - 1), 2.0]
     b = np.r_[1.0, np.zeros(n - 2), 3.0]
-    tracemalloc.start()
-    try:
-        assert rf.max_matching_distance(a, b) == 1.0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(rf.max_matching_distance, a, b)
+    assert got == 1.0
     assert peak < 40e6
 
 
@@ -542,12 +537,7 @@ def test_max_matching_distance_search_copies_the_distances_once():
     n = 2048
     a, b = (np.round(rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n), 1)
             for _ in range(2))
-    tracemalloc.start()
-    try:
-        got = rf.max_matching_distance(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(rf.max_matching_distance, a, b)
     assert got > rf.hausdorff(a, b)
     assert peak < 76 * 2**20
 

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -15,6 +14,7 @@ from helpers import (
     random_underdamped_params,
     random_valid_params,
     routh_hurwitz_holds,
+    traced_peak,
 )
 
 
@@ -266,12 +266,7 @@ def test_verdict_prefers_a_root_above_its_band(monkeypatch):
 def test_verdict_memory_does_not_grow_with_n():
     # building the whole spectrum of this ring peaks at about 130 MB
     p = rf.FlockParams.nearest_neighbor(10**6, -2.0, -2.0)
-    tracemalloc.start()
-    try:
-        report = rf.spectral_verdict(p)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(rf.spectral_verdict, p)
     assert report.spectral_stable is True
     assert peak < 4 * 2**20
 

@@ -2,7 +2,6 @@ import cmath
 import dataclasses
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +11,8 @@ from hypothesis import strategies as st
 import ringflock as rf
 from ringflock import wavefield
 from ringflock.spectral import eigenvalue_arrays, root_pair
-from helpers import fft_modes, random_moderate_damping_params, random_underdamped_params
+from helpers import (fft_modes, random_moderate_damping_params, random_underdamped_params,
+                     traced_peak)
 
 ASYM = dict(g_x=-1.0, g_v=-1.0, rho_x_plus=-0.5, rho_v_plus=0.0,
             rho_x_minus=-0.5, rho_v_minus=-1.0)
@@ -765,17 +765,32 @@ def test_power_law_data_on_an_overdamped_flock_pass_the_modal_calls():
 def test_wave_bound_memory_at_n_65536():
     # holding every frame, its profile and three root evaluations at once
     # peaked at about 32 MB here; all n bins per frame, 14.2 MB; evolving the
-    # unread velocities and solving the roots twice, 6.9 MB; 5.9 MB without
+    # unread velocities and solving the roots twice, 6.9 MB; 5.9 MB without;
+    # holding r2, vh and the decay rates through the frame stream, 5.88 MiB
     p = rf.FlockParams.nearest_neighbor(65536, -2.0, -2.0)
     co = rf.power_law_coefficients(65536, 2.0, seed=1)
-    tracemalloc.start()
-    try:
-        rep = rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(rf.verify_wave_bound, p, co, 0.3, 0.7, 2.0, 2.0)
     assert rep.bound_holds()
-    assert peak < 6.5 * 2**20
+    assert peak < 5.0 * 2**20
+
+
+def test_wave_bound_report_holds_copies_of_its_amplitudes():
+    # slices of coeffs pinned each finished ring's whole amplitude arrays
+    p = rf.FlockParams.nearest_neighbor(4096, -2.0, -2.0)
+    co = rf.power_law_coefficients(4096, 2.0, seed=1)
+    rep = rf.verify_wave_bound(p, co, 0.3, 0.7, 2.0, 2.0)
+    kept = rep.cutoff + 1
+    assert rep.f_minus_coeffs.tobytes() == co.leftward[:kept].tobytes()
+    assert rep.f_plus_coeffs.tobytes() == co.rightward[:kept].tobytes()
+    assert not np.shares_memory(rep.f_minus_coeffs, co.leftward)
+    assert not np.shares_memory(rep.f_plus_coeffs, co.rightward)
+
+
+def test_power_law_coefficients_memory_at_n_65536():
+    # 4.38 MiB with a list of the magnitudes and whole-array temporaries
+    co, peak = traced_peak(rf.power_law_coefficients, 65536, 2.0, 1)
+    assert co.leftward.shape == co.rightward.shape == (32769,)
+    assert peak < 3.25 * 2**20
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
